@@ -20,6 +20,7 @@ from .errors import (  # noqa: F401
     EnumerationTooLarge,
     FieldShapeMismatch,
     HypothesisUnmet,
+    ImageOutOfRange,
     NotADivisor,
     NotFactorable,
     NotPrime,

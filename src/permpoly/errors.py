@@ -63,3 +63,12 @@ class BadDegrees(PermpolyError):
 
 class BadSubfieldConstant(PermpolyError):
     """Transform constant does not lie in the required subfield."""
+
+
+class ImageOutOfRange(PermpolyError):
+    """A map returned a rep outside [0, order) of the field it is scanned on."""
+
+    def __init__(self, x: int, y: int, order: int):
+        super().__init__(f"f({x}) = {y} lies outside [0, {order})")
+        self.x = x
+        self.y = y

@@ -398,19 +398,19 @@ class FieldCtx:
         return self.pow(a, self.p ** m) == a
 
     def subgroup_reps(self, d: int) -> list[int]:
-        """The order-d subgroup of the unit group as generator powers."""
+        """The order-d subgroup of the unit group as generator powers.
+
+        Entry j is w^j for w = g^((q-1)/d), built by repeated multiplication
+        by w, so ``out[j * e % d]`` is the e-th power of ``out[j]``.
+        """
         n1 = self.order - 1
         if d < 1 or n1 % d:
             raise NotADivisor(f"{d} does not divide {n1}")
-        step = n1 // d
-        out = []
-        seen = set()
-        for j in range(d):
-            r = self.pow(self.generator, step * j)
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-        assert len(out) == d
+        w = self.pow(self.generator, n1 // d)
+        out = [1]
+        for _ in range(d - 1):
+            out.append(self.mul(out[-1], w))
+        assert len(set(out)) == d
         return out
 
     def subgroup(self, d: int) -> list["FieldElem"]:

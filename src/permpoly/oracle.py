@@ -11,7 +11,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .errors import NotADivisor, NotFactorable
+from .errors import ImageOutOfRange, NotADivisor, NotFactorable
 from .field import FieldCtx, FieldElem, SparsePoly
 
 
@@ -44,6 +44,8 @@ def _sequential_scan(fn, order):
     seen = bytearray(order)
     for x in range(order):
         y = fn(x)
+        if not 0 <= y < order:
+            raise ImageOutOfRange(x, y, order)
         if seen[y]:
             for x1 in range(x):
                 if fn(x1) == y:
@@ -57,7 +59,9 @@ def _parallel_scan(fn, order, workers):
     """Partitioned scan with per-worker marks merged at the end.
 
     Produces a report identical to the sequential scan: the reconstructed
-    witness is the first collision in ascending rep order.
+    witness is the first collision in ascending rep order.  Preimage counts
+    saturate at 2, which is all the collision test needs, so they fit a byte
+    however many preimages an image has.
     """
     bounds = [(i * order) // workers for i in range(workers + 1)]
     ranges = [(bounds[i], bounds[i + 1]) for i in range(workers)]
@@ -66,7 +70,11 @@ def _parallel_scan(fn, order, workers):
         lo, hi = rng
         marks = bytearray(order)
         for x in range(lo, hi):
-            marks[fn(x)] += 1
+            y = fn(x)
+            if not 0 <= y < order:
+                raise ImageOutOfRange(x, y, order)
+            if marks[y] < 2:
+                marks[y] += 1
         return marks
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -75,7 +83,7 @@ def _parallel_scan(fn, order, workers):
     counts = parts[0]
     for part in parts[1:]:
         for y in range(order):
-            counts[y] += part[y]
+            counts[y] = min(counts[y] + part[y], 2)
     dup = [y for y in range(order) if counts[y] > 1]
     if not dup:
         return None, order
@@ -180,14 +188,31 @@ def natural_divisor(f: SparsePoly) -> int:
     return n1 // t if t else 1
 
 
+def _drop_constant(f: SparsePoly) -> SparsePoly:
+    """f - f(0), which is a bijection exactly when f is."""
+    pairs = f.term_pairs()
+    if pairs and pairs[0][1] == 0:
+        return SparsePoly(f.ctx, pairs[1:])
+    return f
+
+
 def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     """Permutation verdict through the two split conditions.
 
     Returns (verdict, details) where verdict is True iff gcd(r, (q-1)/d) == 1
-    and y^r * h(y)^((q-1)/d) permutes the order-d subgroup.  Exponents of h
-    are folded mod d for the subgroup sweep, which is exact on that subgroup.
+    and y^r * h(y)^((q-1)/d) permutes the order-d subgroup.  The split is
+    taken of f - f(0); a constant f is no bijection, and its details carry
+    no split.
+
+    The subgroup is swept by index: point j is w^j with w = g^t, so every
+    power y^e is the lookup ``mu[j * e % d]`` and h(y)^t is the only general
+    power a point costs.
     """
     ctx = f.ctx
+    f = _drop_constant(f)
+    if f.is_zero():
+        return False, {"d": d, "r": None, "t": None, "coprime": False,
+                       "subgroup": False}
     if d is None:
         d = natural_divisor(f)
     r, h = zieve_split(f, d)
@@ -195,11 +220,16 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     t = n1 // d
     coprime = math.gcd(r, t) == 1
     mu = ctx.subgroup_reps(d)
-    hr = h.reduce_exponents(d)
-    rr = r % d if r % d else (d if r else 0)
+    index = {y: j for j, y in enumerate(mu)}
+    terms = h.reduce_exponents(d).term_pairs()
 
     def on_circle(y):
-        return ctx.mul(ctx.pow(y, rr), ctx.pow(hr.eval_rep(y), t))
+        j = index[y]
+        acc = 0
+        for c, e in terms:
+            v = mu[j * e % d]
+            acc = ctx.add(acc, v if c == 1 else ctx.mul(c, v))
+        return ctx.mul(mu[j * r % d], ctx.pow(acc, t))
 
     sub = permutes_subset(on_circle, mu, ctx)
     verdict = coprime and sub.is_permutation

@@ -33,6 +33,20 @@ def raw_pow(ctx, x, e):
     return result
 
 
+def naive_split_map(ctx, r, h, t, d):
+    """The split's subgroup map y -> y^r * h(y)^t, point by point over ``raw_pow``.
+
+    Exponents are folded mod d, which is exact on the order-d subgroup; every
+    power is computed from y itself, with no index arithmetic.
+    """
+    def fn(y):
+        acc = 0
+        for c, e in h.term_pairs():
+            acc = ctx.add(acc, ctx._mul_raw(c, raw_pow(ctx, y, e % d)))
+        return ctx._mul_raw(raw_pow(ctx, y, r % d), raw_pow(ctx, acc, t))
+    return fn
+
+
 def brute_quad_roots(ctx, u, v):
     """All x with x^2 + u*x + v == 0, by field enumeration."""
     return sorted(x for x in range(ctx.order)

@@ -54,6 +54,15 @@ def test_parse_poly_forms():
 # verify
 # --------------------------------------------------------------------------
 
+def test_verify_parallel_with_many_preimages_exit1(capsys):
+    # one image of F4 (m = 5, b = 1) has over 255 preimages
+    code, out, err = run_cli(capsys, "verify", "--family", "F4", "--m", "5",
+                             "--b", "1", "--parallelism", "2")
+    assert code == 1
+    assert "permutation: False" in out
+    assert err == ""
+
+
 def test_verify_f5_example_exit0(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "F5",
                            "--m", "3", "--r", "4", "--i", "3", "--b", "g^7")

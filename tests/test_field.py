@@ -18,7 +18,7 @@ from permpoly import (
 )
 from permpoly.field import is_irreducible
 
-from helpers import naive_eval
+from helpers import naive_eval, raw_pow
 
 
 # --------------------------------------------------------------------------
@@ -318,6 +318,17 @@ def test_subgroup_trivial_and_errors():
     assert ctx.subgroup_reps(1) == [1]
     with pytest.raises(NotADivisor):
         ctx.subgroup_reps(5)
+
+
+def test_subgroup_reps_are_generator_powers_in_order():
+    # entry j is g^(t*j), t = (q-1)/d, with and without log tables
+    for ctx, divisors in ((make_field(2, 8), (1, 3, 5, 15, 17, 51, 85, 255)),
+                          (make_field(2, 18), (7, 73, 513))):
+        n1 = ctx.order - 1
+        for d in divisors:
+            t = n1 // d
+            assert ctx.subgroup_reps(d) == [raw_pow(ctx, ctx.generator, t * j)
+                                            for j in range(d)]
 
 
 def test_unit_circle_size():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from permpoly import (
+    ImageOutOfRange,
     NotADivisor,
     NotFactorable,
     SparsePoly,
@@ -16,6 +17,10 @@ from permpoly import (
     zieve_split,
     zieve_verdict,
 )
+from permpoly import families as fam
+from permpoly import oracle
+
+from helpers import naive_split_map
 
 
 def test_identity_and_frobenius_are_permutations():
@@ -55,6 +60,28 @@ def test_parallel_matches_sequential():
         assert seq.is_permutation == par.is_permutation
         assert seq.witness == par.witness
         assert seq.evaluations == par.evaluations
+
+
+def test_parallel_scan_with_many_preimages():
+    # F4 with m = 5, b = 1 sends many points of GF(2^10) to one image; the
+    # per-worker counts used to overflow a byte at 256 preimages
+    params = {"m": 5, "b": 1}
+    ctx = fam.family_ctx("F4", params)
+    f = fam.evaluator("F4", params, ctx=ctx)
+    seq = is_permutation(f, ctx, workers=1)
+    par = is_permutation(f, ctx, workers=2)
+    assert not seq.is_permutation
+    assert (par.is_permutation, par.witness, par.evaluations) == \
+        (seq.is_permutation, seq.witness, seq.evaluations)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shift, y0", [(-8, -8), (8, 8)])
+def test_image_out_of_range_is_typed(workers, shift, y0):
+    ctx = make_field(2, 3)
+    with pytest.raises(ImageOutOfRange) as exc:
+        is_permutation(lambda x: x + shift, ctx, workers=workers)
+    assert (exc.value.x, exc.value.y) == (0, y0)
 
 
 def test_determinism_modulo_elapsed():
@@ -173,3 +200,100 @@ def test_split_verdict_agrees_with_oracle():
         direct = is_permutation(poly, ctx).is_permutation
         split, info = zieve_verdict(poly)
         assert split == direct, (b, info)
+
+
+# --------------------------------------------------------------------------
+# split sweep against the full scan and the per-point reference
+# --------------------------------------------------------------------------
+
+SPLIT_FIELDS = [(2, k) for k in range(1, 9)] + [(3, 3), (3, 4), (5, 2)]
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _random_split_polys(ctx, rng, count):
+    """Sparse x^r * h(x^t0) shapes with random t0 | q-1, r >= 1 and 1-3 terms."""
+    n1 = ctx.order - 1
+    out = []
+    for _ in range(count):
+        t0 = rng.choice(_divisors(n1))
+        r = rng.randrange(1, n1 + 1)
+        pairs = [(rng.randrange(1, ctx.order), r + t0 * rng.randrange(0, 2 * n1 // t0 + 1))
+                 for _ in range(rng.randrange(1, 4))]
+        f = SparsePoly(ctx, pairs)
+        if not f.is_zero():
+            out.append(f)
+    return out
+
+
+@pytest.fixture
+def circle_spy(monkeypatch):
+    """(map, subset) of every permutes_subset call zieve_verdict makes."""
+    calls = []
+    orig = oracle.permutes_subset
+
+    def spy(fn, subset, ctx):
+        calls.append((fn, subset))
+        return orig(fn, subset, ctx)
+
+    monkeypatch.setattr(oracle, "permutes_subset", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, k", SPLIT_FIELDS)
+def test_split_sweep_matches_scan_and_reference(p, k, circle_spy):
+    ctx = make_field(p, k)
+    n1 = ctx.order - 1
+    rng = random.Random(1000 * p + k)
+    verdicts = set()
+    for f in _random_split_polys(ctx, rng, 15):
+        direct = is_permutation(f, ctx).is_permutation
+        verdicts.add(direct)
+        for d in _divisors(n1):
+            try:
+                r, h = zieve_split(f, d)
+            except NotFactorable:
+                continue
+            circle_spy.clear()
+            split, info = zieve_verdict(f, d)
+            assert split == direct, (f, d, info)
+            (fn, mu), = circle_spy
+            assert mu == ctx.subgroup_reps(d)
+            naive = naive_split_map(ctx, r, h, n1 // d, d)
+            assert [fn(y) for y in mu] == [naive(y) for y in mu], (f, d)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p, k", [(2, 3), (2, 6), (3, 3)])
+def test_split_of_nonzero_constant_term(p, k):
+    # f and f - f(0) are bijections together; the split must see through it
+    ctx = make_field(p, k)
+    rng = random.Random(7 * p + k)
+    verdicts = set()
+    for f in _random_split_polys(ctx, rng, 30):
+        for c in (1, rng.randrange(1, ctx.order)):
+            g = f + SparsePoly.constant(ctx, c)
+            direct = is_permutation(g, ctx).is_permutation
+            verdicts.add(direct)
+            assert zieve_verdict(g)[0] == direct, g
+    assert verdicts == {True, False}
+    x = SparsePoly.x(ctx)
+    assert zieve_verdict(x + SparsePoly.constant(ctx, 1))[0]
+    assert zieve_verdict(SparsePoly.constant(ctx, 1)) == (
+        False, {"d": None, "r": None, "t": None, "coprime": False, "subgroup": False})
+
+
+def test_split_sweep_f8_above_table_limit(circle_spy):
+    params = {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 10}
+    ctx = fam.family_ctx("F8", params)
+    assert ctx.order == 1 << 18
+    f = fam.build("F8", params, ctx=ctx)
+    split, info = zieve_verdict(f)
+    assert split
+    assert info["d"] == 513
+    r, h = zieve_split(f, 513)
+    (fn, mu), = circle_spy
+    naive = naive_split_map(ctx, r, h, info["t"], 513)
+    assert [fn(y) for y in mu] == [naive(y) for y in mu]
