@@ -194,7 +194,7 @@ def cmd_verify(args, params_raw, out) -> int:
     spec, ctx, params = resolve_params(args.family, params_raw)
     report = fam.check(args.family, params, ctx=ctx)
     f = fam.evaluator(args.family, params, ctx=ctx)
-    vr = is_permutation(f, ctx, workers=args.parallelism)
+    vr = is_permutation(f, ctx)
     doc = {
         "tool-version": __version__,
         "command": "verify",
@@ -243,7 +243,7 @@ def cmd_enumerate(args, params_raw, out) -> int:
     clause_names = None
     for params, report in fam.enumerate_instances(args.family, fixed, cap=args.cap):
         f = fam.evaluator(args.family, params, ctx=ctx)
-        vr = is_permutation(f, ctx, workers=args.parallelism)
+        vr = is_permutation(f, ctx)
         if clause_names is None:
             clause_names = [c.name for c in report.clauses]
         if args.disagreements_only and report.passed == vr.is_permutation:
@@ -291,7 +291,7 @@ def cmd_enumerate(args, params_raw, out) -> int:
 
 
 def cmd_reproduce(args, out) -> int:
-    results = rep.run_all(workers=args.parallelism)
+    results = rep.run_all()
     if args.output == "json":
         doc = {"tool-version": __version__, "command": "reproduce",
                "pass": all(r.passed for r in results),
@@ -329,7 +329,6 @@ def _build_parser():
     for name in ("list", "verify", "enumerate", "reproduce", "selftest"):
         sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--output", choices=("human", "json", "csv"), default="human")
-        sp.add_argument("--parallelism", type=int, default=1)
         if name in ("verify", "enumerate"):
             sp.add_argument("--family")
             sp.add_argument("--param", action="append", default=[],

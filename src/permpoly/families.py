@@ -3,8 +3,11 @@
 Each entry bundles a field shape, a parameter schema, a condition predicate
 (evaluated clause by clause, totally: every schema-valid assignment yields
 pass or fail), a builder producing the literal polynomial with expanded
-arbitrary-precision exponents, and an evaluator closure used for exhaustive
-sweeps without formal expansion.
+arbitrary-precision exponents, and an evaluation form for exhaustive sweeps.
+The form of F1 and F6..F12 is one shared :class:`Form`,
+c0 * x^r * G(core(x)) + c*x, evaluated without formal expansion; F2..F5 use
+their literal polynomial.  :func:`evaluator` compiles either against the
+field's log tables (``rep_fn``).
 
 Family ids and parameter names are a stable CLI/JSON contract.  Condition
 clauses mirror each construction's published hypotheses verbatim; where a
@@ -15,7 +18,9 @@ the disagreement is surfaced, not patched.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from . import solvers
 from .errors import (
@@ -88,7 +93,7 @@ class FamilySpec:
     params: tuple[ParamSpec, ...]
     condition: object         # (ctx, params) -> ConditionReport
     build: object             # (ctx, params) -> SparsePoly
-    evaluator: object         # (ctx, params) -> rep callable
+    form: object              # (ctx, params) -> Form or SparsePoly
     notes: str = ""
 
     def param(self, name: str) -> ParamSpec:
@@ -181,6 +186,74 @@ def _subfield_star_clause(ctx, name, rep, m):
 
 
 # ---------------------------------------------------------------------------
+# the evaluation form
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Form:
+    """The evaluation form f(x) = c0 * x^r * G(core(x)) + c*x.
+
+    G(y) = (w + w^q + ... + w^(q^(n-1)))^E with w = u(y).  ``u`` = None
+    stands for u(y) = y, so G is the power y^E; with a sparse polynomial u
+    and n = 1, G is u^E; n > 1 gives the q-power sum of u.  ``c0`` is
+    nonzero and E >= 1.
+    """
+
+    core: SparsePoly
+    E: int = 1
+    u: SparsePoly | None = None
+    n: int = 1
+    q: int = 1
+    r: int = 0
+    c0: int = 1
+    c: int = 0
+
+    def rep_fn(self):
+        """Rep-level evaluator, compiled against the context's log tables.
+
+        Above TABLE_LIMIT the same form evaluates through ``ctx`` arithmetic.
+        """
+        core = self.core
+        ctx = core.ctx
+        u = self.u.rep_fn() if self.u is not None else None
+        E, r, c0, c = self.E, self.r, self.c0, self.c
+        qpows = [self.q ** j for j in range(1, self.n)]
+
+        def direct(x):
+            w = core.eval_rep(x)
+            if u is not None:
+                w = u(w)
+                w = reduce(ctx.add, [ctx.pow(w, e) for e in qpows], w)
+            v = ctx.mul(ctx.mul(c0, ctx.pow(x, r)), ctx.pow(w, E))
+            return ctx.add(v, ctx.mul(c, x))
+
+        if not ctx.ensure_tables():
+            return direct
+        exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
+        add = operator.xor if ctx.p == 2 else ctx.add
+        f0, lc0, lc = direct(0), log[c0], log[c]  # 0 has no log: f(0) from ctx
+        k0, terms = core.log_terms()
+        qpows = [e % n1 for e in qpows]
+
+        def f(x):
+            if x == 0:
+                return f0
+            lx = log[x]
+            w = k0
+            for lt, e in terms:
+                w = add(w, exp[lt + lx * e % n1])
+            if u is not None:
+                w = u(w)
+                if w and qpows:
+                    lw = log[w]
+                    for e in qpows:
+                        w = add(w, exp[lw * e % n1])
+            v = exp[(lc0 + lx * r + log[w] * E) % n1] if w else 0
+            return add(v, exp[lc + lx]) if c else v
+        return f
+
+
+# ---------------------------------------------------------------------------
 # F1, F2: twisted additive-shift compositions over GF(2^3m)
 # ---------------------------------------------------------------------------
 
@@ -193,21 +266,19 @@ def _f1_condition(ctx, p):
                                                   p["c"], p["m"]),))
 
 
-def _f1_build(ctx, p):
+def _f1_parts(ctx, p):
     m = p["m"]
-    inner = SparsePoly(ctx, [(1, 1 << m), (1, 1), (p["delta"], 0)])
-    return inner.pow_charp((1 << (2 * m)) + 1) + SparsePoly(ctx, [(p["c"], 1)])
+    return SparsePoly(ctx, [(1, 1 << m), (1, 1), (p["delta"], 0)]), (1 << (2 * m)) + 1
 
 
-def _f1_evaluator(ctx, p):
-    m, delta, c = p["m"], p["delta"], p["c"]
-    qm = 1 << m
-    E = (1 << (2 * m)) + 1
+def _f1_build(ctx, p):
+    inner, E = _f1_parts(ctx, p)
+    return inner.pow_charp(E) + SparsePoly(ctx, [(p["c"], 1)])
 
-    def f(x):
-        t = ctx.add(ctx.add(ctx.pow(x, qm), x), delta)
-        return ctx.add(ctx.pow(t, E), ctx.mul(c, x))
-    return f
+
+def _f1_form(ctx, p):
+    inner, E = _f1_parts(ctx, p)
+    return Form(inner, E, c=p["c"])
 
 
 def _f2_condition(ctx, p):
@@ -218,10 +289,6 @@ def _f2_build(ctx, p):
     m = p["m"]
     e = (1 << (2 * m)) + 1
     return SparsePoly(ctx, [(1, (1 << m) * e), (1, e), (p["c"], 1)])
-
-
-def _f2_evaluator(ctx, p):
-    return _f2_build(ctx, p).eval_rep
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +319,6 @@ def _f3_build(ctx, p):
     s = _f3_exponent(m)
     q = 1 << m
     return SparsePoly(ctx, [(c, 1), (1, s), (ctx.pow(c, q), q * s)])
-
-
-def _f3_evaluator(ctx, p):
-    return _f3_build(ctx, p).eval_rep
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +374,6 @@ def _f4_build(ctx, p):
     return SparsePoly(ctx, [(1, D + 1), (p["b"], 1)])
 
 
-def _f4_evaluator(ctx, p):
-    return _f4_build(ctx, p).eval_rep
-
-
 # ---------------------------------------------------------------------------
 # F5: binomial x^(i(2^m-1)+r) + b x^r over GF(2^2m)
 # ---------------------------------------------------------------------------
@@ -341,10 +400,6 @@ def _f5_condition(ctx, p):
 def _f5_build(ctx, p):
     m, r, i, b = p["m"], p["r"], p["i"], p["b"]
     return SparsePoly(ctx, [(1, i * ((1 << m) - 1) + r), (b, r)])
-
-
-def _f5_evaluator(ctx, p):
-    return _f5_build(ctx, p).eval_rep
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +445,17 @@ def _f6_build(ctx, p):
     return g + SparsePoly(ctx, [(c, 1)])
 
 
-def _f6_evaluator(ctx, p):
-    q, delta, c = p["q"], p["delta"], p["c"]
+def _shift_form(p, inner, n, c0=1):
+    """c0 * G(inner(x)) + c*x: G is the n-term q-power sum of u, or y^E with
+    E = i(q^(n-1) + ... + q + 1)."""
+    q = p["q"]
     if p["case"] == "sum":
-        u = p["u"]
+        return Form(inner, u=p["u"], n=n, q=q, c0=c0, c=p["c"])
+    return Form(inner, p["i"] * sum(q ** j for j in range(n)), c0=c0, c=p["c"])
 
-        def f(x):
-            w = u.eval_rep(ctx.add(ctx.sub(ctx.pow(x, q), x), delta))
-            g = ctx.add(ctx.add(ctx.pow(w, q * q), ctx.pow(w, q)), w)
-            return ctx.add(g, ctx.mul(c, x))
-    else:
-        E = p["i"] * (q * q + q + 1)
 
-        def f(x):
-            w = ctx.add(ctx.sub(ctx.pow(x, q), x), delta)
-            return ctx.add(ctx.pow(w, E), ctx.mul(c, x))
-    return f
+def _f6_form(ctx, p):
+    return _shift_form(p, _f6_inner(ctx, p["q"], p["delta"]), 3)
 
 
 def default_twist_scalar(ctx: FieldCtx, q: int) -> int:
@@ -436,11 +486,15 @@ def _f7_condition(ctx, p):
     ))
 
 
+def _f7_inner(ctx, q, delta):
+    return SparsePoly(ctx, [(1, q), (1, 1), (delta, 0)])
+
+
 def _f7_build(ctx, p):
     q, delta, c = p["q"], p["delta"], p["c"]
     e = _base_degree(ctx, q)
     c0 = p.get("c0", default_twist_scalar(ctx, q))
-    inner = SparsePoly(ctx, [(1, q), (1, 1), (delta, 0)])
+    inner = _f7_inner(ctx, q, delta)
     if p["case"] == "sum":
         w = p["u"].compose(inner)
         g = w
@@ -451,29 +505,27 @@ def _f7_build(ctx, p):
     return g.scale(c0) + SparsePoly(ctx, [(c, 1)])
 
 
-def _f7_evaluator(ctx, p):
-    q, delta, c = p["q"], p["delta"], p["c"]
+def _f7_form(ctx, p):
+    q = p["q"]
     c0 = p.get("c0", default_twist_scalar(ctx, q))
-    if p["case"] == "sum":
-        u = p["u"]
-
-        def f(x):
-            w = u.eval_rep(ctx.add(ctx.add(ctx.pow(x, q), x), delta))
-            g = ctx.add(ctx.add(ctx.pow(w, q ** 3), ctx.pow(w, q * q)),
-                        ctx.add(ctx.pow(w, q), w))
-            return ctx.add(ctx.mul(c0, g), ctx.mul(c, x))
-    else:
-        E = p["i"] * (q ** 3 + q ** 2 + q + 1)
-
-        def f(x):
-            w = ctx.add(ctx.add(ctx.pow(x, q), x), delta)
-            return ctx.add(ctx.mul(c0, ctx.pow(w, E)), ctx.mul(c, x))
-    return f
+    return _shift_form(p, _f7_inner(ctx, q, p["delta"]), 4, c0)
 
 
 # ---------------------------------------------------------------------------
 # F8..F11: x^r * (sparse linearized core)^(big power)
 # ---------------------------------------------------------------------------
+
+def _product(parts):
+    """Builder and form of x^r * core(x)^E from parts: (ctx, params) -> (core, E)."""
+    def build(ctx, p):
+        core, E = parts(ctx, p)
+        return core.pow_charp(E).shift_x(p["r"])
+
+    def form(ctx, p):
+        core, E = parts(ctx, p)
+        return Form(core, E, r=p["r"])
+    return build, form
+
 
 def _f8_field(params):
     return 2, 2 * params["m"]
@@ -497,24 +549,10 @@ def _f8_condition(ctx, p):
     return ConditionReport(tuple(clauses))
 
 
-def _f8_build(ctx, p):
-    m, r, s, a, delta = p["m"], p["r"], p["s"], p["a"], p["delta"]
-    Q = 1 << m
-    inner = SparsePoly(ctx, [(1, s * (Q - 1)), (a, Q - 1), (delta, 0)])
-    return inner.pow_charp(Q + 1).shift_x(r)
-
-
-def _f8_evaluator(ctx, p):
-    m, r, s, a, delta = p["m"], p["r"], p["s"], p["a"], p["delta"]
-    Q = 1 << m
-    e1, e2, E = s * (Q - 1), Q - 1, Q + 1
-
-    def f(x):
-        if x == 0:
-            return 0
-        t = ctx.add(ctx.add(ctx.pow(x, e1), ctx.mul(a, ctx.pow(x, e2))), delta)
-        return ctx.mul(ctx.pow(x, r), ctx.pow(t, E))
-    return f
+def _f8_parts(ctx, p):
+    s, a, delta = p["s"], p["a"], p["delta"]
+    Q = 1 << p["m"]
+    return SparsePoly(ctx, [(1, s * (Q - 1)), (a, Q - 1), (delta, 0)]), Q + 1
 
 
 def _f9_field(params):
@@ -534,24 +572,10 @@ def _f9_condition(ctx, p):
                             sub_a, sub_d, trace))
 
 
-def _f9_build(ctx, p):
-    m, r, s, a, delta = p["m"], p["r"], p["s"], p["a"], p["delta"]
-    Q = 1 << m
-    inner = SparsePoly(ctx, [(1, (Q // 2) * (Q + 1)), (a, Q + 1), (delta, 0)])
-    return inner.pow_charp(s * (Q - 1)).shift_x(r)
-
-
-def _f9_evaluator(ctx, p):
-    m, r, s, a, delta = p["m"], p["r"], p["s"], p["a"], p["delta"]
-    Q = 1 << m
-    e1, e2, E = (Q // 2) * (Q + 1), Q + 1, s * (Q - 1)
-
-    def f(x):
-        if x == 0:
-            return 0
-        t = ctx.add(ctx.add(ctx.pow(x, e1), ctx.mul(a, ctx.pow(x, e2))), delta)
-        return ctx.mul(ctx.pow(x, r), ctx.pow(t, E))
-    return f
+def _f9_parts(ctx, p):
+    s, a, delta = p["s"], p["a"], p["delta"]
+    Q = 1 << p["m"]
+    return SparsePoly(ctx, [(1, (Q // 2) * (Q + 1)), (a, Q + 1), (delta, 0)]), s * (Q - 1)
 
 
 def _f10_field(params):
@@ -576,24 +600,10 @@ def _f10_condition(ctx, p):
     return ConditionReport((_gcd_clause("r-coprime", r, ctx.order - 1), branch))
 
 
-def _f10_build(ctx, p):
-    m, r, s, a, b = p["m"], p["r"], p["s"], p["a"], p["b"]
-    Q = 1 << m
-    inner = SparsePoly(ctx, [(1, Q * (Q - 1)), (a, Q - 1), (b, 0)])
-    return inner.pow_charp(s * (Q * Q + Q + 1)).shift_x(r)
-
-
-def _f10_evaluator(ctx, p):
-    m, r, s, a, b = p["m"], p["r"], p["s"], p["a"], p["b"]
-    Q = 1 << m
-    e1, e2, E = Q * (Q - 1), Q - 1, s * (Q * Q + Q + 1)
-
-    def f(x):
-        if x == 0:
-            return 0
-        t = ctx.add(ctx.add(ctx.pow(x, e1), ctx.mul(a, ctx.pow(x, e2))), b)
-        return ctx.mul(ctx.pow(x, r), ctx.pow(t, E))
-    return f
+def _f10_parts(ctx, p):
+    s, a, b = p["s"], p["a"], p["b"]
+    Q = 1 << p["m"]
+    return SparsePoly(ctx, [(1, Q * (Q - 1)), (a, Q - 1), (b, 0)]), s * (Q * Q + Q + 1)
 
 
 def _f11_field(params):
@@ -620,26 +630,11 @@ def _f11_condition(ctx, p):
     return ConditionReport(tuple(clauses))
 
 
-def _f11_build(ctx, p):
-    m, r, s, a, b, delta = p["m"], p["r"], p["s"], p["a"], p["b"], p["delta"]
-    Q = 1 << m
-    inner = SparsePoly(ctx, [(1, Q * Q * (Q - 1)), (b, Q * (Q - 1)),
-                             (a, Q - 1), (delta, 0)])
-    return inner.pow_charp(s * (Q * Q + Q + 1)).shift_x(r)
-
-
-def _f11_evaluator(ctx, p):
-    m, r, s, a, b, delta = p["m"], p["r"], p["s"], p["a"], p["b"], p["delta"]
-    Q = 1 << m
-    e1, e2, e3, E = Q * Q * (Q - 1), Q * (Q - 1), Q - 1, s * (Q * Q + Q + 1)
-
-    def f(x):
-        if x == 0:
-            return 0
-        t = ctx.add(ctx.add(ctx.pow(x, e1), ctx.mul(b, ctx.pow(x, e2))),
-                    ctx.add(ctx.mul(a, ctx.pow(x, e3)), delta))
-        return ctx.mul(ctx.pow(x, r), ctx.pow(t, E))
-    return f
+def _f11_parts(ctx, p):
+    s, a, b, delta = p["s"], p["a"], p["b"], p["delta"]
+    Q = 1 << p["m"]
+    core = SparsePoly(ctx, [(1, Q * Q * (Q - 1)), (b, Q * (Q - 1)), (a, Q - 1), (delta, 0)])
+    return core, s * (Q * Q + Q + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -663,21 +658,15 @@ class DeltaFamily:
         xc = 1 if self.sign == "plus" else ctx.neg(1)
         return SparsePoly(ctx, [(1, self._qk), (xc, 1), (delta, 0)])
 
-    def map(self, delta):
-        """Rep-level evaluator of f_delta."""
-        ctx = self.ctx
-        g, c, qk = self.g, self.c, self._qk
+    def form(self, delta) -> Form:
+        """f_delta as an evaluation form: G = g, core = x^(q^step) -/+ x + delta."""
         if isinstance(delta, FieldElem):
             delta = delta.rep
-        if self.sign == "plus":
-            def f(x):
-                w = ctx.add(ctx.add(ctx.pow(x, qk), x), delta)
-                return ctx.add(g.eval_rep(w), ctx.mul(c, x))
-        else:
-            def f(x):
-                w = ctx.add(ctx.sub(ctx.pow(x, qk), x), delta)
-                return ctx.add(g.eval_rep(w), ctx.mul(c, x))
-        return f
+        return Form(self._inner_poly(delta), u=self.g, c=self.c)
+
+    def map(self, delta):
+        """Rep-level evaluator of f_delta."""
+        return self.form(delta).rep_fn()
 
     def poly(self, delta) -> SparsePoly:
         """Formal expansion of f_delta (on demand; may be large)."""
@@ -742,9 +731,9 @@ def _f12_build(ctx, p):
     return fam.poly(p["delta"])
 
 
-def _f12_evaluator(ctx, p):
+def _f12_form(ctx, p):
     fam, _ = _f12_pair(ctx, p)
-    return fam.map(p["delta"])
+    return fam.form(p["delta"])
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +760,7 @@ _register(FamilySpec(
     "(x^(2^m) + x + d)^(2^(2m)+1) + c*x over GF(2^(3m))",
     ("m",), _f1_field,
     (_int("m"), _elem("delta"), _elem("c", nonzero=True)),
-    _f1_condition, _f1_build, _f1_evaluator,
+    _f1_condition, _f1_build, _f1_form,
     notes="condition: c in GF(2^m)*; bijective for every delta",
 ))
 
@@ -780,7 +769,7 @@ _register(FamilySpec(
     "x^(2^m*(2^(2m)+1)) + x^(2^(2m)+1) + c*x over GF(2^(3m))",
     ("m",), _f1_field,
     (_int("m"), _elem("c", nonzero=True)),
-    _f2_condition, _f2_build, _f2_evaluator,
+    _f2_condition, _f2_build, _f2_build,
     notes="condition: c in GF(2^m)*",
 ))
 
@@ -789,7 +778,7 @@ _register(FamilySpec(
     "c*x + x^s + c^q*x^(q*s), s=(q^2+q+1)/3, q=2^m over GF(2^(2m))",
     ("m",), _f3_field,
     (_int("m"), _elem("c", nonzero=True)),
-    _f3_condition, _f3_build, _f3_evaluator,
+    _f3_condition, _f3_build, _f3_build,
     notes="needs q = 1 mod 3 (even m); condition: trace of c^(q+1) vanishes",
 ))
 
@@ -798,7 +787,7 @@ _register(FamilySpec(
     "x^((2^(2m)-1)/3 + 1) + b*x over GF(2^(2m))",
     ("m",), _f4_field,
     (_int("m"), _elem("b")),
-    _f4_condition, _f4_build, _f4_evaluator,
+    _f4_condition, _f4_build, _f4_build,
     notes="checker enumerates the three coset images and tests disjointness",
 ))
 
@@ -807,7 +796,7 @@ _register(FamilySpec(
     "x^(i*(2^m-1)+r) + b*x^r over GF(2^(2m))",
     ("m",), _f5_field,
     (_int("m"), _int("r"), _int("i"), _elem("b", nonzero=True)),
-    _f5_condition, _f5_build, _f5_evaluator,
+    _f5_condition, _f5_build, _f5_build,
 ))
 
 _register(FamilySpec(
@@ -817,7 +806,7 @@ _register(FamilySpec(
     (_int("q", minimum=2), ParamSpec("case", "choice", choices=("sum", "power")),
      ParamSpec("u", "poly", optional=True), ParamSpec("i", "int", minimum=1, optional=True),
      _elem("delta"), _elem("c", nonzero=True)),
-    _f6_condition, _f6_build, _f6_evaluator,
+    _f6_condition, _f6_build, _f6_form,
     notes="condition: c in GF(q)*; bijective for every delta",
 ))
 
@@ -830,7 +819,7 @@ _register(FamilySpec(
      ParamSpec("u", "poly", optional=True), ParamSpec("i", "int", minimum=1, optional=True),
      ParamSpec("c0", "element", nonzero=True, optional=True),
      _elem("delta"), _elem("c", nonzero=True)),
-    _f7_condition, _f7_build, _f7_evaluator,
+    _f7_condition, _f7_build, _f7_form,
     notes="c0 defaults to 1 in characteristic 2, else to the least root of "
           "c0^(q-1) = -1",
 ))
@@ -840,7 +829,7 @@ _register(FamilySpec(
     "x^r * (x^(s*(2^m-1)) + a*x^(2^m-1) + d)^(2^m+1) over GF(2^(2m))",
     ("m",), _f8_field,
     (_int("m"), _int("r"), _int("s"), _elem("a"), _elem("delta")),
-    _f8_condition, _f8_build, _f8_evaluator,
+    _f8_condition, *_product(_f8_parts),
 ))
 
 _register(FamilySpec(
@@ -849,7 +838,7 @@ _register(FamilySpec(
     ("m",), _f9_field,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("delta", nonzero=True)),
-    _f9_condition, _f9_build, _f9_evaluator,
+    _f9_condition, *_product(_f9_parts),
     notes="registered gate keeps the published cube-ratio trace clause; "
           "exhaustive sweeps show it disagrees with the oracle (see tests)",
 ))
@@ -860,7 +849,7 @@ _register(FamilySpec(
     ("m",), _f10_field,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("b", nonzero=True)),
-    _f10_condition, _f10_build, _f10_evaluator,
+    _f10_condition, *_product(_f10_parts),
 ))
 
 _register(FamilySpec(
@@ -870,7 +859,7 @@ _register(FamilySpec(
     ("m",), _f11_field,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("b", nonzero=True), _elem("delta")),
-    _f11_condition, _f11_build, _f11_evaluator,
+    _f11_condition, *_product(_f11_parts),
     notes="registered gate keeps the published shift-ratio clause; exhaustive "
           "sweeps show it disagrees with the oracle (see tests)",
 ))
@@ -882,7 +871,7 @@ _register(FamilySpec(
     (ParamSpec("p", "int", minimum=2), ParamSpec("k", "int", minimum=2),
      _int("step"), ParamSpec("sign", "choice", choices=("minus", "plus")),
      ParamSpec("g", "poly"), _elem("c", nonzero=True), _elem("delta")),
-    _f12_condition, _f12_build, _f12_evaluator,
+    _f12_condition, _f12_build, _f12_form,
     notes="f_d permutes for every d exactly when h permutes",
 ))
 
@@ -930,12 +919,11 @@ def build(fid: str, params: dict, *, ctx: FieldCtx | None = None) -> SparsePoly:
 
 
 def evaluator(fid: str, params: dict, *, ctx: FieldCtx | None = None):
-    """Rep-level evaluation closure (no formal expansion)."""
+    """Rep-level evaluation closure: the family's form, compiled by ``rep_fn``."""
     spec = family(fid)
     ctx = ctx or family_ctx(fid, params)
     norm = _validate(spec, ctx, params)
-    ctx.ensure_tables()
-    return spec.evaluator(ctx, norm)
+    return spec.form(ctx, norm).rep_fn()
 
 
 def enumerate_instances(fid: str, fixed: dict, *, cap: int = DEFAULT_ENUM_CAP):

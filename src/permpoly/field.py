@@ -14,6 +14,7 @@ exponent-zero term or ``pow(zero, 0)``.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from functools import lru_cache
 
@@ -633,6 +634,8 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self):
+        if self.rep < self.ctx.p:
+            return hash(self.rep)  # equal to that int, so hashed like it
         return hash((id(self.ctx), self.rep))
 
     def __bool__(self):
@@ -743,6 +746,36 @@ class SparsePoly:
         for e, c in self._terms:
             acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, e)))
         return acc
+
+    def rep_fn(self):
+        """A rep-level evaluator compiled against the context's log tables.
+
+        Each term is kept as (log c, e mod (q-1)), so every power is one table
+        index; the exponent-0 term is kept apart and is the value at 0.
+        Characteristic 2 accumulates by XOR.  Above TABLE_LIMIT this is
+        :meth:`eval_rep`.  Nothing is cached on the polynomial.
+        """
+        ctx = self.ctx
+        if not ctx.ensure_tables():
+            return self.eval_rep
+        exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
+        add = operator.xor if ctx.p == 2 else ctx.add
+        c0, terms = self.log_terms()
+
+        def f(x):
+            if x == 0:
+                return c0
+            lx = log[x]
+            acc = c0
+            for lc, e in terms:
+                acc = add(acc, exp[lc + lx * e % n1])
+            return acc
+        return f
+
+    def log_terms(self):
+        """(constant term, [(log c, e mod (q-1)) of the other terms]); needs tables."""
+        log, n1 = self.ctx._log, self.ctx.order - 1
+        return self.eval_rep(0), [(log[c], e % n1) for e, c in self._terms if e]
 
     def eval(self, x: FieldElem) -> FieldElem:
         if x.ctx is not self.ctx:

@@ -1,14 +1,14 @@
 """Ground-truth exhaustive verification of permutation behavior.
 
 Maps are accepted either as :class:`SparsePoly` or as plain callables on
-integer reps, so composition closures verify without formal expansion.
+integer reps, so composition closures verify without formal expansion.  A
+polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import ImageOutOfRange, NotADivisor, NotFactorable
@@ -35,7 +35,7 @@ class VerifyReport:
 
 def _as_rep_fn(f):
     if isinstance(f, SparsePoly):
-        return f.eval_rep
+        return f.rep_fn()
     return f
 
 
@@ -55,63 +55,12 @@ def _sequential_scan(fn, order):
     return None, order
 
 
-def _parallel_scan(fn, order, workers):
-    """Partitioned scan with per-worker marks merged at the end.
-
-    Produces a report identical to the sequential scan: the reconstructed
-    witness is the first collision in ascending rep order.  Preimage counts
-    saturate at 2, which is all the collision test needs, so they fit a byte
-    however many preimages an image has.
-    """
-    bounds = [(i * order) // workers for i in range(workers + 1)]
-    ranges = [(bounds[i], bounds[i + 1]) for i in range(workers)]
-
-    def run(rng):
-        lo, hi = rng
-        marks = bytearray(order)
-        for x in range(lo, hi):
-            y = fn(x)
-            if not 0 <= y < order:
-                raise ImageOutOfRange(x, y, order)
-            if marks[y] < 2:
-                marks[y] += 1
-        return marks
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(run, ranges))
-
-    counts = parts[0]
-    for part in parts[1:]:
-        for y in range(order):
-            counts[y] = min(counts[y] + part[y], 2)
-    dup = [y for y in range(order) if counts[y] > 1]
-    if not dup:
-        return None, order
-    # reconstruct the canonical (sequential) witness: minimal second preimage
-    best = None
-    for y in dup:
-        first = second = None
-        for x in range(order):
-            if fn(x) == y:
-                if first is None:
-                    first = x
-                else:
-                    second = x
-                    break
-        if best is None or second < best[1]:
-            best = (first, second)
-    return best, best[1] + 1
-
-
-def is_permutation(f, ctx: FieldCtx, *, workers: int = 1) -> VerifyReport:
+def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
     """Exhaustively test whether f is a bijection of the whole field."""
     fn = _as_rep_fn(f)
     ctx.ensure_tables()
     start = time.perf_counter()
-    if workers > 1:
-        witness, evals = _parallel_scan(fn, ctx.order, workers)
-    else:
-        witness, evals = _sequential_scan(fn, ctx.order)
+    witness, evals = _sequential_scan(fn, ctx.order)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerifyReport("field", witness is None, witness, None, evals, elapsed)
 

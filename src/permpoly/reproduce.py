@@ -48,7 +48,6 @@ class CriterionResult:
 @dataclass
 class RunState:
     """Shared across criteria; criterion 12 consumes the verified instances."""
-    workers: int = 1
     instances: list = dc_field(default_factory=list)  # (label, SparsePoly, verdict)
 
     def record(self, label: str, poly: SparsePoly, verdict: bool):
@@ -77,7 +76,7 @@ def criterion_1(state: RunState) -> CriterionResult:
             details.append(f"condition fails for c rep {c}")
             continue
         poly = fam.build("F2", params, ctx=ctx)
-        rep = is_permutation(poly, ctx, workers=state.workers)
+        rep = is_permutation(poly, ctx)
         state.record(f"F2 c={c}", poly, rep.is_permutation)
         if rep.is_permutation:
             verified += 1
@@ -101,7 +100,7 @@ def criterion_2(state: RunState) -> CriterionResult:
     verified = 0
     for params in passing:
         poly = fam.build("F3", params, ctx=ctx)
-        rep = is_permutation(poly, ctx, workers=state.workers)
+        rep = is_permutation(poly, ctx)
         state.record(f"F3 c={params['c']}", poly, rep.is_permutation)
         if rep.is_permutation:
             verified += 1
@@ -125,7 +124,7 @@ def criterion_3(state: RunState) -> CriterionResult:
         for params, rep in fam.enumerate_instances("F4", {"m": m}):
             total += 1
             poly = fam.build("F4", params, ctx=ctx)
-            verdict = is_permutation(poly, ctx, workers=state.workers).is_permutation
+            verdict = is_permutation(poly, ctx).is_permutation
             state.record(f"F4 m={m} b={params['b']}", poly, verdict)
             if rep.passed != verdict:
                 disagreements.append(f"m={m} b rep {params['b']}: "
@@ -150,7 +149,7 @@ def criterion_4(state: RunState) -> CriterionResult:
     verified = 0
     for b in sorted(passing):
         poly = fam.build("F5", dict(fixed, b=b), ctx=ctx)
-        rep = is_permutation(poly, ctx, workers=state.workers)
+        rep = is_permutation(poly, ctx)
         state.record(f"F5 b={b}", poly, rep.is_permutation)
         if rep.is_permutation:
             verified += 1
@@ -181,8 +180,7 @@ def criterion_5(state: RunState) -> CriterionResult:
         if not rep.passed:
             continue
         passing += 1
-        vr = is_permutation(fam.evaluator("F8", params, ctx=ctx), ctx,
-                            workers=state.workers)
+        vr = is_permutation(fam.evaluator("F8", params, ctx=ctx), ctx)
         state.record(f"F8 a={params['a']}", fam.build("F8", params, ctx=ctx),
                      vr.is_permutation)
         if vr.is_permutation:
@@ -211,8 +209,7 @@ def criterion_6(state: RunState) -> CriterionResult:
         if not fam.check("F9", params, ctx=ctx).passed:
             continue
         passing += 1
-        vr = is_permutation(fam.evaluator("F9", params, ctx=ctx), ctx,
-                            workers=state.workers)
+        vr = is_permutation(fam.evaluator("F9", params, ctx=ctx), ctx)
         state.record(f"F9 a={a}", fam.build("F9", params, ctx=ctx),
                      vr.is_permutation)
         if vr.is_permutation:
@@ -236,8 +233,7 @@ def criterion_7(state: RunState) -> CriterionResult:
         if not rep.passed:
             continue
         passing += 1
-        vr = is_permutation(fam.evaluator("F10", params, ctx=ctx), ctx,
-                            workers=state.workers)
+        vr = is_permutation(fam.evaluator("F10", params, ctx=ctx), ctx)
         state.record(f"F10 a={params['a']}", fam.build("F10", params, ctx=ctx),
                      vr.is_permutation)
         if vr.is_permutation:
@@ -273,7 +269,7 @@ def criterion_8(state: RunState) -> CriterionResult:
     for a in passing:
         inner = SparsePoly(ctx, [(1, 48), (1, 12), (a, 1)])
         poly = inner.pow_charp(63).shift_x(6)
-        vr = is_permutation(poly, ctx, workers=state.workers)
+        vr = is_permutation(poly, ctx)
         state.record(f"F11-display a={a}", poly, vr.is_permutation)
         if vr.is_permutation:
             verified += 1
@@ -298,7 +294,7 @@ def criterion_9(state: RunState) -> CriterionResult:
         nonlocal checked, failed
         checked += 1
         f = fam.evaluator(fid, params, ctx=ctx)
-        vr = is_permutation(f, ctx, workers=state.workers)
+        vr = is_permutation(f, ctx)
         if not vr.is_permutation:
             failed += 1
             if len(details) < 8:
@@ -501,11 +497,14 @@ def run_all(workers: int = 1, only=None) -> list[CriterionResult]:
     """Run the regression suite in order; ``only`` limits the criteria ids.
 
     Criterion 12 piggybacks on 1..8: requesting it implies running them.
+    Scans are sequential; ``workers`` is kept for callers that pass 1.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers}")
     ids = sorted(only) if only else sorted(CRITERIA)
     if 12 in ids:
         ids = sorted(set(ids) | set(range(1, 9)))
-    state = RunState(workers=workers)
+    state = RunState()
     results = []
     wanted = set(only) if only else set(CRITERIA)
     for cid in ids:

@@ -33,6 +33,14 @@ def raw_pow(ctx, x, e):
     return result
 
 
+def raw_eval(ctx, poly, x):
+    """poly(x) term by term over ``raw_pow``, exponents unreduced (0**0 == 1)."""
+    total = 0
+    for c, e in poly.term_pairs():
+        total = ctx.add(total, ctx._mul_raw(c, raw_pow(ctx, x, e)))
+    return total
+
+
 def naive_split_map(ctx, r, h, t, d):
     """The split's subgroup map y -> y^r * h(y)^t, point by point over ``raw_pow``.
 

@@ -54,13 +54,19 @@ def test_parse_poly_forms():
 # verify
 # --------------------------------------------------------------------------
 
-def test_verify_parallel_with_many_preimages_exit1(capsys):
-    # one image of F4 (m = 5, b = 1) has over 255 preimages
+def test_parallelism_flag_removed_exit3(capsys):
+    # scans are sequential; the flag now reads as an unknown family parameter
     code, out, err = run_cli(capsys, "verify", "--family", "F4", "--m", "5",
                              "--b", "1", "--parallelism", "2")
-    assert code == 1
-    assert "permutation: False" in out
-    assert err == ""
+    assert code == 3
+    assert out == ""
+    assert err == "permpoly: F4: unknown parameter --parallelism\n"
+    code, out, err = run_cli(capsys, "reproduce", "--parallelism", "2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("permpoly: unexpected arguments") and "Traceback" not in err
+    with pytest.raises(ValueError):
+        rep.run_all(workers=2)
 
 
 def test_verify_f5_example_exit0(capsys):
@@ -237,7 +243,7 @@ def test_usage_error_on_unknown_command(capsys):
 
 
 def test_verify_f12_with_poly_and_field_shape_flags(capsys):
-    # --p must not collide with --param/--parallelism prefix matching
+    # --p must not collide with --param prefix matching
     code, out, _ = run_cli(capsys, "verify", "--family", "F12", "--p", "2",
                            "--k", "3", "--step", "1", "--sign", "minus",
                            "--g", "x^2+x", "--c", "1", "--delta", "g^3")

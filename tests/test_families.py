@@ -20,7 +20,7 @@ from permpoly import (
 )
 from permpoly import families as fam
 
-from helpers import brute_is_permutation
+from helpers import brute_is_permutation, raw_eval, raw_pow
 
 
 # --------------------------------------------------------------------------
@@ -162,6 +162,9 @@ def test_enumerate_cap_and_unfixed_int():
 # builder/closure agreement
 # --------------------------------------------------------------------------
 
+_U = ((5, 0), (1, 1), (7, 2), (3, 3))  # u of F6/F7 and g of F12, as (coeff, exp)
+
+
 @pytest.mark.parametrize("fid,params", [
     ("F1", {"m": 1, "delta": 6, "c": 1}),
     ("F2", {"m": 1, "c": 1}),
@@ -172,12 +175,100 @@ def test_enumerate_cap_and_unfixed_int():
     ("F9", {"m": 2, "r": 1, "s": 2, "a": 6, "delta": 7}),
     ("F10", {"m": 1, "r": 1, "s": 2, "a": 3, "b": 5}),
     ("F11", {"m": 1, "r": 1, "s": 1, "a": 3, "b": 5, "delta": 2}),
+    ("F1", {"m": 3, "delta": 100, "c": 1}),
+    ("F2", {"m": 3, "c": 7}),
+    ("F3", {"m": 4, "c": 77}),
+    ("F4", {"m": 1, "b": 2}),
+    ("F4", {"m": 4, "b": 7}),
+    ("F5", {"m": 4, "r": 7, "i": 3, "b": 5}),
+    ("F6", {"q": 2, "case": "power", "i": 2, "delta": 3, "c": 1}),
+    ("F6", {"q": 4, "case": "sum", "u": _U, "delta": 33, "c": 2}),
+    ("F6", {"q": 8, "case": "power", "i": 1, "delta": 100, "c": 1}),
+    ("F6", {"q": 3, "case": "sum", "u": _U, "delta": 4, "c": 2}),
+    ("F6", {"q": 3, "case": "power", "i": 2, "delta": 11, "c": 1}),
+    ("F7", {"q": 2, "case": "power", "i": 1, "delta": 3, "c": 1, "c0": 6}),
+    ("F7", {"q": 4, "case": "sum", "u": _U, "delta": 9, "c": 1}),
+    ("F7", {"q": 3, "case": "sum", "u": _U, "delta": 40, "c": 2}),
+    ("F7", {"q": 3, "case": "power", "i": 1, "delta": 7, "c": 1}),
+    ("F8", {"m": 3, "r": 2, "s": 2, "a": 0, "delta": 0}),
+    ("F8", {"m": 4, "r": 4, "s": 3, "a": 9, "delta": 3}),
+    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}),
+    ("F10", {"m": 3, "r": 4, "s": 1, "a": 5, "b": 1}),
+    ("F11", {"m": 2, "r": 4, "s": 1, "a": 3, "b": 1, "delta": 2}),
+    ("F12", {"p": 2, "k": 9, "step": 3, "sign": "plus", "g": _U, "c": 1, "delta": 300}),
+    ("F12", {"p": 2, "k": 4, "step": 1, "sign": "minus", "g": (), "c": 1, "delta": 9}),
+    ("F12", {"p": 3, "k": 3, "step": 1, "sign": "minus", "g": _U, "c": 2, "delta": 5}),
+    ("F12", {"p": 3, "k": 4, "step": 2, "sign": "plus", "g": _U, "c": 1, "delta": 50}),
+    ("F12", {"p": 5, "k": 2, "step": 1, "sign": "minus", "g": _U, "c": 3, "delta": 17}),
 ])
 def test_expansion_matches_closure(fid, params):
+    # the compiled evaluator against build() through table-free powers with
+    # unreduced exponents, at every point of the field
     ctx = fam.family_ctx(fid, params)
+    params = {k: SparsePoly(ctx, v) if k in ("u", "g") else v for k, v in params.items()}
     poly = fam.build(fid, params, ctx=ctx)
     ev = fam.evaluator(fid, params, ctx=ctx)
-    assert all(poly.eval_rep(x) == ev(x) for x in range(ctx.order))
+    assert all(raw_eval(ctx, poly, x) == ev(x) for x in range(ctx.order))
+
+
+@pytest.mark.parametrize("fid,params", [
+    ("F8", {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 10}),
+    ("F6", {"q": 64, "case": "sum", "u": _U, "delta": 1000, "c": 1}),
+    ("F7", {"q": 3, "case": "power", "i": 1, "delta": 7, "c": 1}),
+])
+def test_untabled_evaluator_spot_check(fid, params, monkeypatch):
+    # GF(2^18) is above the table limit, so the form evaluates through ctx
+    # arithmetic; GF(3^4) is forced there by lowering the limit
+    if fid == "F7":
+        monkeypatch.setattr(fam.make_field(3, 4), "_exp", None)
+        monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
+    ctx = fam.family_ctx(fid, params)
+    params = {k: SparsePoly(ctx, v) if k == "u" else v for k, v in params.items()}
+    poly = fam.build(fid, params, ctx=ctx)
+    ev = fam.evaluator(fid, params, ctx=ctx)
+    assert not ctx.ensure_tables()
+    rng = random.Random(18)
+    xs = [0, 1, ctx.generator] + [rng.randrange(ctx.order) for _ in range(12)]
+    assert all(raw_eval(ctx, poly, x) == ev(x) for x in xs)
+
+
+def _form_ref(form, x):
+    """The form's formula over raw_eval/raw_pow, exponents unreduced."""
+    ctx = form.core.ctx
+    w = raw_eval(ctx, form.core, x)
+    if form.u is not None:
+        w1 = raw_eval(ctx, form.u, w)
+        w = 0
+        for j in range(form.n):
+            w = ctx.add(w, raw_pow(ctx, w1, form.q ** j))
+    v = ctx._mul_raw(ctx._mul_raw(form.c0, raw_pow(ctx, x, form.r)), raw_pow(ctx, w, form.E))
+    return ctx.add(v, ctx._mul_raw(form.c, x))
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (2, 17)])
+def test_form_edge_cases(p, k):
+    ctx = make_field(p, k)
+    g = ctx.generator
+    n1 = ctx.order - 1
+    root = SparsePoly(ctx, [(1, 1), (ctx.neg(g), 0)])  # core(g) = 0
+    u = SparsePoly(ctx, [(ctx.neg(1), 2), (g, 1), (1, 0)])
+    forms = [
+        fam.Form(root, 3, c=g),                        # 0^E under y^E at x = g
+        fam.Form(root, 2 * n1, r=0, c0=g),             # E a multiple of q-1; x^0 at 0
+        fam.Form(root, 5, r=3, c0=g, c=1),             # x^r kills f(0)
+        fam.Form(SparsePoly(ctx), 2, c=g),             # zero core
+        fam.Form(root, u=SparsePoly(ctx), c=1),        # zero u
+        fam.Form(root, u=u, n=k, q=p, c0=g, c=g),      # q-power sum, odd p by ctx.add
+        fam.Form(root, 2, u=u, r=n1, c=1),             # u^E; exponent r = q-1
+    ]
+    xs = range(ctx.order) if ctx.order <= 256 else (0, 1, g, ctx.pow(g, 999), n1)
+    for form in forms:
+        fn = form.rep_fn()
+        assert [fn(x) for x in xs] == [_form_ref(form, x) for x in xs]
+    assert forms[0].rep_fn()(g) == ctx.mul(g, g)
+    assert forms[1].rep_fn()(0) == ctx.mul(g, ctx.pow(ctx.neg(g), 2 * n1))
+    assert forms[2].rep_fn()(0) == 0
+    assert forms[4].rep_fn()(g) == g
 
 
 @pytest.mark.parametrize("q,case", [(2, "sum"), (2, "power"),

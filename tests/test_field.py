@@ -18,7 +18,7 @@ from permpoly import (
 )
 from permpoly.field import is_irreducible
 
-from helpers import naive_eval, raw_pow
+from helpers import naive_eval, raw_eval, raw_pow
 
 
 # --------------------------------------------------------------------------
@@ -397,6 +397,42 @@ def test_eval_matches_naive_reference(p, k):
             assert poly.eval_rep(x) == naive_eval(ctx, pairs, x)
 
 
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (2, 17)])
+def test_compiled_eval_edge_cases(p, k):
+    # (2, 17) is above the table limit, where rep_fn falls back to eval_rep
+    ctx = make_field(p, k)
+    n1 = ctx.order - 1
+    g = ctx.generator
+    xs = range(ctx.order) if ctx.order <= 256 else (0, 1, g, ctx.pow(g, 777), n1)
+    polys = [
+        SparsePoly(ctx),                                  # zero polynomial
+        SparsePoly(ctx, [(g, 1), (1, 3)]),                # no constant term
+        SparsePoly(ctx, [(1, 2), (g, 0)]),                # explicit exponent 0
+        SparsePoly(ctx, [(g, n1), (1, 3 * n1), (1, 1)]),  # multiples of q-1
+        SparsePoly(ctx, [(ctx.neg(1), 5), (g, 2), (ctx.neg(g), 0)]),
+    ]
+    for poly in polys:
+        fn = poly.rep_fn()
+        for x in xs:
+            assert fn(x) == raw_eval(ctx, poly, x) == poly.eval_rep(x)
+    assert polys[0].rep_fn()(0) == 0
+    assert polys[1].rep_fn()(0) == 0
+    assert polys[2].rep_fn()(0) == g  # 0**0 == 1
+    assert polys[3].rep_fn()(g) == ctx.add(ctx.add(g, 1), g)  # x^(q-1) = 1 off 0
+
+
+@pytest.mark.parametrize("p,k", [(2, 5), (3, 3), (3, 4), (5, 2)])
+def test_compiled_eval_matches_raw_reference(p, k):
+    # odd characteristic accumulates through ctx.add, characteristic 2 by XOR
+    ctx = make_field(p, k)
+    rng = random.Random(p * 1000 + k)
+    for _ in range(10):
+        poly = SparsePoly(ctx, [(rng.randrange(ctx.order), rng.randrange(4 * ctx.order))
+                                for _ in range(5)])
+        fn = poly.rep_fn()
+        assert all(fn(x) == raw_eval(ctx, poly, x) for x in range(ctx.order))
+
+
 def test_poly_ring_ops_and_frobenius_power():
     ctx = make_field(2, 4)
     rng = random.Random(5)
@@ -465,6 +501,17 @@ def test_dlog_bsgs_beyond_table_limit():
     assert not ctx.ensure_tables()
     target = ctx.pow(ctx.generator, 12345)
     assert ctx.dlog(target) == 12345
+
+
+def test_prime_field_elements_hash_like_ints():
+    for p, k in ((2, 4), (3, 2), (5, 3)):
+        ctx = make_field(p, k)
+        for r in range(p):
+            e = ctx.elem(r)
+            assert e == r and hash(e) == hash(r)
+            assert r in {e} and e in {r}
+        assert 1 in {ctx.one} and ctx.one in {1: "one"}
+        assert {ctx.gen, ctx.elem(ctx.generator)} == {ctx.gen}
 
 
 def test_elem_wrapper_behaviour():
