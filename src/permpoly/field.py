@@ -185,7 +185,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "k", "order", "modulus", "generator",
-                 "_mod_int", "_exp", "_log", "_lock", "_as_table")
+                 "_mod_int", "_exp", "_log", "_zech", "_lock", "_as_table")
 
     def __init__(self, p, k, modulus, generator):
         self.p = p
@@ -201,6 +201,7 @@ class FieldCtx:
         self._mod_int = mi
         self._exp = None
         self._log = None
+        self._zech = None
         self._lock = threading.Lock()
         self._as_table = None
 
@@ -286,6 +287,14 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
+        t = self._exp
+        if t is not None:  # Zech log: a + b = a * (1 + b/a)
+            if a == 0 or b == 0:
+                return a or b
+            lg = self._log
+            la = lg[a]
+            z = self._zech[lg[b] - la]  # a negative index wraps mod q-1
+            return 0 if z is None else t[la + z]
         p = self.p
         out = 0
         mult = 1
@@ -299,6 +308,9 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
+        t = self._exp
+        if t is not None:  # -1 = g^((q-1)/2)
+            return t[self._log[a] + (self.order - 1) // 2] if a else 0
         p = self.p
         out = 0
         mult = 1
@@ -447,7 +459,7 @@ class FieldCtx:
     # -- acceleration tables ------------------------------------------------
 
     def ensure_tables(self) -> bool:
-        """Build log/antilog tables once (orders up to TABLE_LIMIT); idempotent."""
+        """Build log/antilog (odd p: also Zech-log) tables once, up to TABLE_LIMIT."""
         if self._exp is not None:
             return True
         if self.order > TABLE_LIMIT:
@@ -466,8 +478,14 @@ class FieldCtx:
                 exp[n1 + i] = exp[i]
             for i in range(n1):
                 log[exp[i]] = i
+            if self.p != 2:
+                # zech[n] = log(1 + g^n); adding 1 changes digit 0 only, and
+                # 1 + g^n = 0 at n = (q-1)/2, where zech holds None
+                p = self.p
+                self._zech = [log[w] if w else None for w in
+                              (v - v % p + (v + 1) % p for v in exp[:n1])]
             self._log = log
-            self._exp = exp  # published last; mul/pow key off _exp
+            self._exp = exp  # published last; add/mul/pow key off _exp
         return True
 
     def artin_schreier_table(self) -> dict:

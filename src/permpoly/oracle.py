@@ -11,7 +11,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .errors import ImageOutOfRange, NotADivisor, NotFactorable
+from .errors import CtxMismatch, ImageOutOfRange, NotADivisor, NotFactorable
 from .field import FieldCtx, FieldElem, SparsePoly
 
 
@@ -33,8 +33,10 @@ class VerifyReport:
     elapsed_ms: float
 
 
-def _as_rep_fn(f):
+def _as_rep_fn(f, ctx):
     if isinstance(f, SparsePoly):
+        if f.ctx is not ctx:
+            raise CtxMismatch("polynomial from a different field context")
         return f.rep_fn()
     return f
 
@@ -57,7 +59,7 @@ def _sequential_scan(fn, order):
 
 def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
     """Exhaustively test whether f is a bijection of the whole field."""
-    fn = _as_rep_fn(f)
+    fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
     start = time.perf_counter()
     witness, evals = _sequential_scan(fn, ctx.order)
@@ -71,7 +73,7 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     Closure under f is not assumed: an image outside the subset is itself a
     failure, reported through ``escape``.
     """
-    fn = _as_rep_fn(f)
+    fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
     reps = [s.rep if isinstance(s, FieldElem) else s for s in subset]
     member = set(reps)
@@ -116,12 +118,11 @@ def zieve_split(f: SparsePoly, d: int) -> tuple[int, SparsePoly]:
         raise NotFactorable("zero polynomial has no split")
     t = n1 // d
     r = pairs[0][1]
-    if t == 1:
-        return r, SparsePoly(ctx, [(c, e - r) for c, e in pairs])
     for _, e in pairs:
         if (e - r) % t:
             raise NotFactorable(f"exponents {e} and {r} differ mod {t}")
-    return r, SparsePoly(ctx, [(c, (e - r) // t) for c, e in pairs])
+    # e -> (e - r) / t keeps the exponents distinct and ascending
+    return r, SparsePoly._raw(ctx, [((e - r) // t, c) for c, e in pairs])
 
 
 def natural_divisor(f: SparsePoly) -> int:
@@ -141,7 +142,7 @@ def _drop_constant(f: SparsePoly) -> SparsePoly:
     """f - f(0), which is a bijection exactly when f is."""
     pairs = f.term_pairs()
     if pairs and pairs[0][1] == 0:
-        return SparsePoly(f.ctx, pairs[1:])
+        return SparsePoly._raw(f.ctx, [(e, c) for c, e in pairs[1:]])
     return f
 
 
@@ -153,9 +154,12 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     taken of f - f(0); a constant f is no bijection, and its details carry
     no split.
 
-    The subgroup is swept by index: point j is w^j with w = g^t, so every
-    power y^e is the lookup ``mu[j * e % d]`` and h(y)^t is the only general
-    power a point costs.
+    With log tables, a point y of the subgroup maps to
+    exp[r log y + t log h(y)], h compiled by :meth:`SparsePoly.rep_fn` after
+    folding it mod d, so a point costs no field multiplication.  Above
+    TABLE_LIMIT the subgroup is swept by index: point j is w^j with w = g^t,
+    every power y^e is the lookup ``mu[j * e % d]``, and h(y)^t is the only
+    general power a point costs.
     """
     ctx = f.ctx
     f = _drop_constant(f)
@@ -168,17 +172,26 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     n1 = ctx.order - 1
     t = n1 // d
     coprime = math.gcd(r, t) == 1
+    tabled = ctx.ensure_tables()
     mu = ctx.subgroup_reps(d)
-    index = {y: j for j, y in enumerate(mu)}
-    terms = h.reduce_exponents(d).term_pairs()
+    h = h.reduce_exponents(d)
+    if tabled:
+        exp, log, hf = ctx._exp, ctx._log, h.rep_fn()
 
-    def on_circle(y):
-        j = index[y]
-        acc = 0
-        for c, e in terms:
-            v = mu[j * e % d]
-            acc = ctx.add(acc, v if c == 1 else ctx.mul(c, v))
-        return ctx.mul(mu[j * r % d], ctx.pow(acc, t))
+        def on_circle(y):  # h(y) = 0 sends y out of mu_d, an escape
+            v = hf(y)
+            return exp[(log[y] * r + log[v] * t) % n1] if v else 0
+    else:
+        index = {y: j for j, y in enumerate(mu)}
+        terms = h.term_pairs()
+
+        def on_circle(y):
+            j = index[y]
+            acc = 0
+            for c, e in terms:
+                v = mu[j * e % d]
+                acc = ctx.add(acc, v if c == 1 else ctx.mul(c, v))
+            return ctx.mul(mu[j * r % d], ctx.pow(acc, t))
 
     sub = permutes_subset(on_circle, mu, ctx)
     verdict = coprime and sub.is_permutation

@@ -47,11 +47,25 @@ class CriterionResult:
 
 @dataclass
 class RunState:
-    """Shared across criteria; criterion 12 consumes the verified instances."""
-    instances: list = dc_field(default_factory=list)  # (label, SparsePoly, verdict)
+    """Criterion 12's tally, kept as criteria 1..8 record their instances.
+
+    With ``split`` set, ``record`` checks each instance through the split at
+    once, so no expanded polynomial outlives its criterion.
+    """
+    split: bool = False
+    instances: int = 0
+    disagreements: int = 0
+    details: list = dc_field(default_factory=list)
 
     def record(self, label: str, poly: SparsePoly, verdict: bool):
-        self.instances.append((label, poly, verdict))
+        if not self.split:
+            return
+        self.instances += 1
+        split_verdict, info = zieve_verdict(poly)
+        if split_verdict != verdict:
+            self.disagreements += 1
+            if len(self.details) < 5:
+                self.details.append(f"{label}: split={split_verdict} oracle={verdict} ({info})")
 
 
 def _result(cid, family, description, passed, counts, details, start):
@@ -474,18 +488,10 @@ def criterion_11(state: RunState) -> CriterionResult:
 def criterion_12(state: RunState) -> CriterionResult:
     """Split-criterion consistency over every instance verified above."""
     start = time.perf_counter()
-    details = []
-    bad = 0
-    for label, poly, verdict in state.instances:
-        split_verdict, info = zieve_verdict(poly)
-        if split_verdict != verdict:
-            bad += 1
-            if len(details) < 5:
-                details.append(f"{label}: split={split_verdict} oracle={verdict} ({info})")
     return _result(12, "oracle", "x^r*h(x^t) split test agrees with direct verdicts",
-                   bad == 0 and bool(state.instances),
-                   {"instances": len(state.instances), "disagreements": bad},
-                   details, start)
+                   state.disagreements == 0 and state.instances > 0,
+                   {"instances": state.instances, "disagreements": state.disagreements},
+                   state.details, start)
 
 
 CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
@@ -496,7 +502,8 @@ CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
 def run_all(workers: int = 1, only=None) -> list[CriterionResult]:
     """Run the regression suite in order; ``only`` limits the criteria ids.
 
-    Criterion 12 piggybacks on 1..8: requesting it implies running them.
+    Criterion 12 piggybacks on 1..8: requesting it implies running them,
+    with each of their instances checked through the split as it is recorded.
     Scans are sequential; ``workers`` is kept for callers that pass 1.
     """
     if workers != 1:
@@ -504,7 +511,7 @@ def run_all(workers: int = 1, only=None) -> list[CriterionResult]:
     ids = sorted(only) if only else sorted(CRITERIA)
     if 12 in ids:
         ids = sorted(set(ids) | set(range(1, 9)))
-    state = RunState()
+    state = RunState(split=12 in ids)
     results = []
     wanted = set(only) if only else set(CRITERIA)
     for cid in ids:

@@ -2,9 +2,15 @@
 
 Everything here deliberately avoids the library's fast paths: evaluation is
 repeated multiplication through the table-free ``_mul_raw``, with no exponent
-reduction, so oracle equivalence checks exercise two genuinely different
-routes.
+reduction, and sums are taken digit by digit (``raw_add``; ``ctx.add`` runs
+through Zech logs in odd characteristic), so oracle equivalence checks
+exercise two genuinely different routes.
 """
+
+
+def raw_add(ctx, a, b):
+    """a + b coefficient by coefficient over ``decode``/``encode``: no tables."""
+    return ctx.encode([x + y for x, y in zip(ctx.decode(a), ctx.decode(b))])
 
 
 def naive_eval(ctx, pairs, x):
@@ -14,7 +20,7 @@ def naive_eval(ctx, pairs, x):
         term = coeff
         for _ in range(exp):
             term = ctx._mul_raw(term, x)
-        total = ctx.add(total, term)
+        total = raw_add(ctx, total, term)
     return total
 
 
@@ -37,7 +43,7 @@ def raw_eval(ctx, poly, x):
     """poly(x) term by term over ``raw_pow``, exponents unreduced (0**0 == 1)."""
     total = 0
     for c, e in poly.term_pairs():
-        total = ctx.add(total, ctx._mul_raw(c, raw_pow(ctx, x, e)))
+        total = raw_add(ctx, total, ctx._mul_raw(c, raw_pow(ctx, x, e)))
     return total
 
 
@@ -50,7 +56,7 @@ def naive_split_map(ctx, r, h, t, d):
     def fn(y):
         acc = 0
         for c, e in h.term_pairs():
-            acc = ctx.add(acc, ctx._mul_raw(c, raw_pow(ctx, y, e % d)))
+            acc = raw_add(ctx, acc, ctx._mul_raw(c, raw_pow(ctx, y, e % d)))
         return ctx._mul_raw(raw_pow(ctx, y, r % d), raw_pow(ctx, acc, t))
     return fn
 

@@ -28,6 +28,7 @@ import pytest
 
 from permpoly import families as fam
 from permpoly import is_permutation
+from permpoly import reproduce
 from permpoly.reproduce import run_all
 
 from helpers import raw_pow
@@ -181,3 +182,60 @@ def test_criterion_11_solver_sweeps(results):
 def test_criterion_12_split_consistency(results):
     _assert_criterion(results, 12, disagreements=0)
     assert results[12].counts["instances"] > 600
+
+
+# The text lines ``permpoly reproduce`` prints, witnesses included.
+REPRODUCE_LINES = [
+    "[ 1] PASS  F2        x^520 + x^65 + c*x over GF(512), c in GF(8)* "
+    "(scalars=7 bijective=7)",
+    "[ 2] PASS  F3        c*x + x^91 + c^16*x^1456 over GF(256) "
+    "(admissible=119 bijective=119)",
+    "[ 3] PASS  F4        binomial iff-condition vs oracle, all b over GF(4), GF(16) "
+    "(assignments=20 disagreements=0)",
+    "[ 4] PASS  F5        x^25 + b*x^4 over GF(64): b^9=1, b^3!=1 exactly "
+    "(admissible=6 bijective=6)",
+    "[ 5] PASS  F8        x^4*(x^45 + a*x^15 + g)^17 over GF(256), all 256 a "
+    "(admissible=103 bijective=103)",
+    "[ 6] FAIL  F9        x^4*(x^136 + a*x^17 + g^85)^45 over GF(256), a in GF(16)* "
+    "(gate-passing=6 bijective=4) "
+    "[gate passes but not bijective: a = g^238 (rep 13), collision (0, 11); "
+    "gate passes but not bijective: a = g^187 (rep 177), collision (0, 6)]",
+    "[ 7] PASS  F10       x^4*(x^56 + a*x^7 + 1)^219 over GF(512), all 511 a "
+    "(admissible=448 bijective=448)",
+    "[ 8] FAIL  F11       admissible set {g^21, g^42} and displayed polynomial over GF(64) "
+    "(admissible=2 display-bijective=0) "
+    "[displayed x^6*(x^48+x^12+a*x)^63 not bijective for a = g^42: collision (0, 5); "
+    "displayed x^6*(x^48+x^12+a*x)^63 not bijective for a = g^21: collision (0, 3)]",
+    "[ 9] PASS  F1/F6/F7  shift-composition sweeps always bijective "
+    "(instances=4248 failures=0)",
+    "[10] PASS  F12       delta-family vs companion equivalence, 100 random g per field, "
+    "both signs (pairs=400 counterexamples=0)",
+    "[11] PASS  solvers   exhaustive solver-vs-enumeration sweeps "
+    "(quad=4416 circle=2058 affine=4018 linearized=4018)",
+    "[12] PASS  oracle    x^r*h(x^t) split test agrees with direct verdicts "
+    "(instances=712 disagreements=0)",
+]
+
+
+def test_reproduce_lines_pinned(results):
+    assert [results[cid].line() for cid in sorted(results)] == REPRODUCE_LINES
+
+
+def test_split_runs_only_for_criterion_12(monkeypatch):
+    # criterion 12 checks instances as they are recorded, and only when it
+    # was requested
+    calls = []
+    orig = reproduce.zieve_verdict
+
+    def counted(poly):
+        calls.append(poly)
+        return orig(poly)
+
+    monkeypatch.setattr(reproduce, "zieve_verdict", counted)
+    (r,) = run_all(only=[2])
+    assert r.passed and r.counts["admissible"] == 119
+    assert calls == []
+    state = reproduce.RunState(split=True)
+    reproduce.criterion_4(state)
+    assert len(calls) == state.instances == 7
+    assert state.disagreements == 0

@@ -20,7 +20,7 @@ from permpoly import (
 )
 from permpoly import families as fam
 
-from helpers import brute_is_permutation, raw_eval, raw_pow
+from helpers import brute_is_permutation, raw_add, raw_eval, raw_pow
 
 
 # --------------------------------------------------------------------------
@@ -233,16 +233,16 @@ def test_untabled_evaluator_spot_check(fid, params, monkeypatch):
 
 
 def _form_ref(form, x):
-    """The form's formula over raw_eval/raw_pow, exponents unreduced."""
+    """The form's formula over raw_eval/raw_pow/raw_add, exponents unreduced."""
     ctx = form.core.ctx
     w = raw_eval(ctx, form.core, x)
     if form.u is not None:
         w1 = raw_eval(ctx, form.u, w)
         w = 0
         for j in range(form.n):
-            w = ctx.add(w, raw_pow(ctx, w1, form.q ** j))
+            w = raw_add(ctx, w, raw_pow(ctx, w1, form.q ** j))
     v = ctx._mul_raw(ctx._mul_raw(form.c0, raw_pow(ctx, x, form.r)), raw_pow(ctx, w, form.E))
-    return ctx.add(v, ctx._mul_raw(form.c, x))
+    return raw_add(ctx, v, ctx._mul_raw(form.c, x))
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (2, 17)])

@@ -18,7 +18,7 @@ from permpoly import (
 )
 from permpoly.field import is_irreducible
 
-from helpers import naive_eval, raw_eval, raw_pow
+from helpers import naive_eval, raw_add, raw_eval, raw_pow
 
 
 # --------------------------------------------------------------------------
@@ -494,6 +494,41 @@ def test_table_mul_matches_raw_mul():
     for a in range(81):
         for b in range(0, 81, 7):
             assert ctx.mul(a, b) == ctx._mul_raw(a, b)
+
+
+def _raw_neg(ctx, a):
+    return ctx.encode([-x for x in ctx.decode(a)])
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_zech_add_exhaustive(p, k):
+    # tabled add/sub/neg in odd characteristic against digit-wise sums, for
+    # every pair; a + (-a) is the Zech sentinel
+    ctx = make_field(p, k)
+    assert ctx.ensure_tables()
+    for a in range(ctx.order):
+        na = _raw_neg(ctx, a)
+        assert ctx.neg(a) == na
+        assert ctx.add(a, na) == 0
+        for b in range(ctx.order):
+            assert ctx.add(a, b) == raw_add(ctx, a, b)
+            assert ctx.sub(a, b) == raw_add(ctx, a, _raw_neg(ctx, b))
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_zech_add_sampled(k):
+    ctx = make_field(3, k)
+    assert ctx.ensure_tables()
+    rng = random.Random(3 * k)
+    for _ in range(20_000):
+        a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
+        nb = _raw_neg(ctx, b)
+        assert ctx.add(a, b) == raw_add(ctx, a, b)
+        assert ctx.sub(a, b) == raw_add(ctx, a, nb)
+        assert ctx.neg(b) == nb
+        assert ctx.add(b, nb) == 0
+    assert ctx.add(0, 0) == ctx.neg(0) == 0
+    assert ctx.add(1, ctx.order - 1) == raw_add(ctx, 1, ctx.order - 1)
 
 
 def test_dlog_bsgs_beyond_table_limit():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from permpoly import (
+    CtxMismatch,
     ImageOutOfRange,
     NotADivisor,
     NotFactorable,
@@ -48,6 +49,18 @@ def test_sparsepoly_accepted_directly():
     ctx = make_field(2, 9)
     poly = SparsePoly(ctx, [(1, 520), (1, 65), (1, 1)])
     assert is_permutation(poly, ctx).is_permutation
+
+
+@pytest.mark.parametrize("kf, ks", [(4, 3), (3, 4)])
+def test_polynomial_from_another_field_rejected(kf, ks):
+    # GF(16) over GF(8) used to report a bijection; GF(8) over GF(16) raised
+    # a bare IndexError
+    poly = SparsePoly(make_field(2, kf), [(1, 1)])
+    ctx = make_field(2, ks)
+    with pytest.raises(CtxMismatch):
+        is_permutation(poly, ctx)
+    with pytest.raises(CtxMismatch):
+        permutes_subset(poly, ctx.subgroup_reps(ctx.order - 1), ctx)
 
 
 @pytest.mark.parametrize("shift, y0", [(-8, -8), (8, 8)])
@@ -271,3 +284,45 @@ def test_split_sweep_f8_above_table_limit(circle_spy):
     (fn, mu), = circle_spy
     naive = naive_split_map(ctx, r, h, info["t"], 513)
     assert [fn(y) for y in mu] == [naive(y) for y in mu]
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (3, 4), (5, 2)])
+def test_split_back_ends_agree(p, k, circle_spy, monkeypatch):
+    # the log-table sweep against the per-point reference, the full scan and
+    # the ctx-arithmetic sweep (tables forced off), at every accepted d
+    ctx = make_field(p, k)
+    assert ctx.ensure_tables()
+    n1 = ctx.order - 1
+    rng = random.Random(100 * p + k)
+    t0 = _divisors(n1)[1]
+    vanishing = SparsePoly(ctx, [(1, 3 + t0), (ctx.neg(1), 3)])  # h(1) = 0
+    cases = []
+    for f in _random_split_polys(ctx, rng, 8) + [vanishing]:
+        for d in _divisors(n1):
+            try:
+                cases.append((f, d, *zieve_split(f, d)))
+            except NotFactorable:
+                pass
+
+    def sweeps():
+        out = []
+        for f, d, _, _ in cases:
+            circle_spy.clear()
+            verdict, info = zieve_verdict(f, d)
+            (fn, mu), = circle_spy
+            out.append((verdict, info, [fn(y) for y in mu]))
+        return out
+
+    tabled = sweeps()
+    for (f, d, r, h), (verdict, info, images) in zip(cases, tabled):
+        assert verdict == is_permutation(f, ctx).is_permutation, (f, d)
+        naive = naive_split_map(ctx, r, h, n1 // d, d)
+        assert images == [naive(y) for y in ctx.subgroup_reps(d)], (f, d)
+        if f is vanishing:
+            assert info["subgroup"] is False and images[0] == 0, d
+    assert sum(f is vanishing for f, _, _, _ in cases) > 1
+    assert {v for v, _, _ in tabled} == {True, False}
+    monkeypatch.setattr(ctx, "_exp", None)
+    monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
+    assert not ctx.ensure_tables()
+    assert sweeps() == tabled
