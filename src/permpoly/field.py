@@ -72,16 +72,6 @@ def _ptrim(c):
     return c
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _ptrim(out)
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     out = [0] * n
@@ -171,6 +161,14 @@ def is_irreducible(coeffs, p: int) -> bool:
     return True
 
 
+def _multiples(a):
+    """a*v for the 16 binary polynomials v of degree < 4, unreduced."""
+    a2, a4, a8 = a << 1, a << 2, a << 3
+    a3, a5, a6, a7 = a2 ^ a, a4 ^ a, a4 ^ a2, a4 ^ a2 ^ a
+    return (0, a, a2, a3, a4, a5, a6, a7,
+            a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+
+
 # ---------------------------------------------------------------------------
 # field context
 # ---------------------------------------------------------------------------
@@ -185,7 +183,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "k", "order", "modulus", "generator",
-                 "_mod_int", "_exp", "_log", "_zech", "_lock", "_as_table")
+                 "_mod_int", "_bytes", "_exp", "_log", "_zech", "_lock", "_as_table")
 
     def __init__(self, p, k, modulus, generator):
         self.p = p
@@ -199,6 +197,7 @@ class FieldCtx:
                 if c:
                     mi |= 1 << i
         self._mod_int = mi
+        self._bytes = None
         self._exp = None
         self._log = None
         self._zech = None
@@ -248,9 +247,45 @@ class FieldCtx:
 
     # -- raw arithmetic (table-free) --------------------------------------
 
+    def _byte_tables(self):
+        """Byte tables (red, sq), built once: ``red[j][v] = (v << (k + 8j)) mod m``
+        folds a product a byte at a time, ``sq[j][v] = (v << 8j)^2 mod m`` squares
+        (squaring is GF(2)-linear).  Tables are spanned by the x^i mod m.  No
+        lock: threads that race here build equal tuples, and one is kept.
+        """
+        if self._bytes is None:
+            xp, top = [1], 2 * self.k - 1
+            for _ in range(top):
+                xp.append(self._mul_raw(xp[-1], 2))
+
+            def span(images):
+                t = [0]
+                for v in images:
+                    t += [w ^ v for w in t]
+                return tuple(t)
+            self._bytes = (tuple(span(xp[i:min(i + 8, top)]) for i in range(self.k, top, 8)),
+                           tuple(span(xp[i:min(i + 16, top):2]) for i in range(0, top, 16)))
+        return self._bytes
+
+    def _comb(self, tab, b):
+        """a*b mod m from tab = _multiples(a): a 4-bit comb over b, then a byte fold."""
+        acc = s = 0
+        while b:
+            acc ^= tab[b & 15] << s
+            b >>= 4
+            s += 4
+        hi = acc >> self.k
+        acc &= self.order - 1
+        for t in (self._bytes or self._byte_tables())[0]:
+            acc ^= t[hi & 255]
+            hi >>= 8
+        return acc
+
     def _mul_raw(self, a, b):
         if self.p == 2:
-            acc = 0
+            if b >= 16:
+                return self._comb(_multiples(a), b)
+            acc = 0  # b < 16, as in the log-table build by g: shift and add
             kbit = 1 << self.k
             mi = self._mod_int
             while b:
@@ -272,6 +307,15 @@ class FieldCtx:
         return self.encode(red + [0] * (self.k - len(red)))
 
     def _pow_raw(self, a, e):
+        if self.p == 2 and e:  # left to right: table squares, products by a's comb
+            sq, tab, r = self._byte_tables()[1], _multiples(a), a
+            for bit in bin(e)[3:]:
+                s = 0
+                for t in sq:
+                    s ^= t[r & 255]
+                    r >>= 8
+                r = self._comb(tab, s) if bit == "1" else s
+            return r
         result = 1
         base = a
         while e:

@@ -109,41 +109,37 @@ def zieve_split(f: SparsePoly, d: int) -> tuple[int, SparsePoly]:
     r is the minimal exponent of f; every exponent must be congruent to r
     mod t, otherwise :class:`NotFactorable` is raised.
     """
-    ctx = f.ctx
+    return _split(f.ctx, f._terms, d)
+
+
+def _split(ctx, terms, d):  # terms: a SparsePoly's (exp, coeff_rep) pairs
     n1 = ctx.order - 1
     if d < 1 or n1 % d:
         raise NotADivisor(f"{d} does not divide {n1}")
-    pairs = f.term_pairs()
-    if not pairs:
+    if not terms:
         raise NotFactorable("zero polynomial has no split")
     t = n1 // d
-    r = pairs[0][1]
-    for _, e in pairs:
+    r = terms[0][0]
+    for e, _ in terms:
         if (e - r) % t:
             raise NotFactorable(f"exponents {e} and {r} differ mod {t}")
     # e -> (e - r) / t keeps the exponents distinct and ascending
-    return r, SparsePoly._raw(ctx, [((e - r) // t, c) for c, e in pairs])
+    return r, SparsePoly._raw(ctx, [((e - r) // t, c) for e, c in terms])
 
 
 def natural_divisor(f: SparsePoly) -> int:
     """Largest-step split divisor: d = (q-1)/gcd(q-1, exponent differences)."""
-    n1 = f.ctx.order - 1
-    pairs = f.term_pairs()
-    if not pairs:
+    return _divisor(f.ctx.order - 1, f._terms)
+
+
+def _divisor(n1, terms):
+    if not terms:
         raise NotFactorable("zero polynomial has no split")
     t = n1
-    e0 = pairs[0][1]
-    for _, e in pairs[1:]:
+    e0 = terms[0][0]
+    for e, _ in terms:
         t = math.gcd(t, e - e0)
     return n1 // t if t else 1
-
-
-def _drop_constant(f: SparsePoly) -> SparsePoly:
-    """f - f(0), which is a bijection exactly when f is."""
-    pairs = f.term_pairs()
-    if pairs and pairs[0][1] == 0:
-        return SparsePoly._raw(f.ctx, [(e, c) for c, e in pairs[1:]])
-    return f
 
 
 def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
@@ -151,8 +147,9 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
 
     Returns (verdict, details) where verdict is True iff gcd(r, (q-1)/d) == 1
     and y^r * h(y)^((q-1)/d) permutes the order-d subgroup.  The split is
-    taken of f - f(0); a constant f is no bijection, and its details carry
-    no split.
+    taken of f - f(0), which is a bijection exactly when f is; a constant f
+    is no bijection, and its details carry no split.  The divisor and the
+    split read the polynomial's own term tuple, not copies of it.
 
     With log tables, a point y of the subgroup maps to
     exp[r log y + t log h(y)], h compiled by :meth:`SparsePoly.rep_fn` after
@@ -162,13 +159,15 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     general power a point costs.
     """
     ctx = f.ctx
-    f = _drop_constant(f)
-    if f.is_zero():
+    terms = f._terms
+    if terms and terms[0][0] == 0:
+        terms = terms[1:]
+    if not terms:
         return False, {"d": d, "r": None, "t": None, "coprime": False,
                        "subgroup": False}
     if d is None:
-        d = natural_divisor(f)
-    r, h = zieve_split(f, d)
+        d = _divisor(ctx.order - 1, terms)
+    r, h = _split(ctx, terms, d)
     n1 = ctx.order - 1
     t = n1 // d
     coprime = math.gcd(r, t) == 1

@@ -183,27 +183,37 @@ def criterion_4(state: RunState) -> CriterionResult:
                    details, start)
 
 
+def _gated_sweep(state, cid, fid, ctx, fixed, description, start):
+    """Scan every instance of ``fixed`` whose gate passes; each must be bijective.
+
+    Only criterion 12 reads the expansions, so they are built only when
+    ``state.split`` is set.
+    """
+    details = []
+    passing = verified = 0
+    for params, rep in fam.enumerate_instances(fid, fixed):
+        if not rep.passed:
+            continue
+        passing += 1
+        vr = is_permutation(fam.evaluator(fid, params, ctx=ctx), ctx)
+        if state.split:
+            state.record(f"{fid} a={params['a']}", fam.build(fid, params, ctx=ctx),
+                         vr.is_permutation)
+        if vr.is_permutation:
+            verified += 1
+        else:
+            details.append(f"a rep {params['a']}: collision {vr.witness}")
+    return _result(cid, fid, description, passing > 0 and verified == passing,
+                   {"admissible": passing, "bijective": verified}, details, start)
+
+
 def criterion_5(state: RunState) -> CriterionResult:
     """F8 over GF(256), delta = g: every gate-passing a gives a bijection."""
     start = time.perf_counter()
     ctx = fam.family_ctx("F8", {"m": 4})
     fixed = {"m": 4, "r": 4, "s": 3, "delta": ctx.generator}
-    details = []
-    passing = verified = 0
-    for params, rep in fam.enumerate_instances("F8", fixed):
-        if not rep.passed:
-            continue
-        passing += 1
-        vr = is_permutation(fam.evaluator("F8", params, ctx=ctx), ctx)
-        state.record(f"F8 a={params['a']}", fam.build("F8", params, ctx=ctx),
-                     vr.is_permutation)
-        if vr.is_permutation:
-            verified += 1
-        else:
-            details.append(f"a rep {params['a']}: collision {vr.witness}")
-    ok = passing > 0 and verified == passing
-    return _result(5, "F8", "x^4*(x^45 + a*x^15 + g)^17 over GF(256), all 256 a",
-                   ok, {"admissible": passing, "bijective": verified}, details, start)
+    return _gated_sweep(state, 5, "F8", ctx, fixed,
+                        "x^4*(x^45 + a*x^15 + g)^17 over GF(256), all 256 a", start)
 
 
 def criterion_6(state: RunState) -> CriterionResult:
@@ -224,8 +234,9 @@ def criterion_6(state: RunState) -> CriterionResult:
             continue
         passing += 1
         vr = is_permutation(fam.evaluator("F9", params, ctx=ctx), ctx)
-        state.record(f"F9 a={a}", fam.build("F9", params, ctx=ctx),
-                     vr.is_permutation)
+        if state.split:
+            state.record(f"F9 a={a}", fam.build("F9", params, ctx=ctx),
+                         vr.is_permutation)
         if vr.is_permutation:
             verified += 1
         else:
@@ -241,22 +252,8 @@ def criterion_7(state: RunState) -> CriterionResult:
     start = time.perf_counter()
     ctx = fam.family_ctx("F10", {"m": 3})
     fixed = {"m": 3, "r": 4, "s": 3, "b": 1}
-    details = []
-    passing = verified = 0
-    for params, rep in fam.enumerate_instances("F10", fixed):
-        if not rep.passed:
-            continue
-        passing += 1
-        vr = is_permutation(fam.evaluator("F10", params, ctx=ctx), ctx)
-        state.record(f"F10 a={params['a']}", fam.build("F10", params, ctx=ctx),
-                     vr.is_permutation)
-        if vr.is_permutation:
-            verified += 1
-        else:
-            details.append(f"a rep {params['a']}: collision {vr.witness}")
-    ok = passing > 0 and verified == passing
-    return _result(7, "F10", "x^4*(x^56 + a*x^7 + 1)^219 over GF(512), all 511 a",
-                   ok, {"admissible": passing, "bijective": verified}, details, start)
+    return _gated_sweep(state, 7, "F10", ctx, fixed,
+                        "x^4*(x^56 + a*x^7 + 1)^219 over GF(512), all 511 a", start)
 
 
 def criterion_8(state: RunState) -> CriterionResult:

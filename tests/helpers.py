@@ -1,11 +1,38 @@
 """Independent reference implementations shared by the test modules.
 
 Everything here deliberately avoids the library's fast paths: evaluation is
-repeated multiplication through the table-free ``_mul_raw``, with no exponent
-reduction, and sums are taken digit by digit (``raw_add``; ``ctx.add`` runs
-through Zech logs in odd characteristic), so oracle equivalence checks
-exercise two genuinely different routes.
+repeated multiplication through ``raw_mul`` (a bit-serial shift-and-add in
+characteristic 2, independent of the library's table-driven kernel), with no
+exponent reduction, and sums are taken digit by digit (``raw_add``;
+``ctx.add`` runs through Zech logs in odd characteristic), so oracle
+equivalence checks exercise two genuinely different routes.
 """
+
+from functools import lru_cache
+
+
+@lru_cache(maxsize=None)
+def _mod_mask(modulus):
+    """The bit mask of a GF(2) modulus given as coefficients, index = degree."""
+    return sum(1 << i for i, c in enumerate(modulus) if c)
+
+
+def raw_mul(ctx, a, b):
+    """a * b with no tables: shift and add for p = 2, reduced by the mask of
+    ``ctx.modulus``; odd p uses ``ctx._mul_raw``'s digit convolution."""
+    if ctx.p != 2:
+        return ctx._mul_raw(a, b)
+    mod = _mod_mask(ctx.modulus)
+    kbit = 1 << ctx.k
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        b >>= 1
+        a <<= 1
+        if a & kbit:
+            a ^= mod
+    return acc
 
 
 def raw_add(ctx, a, b):
@@ -19,13 +46,13 @@ def naive_eval(ctx, pairs, x):
     for coeff, exp in pairs:
         term = coeff
         for _ in range(exp):
-            term = ctx._mul_raw(term, x)
+            term = raw_mul(ctx, term, x)
         total = raw_add(ctx, total, term)
     return total
 
 
 def raw_pow(ctx, x, e):
-    """x^e by square-and-multiply over ``_mul_raw``: no tables, no reduction.
+    """x^e by square-and-multiply over ``raw_mul``: no tables, no reduction.
 
     For exponents in the thousands, where ``naive_eval``'s repeated
     multiplication is too slow for a full-field sweep.
@@ -33,8 +60,8 @@ def raw_pow(ctx, x, e):
     result = 1
     while e:
         if e & 1:
-            result = ctx._mul_raw(result, x)
-        x = ctx._mul_raw(x, x)
+            result = raw_mul(ctx, result, x)
+        x = raw_mul(ctx, x, x)
         e >>= 1
     return result
 
@@ -43,7 +70,7 @@ def raw_eval(ctx, poly, x):
     """poly(x) term by term over ``raw_pow``, exponents unreduced (0**0 == 1)."""
     total = 0
     for c, e in poly.term_pairs():
-        total = raw_add(ctx, total, ctx._mul_raw(c, raw_pow(ctx, x, e)))
+        total = raw_add(ctx, total, raw_mul(ctx, c, raw_pow(ctx, x, e)))
     return total
 
 
@@ -56,8 +83,8 @@ def naive_split_map(ctx, r, h, t, d):
     def fn(y):
         acc = 0
         for c, e in h.term_pairs():
-            acc = raw_add(ctx, acc, ctx._mul_raw(c, raw_pow(ctx, y, e % d)))
-        return ctx._mul_raw(raw_pow(ctx, y, r % d), raw_pow(ctx, acc, t))
+            acc = raw_add(ctx, acc, raw_mul(ctx, c, raw_pow(ctx, y, e % d)))
+        return raw_mul(ctx, raw_pow(ctx, y, r % d), raw_pow(ctx, acc, t))
     return fn
 
 

@@ -8,8 +8,9 @@ Criteria 6 and 8 encode worked examples whose statements are false, and
 ``reproduce`` reports them as FAIL with witnesses.  Their tests pin that
 outcome in full: the counts, ``passed is False``, the exponents the details
 name, and image counts recomputed by square-and-multiply over the table-free
-``_mul_raw`` (no ``ctx.pow``, registry evaluator or oracle).  They fail if
-either criterion is re-encoded to pass or stops finding its defect.
+shift-and-add ``helpers.raw_mul`` (no ``ctx.pow``, registry evaluator or
+oracle).  They fail if either criterion is re-encoded to pass or stops
+finding its defect.
 
 - Criterion 6: for x in GF(256)*, x^136 is the square root of x^17 in GF(16),
   so the inner value lies in GF(16) and its 45th power is 0 or 1; f is x^4
@@ -31,7 +32,7 @@ from permpoly import is_permutation
 from permpoly import reproduce
 from permpoly.reproduce import run_all
 
-from helpers import raw_pow
+from helpers import raw_mul, raw_pow
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +106,11 @@ def test_criterion_06_gf256_subfield_power(results):
     images = {}
     for e in range(0, ctx.order - 1, 17):  # a = g^e runs over GF(16)*
         a = raw_pow(ctx, ctx.generator, e)
-        if _raw_trace(ctx, ctx._mul_raw(raw_pow(ctx, a, 3), delta_inv), 4) != 1:
+        if _raw_trace(ctx, raw_mul(ctx, raw_pow(ctx, a, 3), delta_inv), 4) != 1:
             continue
         images[e] = len({
-            ctx._mul_raw(raw_pow(ctx, x, 4), raw_pow(ctx, ctx.add(ctx.add(
-                raw_pow(ctx, x, 136), ctx._mul_raw(a, raw_pow(ctx, x, 17))),
+            raw_mul(ctx, raw_pow(ctx, x, 4), raw_pow(ctx, ctx.add(ctx.add(
+                raw_pow(ctx, x, 136), raw_mul(ctx, a, raw_pow(ctx, x, 17))),
                 delta), 45))
             for x in range(ctx.order)})
     assert images == {17: 256, 68: 256, 102: 256, 153: 256, 187: 222, 238: 222}
@@ -150,8 +151,8 @@ def test_criterion_08_gf64_four_term(results):
     for e in (21, 42):
         a = raw_pow(ctx, ctx.generator, e)
         images[e] = len({
-            ctx._mul_raw(raw_pow(ctx, x, 6), raw_pow(ctx, ctx.add(ctx.add(
-                raw_pow(ctx, x, 48), raw_pow(ctx, x, 12)), ctx._mul_raw(a, x)), 63))
+            raw_mul(ctx, raw_pow(ctx, x, 6), raw_pow(ctx, ctx.add(ctx.add(
+                raw_pow(ctx, x, 48), raw_pow(ctx, x, 12)), raw_mul(ctx, a, x)), 63))
             for x in range(ctx.order)})
     assert images == {21: 22, 42: 22}
 
@@ -238,4 +239,23 @@ def test_split_runs_only_for_criterion_12(monkeypatch):
     state = reproduce.RunState(split=True)
     reproduce.criterion_4(state)
     assert len(calls) == state.instances == 7
+    assert state.disagreements == 0
+
+
+def test_expansions_built_only_for_criterion_12(monkeypatch):
+    # criteria 5-7 expand their instances only for the split of criterion 12
+    builds = []
+    orig = fam.build
+
+    def counted(fid, params, **kw):
+        builds.append(fid)
+        return orig(fid, params, **kw)
+
+    monkeypatch.setattr(fam, "build", counted)
+    (r,) = run_all(only=[7])
+    assert r.passed and r.counts["admissible"] == 448
+    assert builds == []
+    state = reproduce.RunState(split=True)
+    reproduce.criterion_5(state)
+    assert len(builds) == state.instances > 0
     assert state.disagreements == 0

@@ -20,7 +20,7 @@ from permpoly import (
 )
 from permpoly import families as fam
 
-from helpers import brute_is_permutation, raw_add, raw_eval, raw_pow
+from helpers import brute_is_permutation, raw_add, raw_eval, raw_mul, raw_pow
 
 
 # --------------------------------------------------------------------------
@@ -241,8 +241,8 @@ def _form_ref(form, x):
         w = 0
         for j in range(form.n):
             w = raw_add(ctx, w, raw_pow(ctx, w1, form.q ** j))
-    v = ctx._mul_raw(ctx._mul_raw(form.c0, raw_pow(ctx, x, form.r)), raw_pow(ctx, w, form.E))
-    return raw_add(ctx, v, ctx._mul_raw(form.c, x))
+    v = raw_mul(ctx, raw_mul(ctx, form.c0, raw_pow(ctx, x, form.r)), raw_pow(ctx, w, form.E))
+    return raw_add(ctx, v, raw_mul(ctx, form.c, x))
 
 
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 2), (2, 17)])

@@ -1,6 +1,7 @@
 """Field-layer tests: contexts, arithmetic, structure maps, sparse polynomials."""
 
 import random
+import sys
 import threading
 
 import pytest
@@ -16,9 +17,9 @@ from permpoly import (
     SparsePoly,
     make_field,
 )
-from permpoly.field import is_irreducible
+from permpoly.field import FieldCtx, is_irreducible
 
-from helpers import naive_eval, raw_add, raw_eval, raw_pow
+from helpers import naive_eval, raw_add, raw_eval, raw_mul, raw_pow
 
 
 # --------------------------------------------------------------------------
@@ -494,6 +495,86 @@ def test_table_mul_matches_raw_mul():
     for a in range(81):
         for b in range(0, 81, 7):
             assert ctx.mul(a, b) == ctx._mul_raw(a, b)
+
+
+# --------------------------------------------------------------------------
+# table-free characteristic-2 kernel: comb multiply, byte-table fold and square
+# --------------------------------------------------------------------------
+
+# make_field(2, k).generator for k = 1..24: the table-driven kernel keeps them
+CHAR2_GENERATORS = [1, 2, 2, 2, 2, 2, 2, 3, 7, 2, 2, 3, 2, 7, 2, 3, 2, 10, 2, 2,
+                    2, 2, 2, 2]
+
+
+def _edge_operands(ctx):
+    """0, 1, 15 and 16 (either side of the comb's b >= 16 switch), 2^k - 1, g."""
+    return sorted({v for v in (0, 1, 15, 16, ctx.order - 1, ctx.generator)
+                   if v < ctx.order})
+
+
+def test_char2_generators_pinned():
+    assert [make_field(2, k).generator for k in range(1, 25)] == CHAR2_GENERATORS
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_char2_mul_raw_exhaustive(k):
+    ctx = make_field(2, k)
+    q = ctx.order
+    for a in range(q):
+        for b in range(q):
+            assert ctx._mul_raw(a, b) == raw_mul(ctx, a, b), (a, b)
+
+
+@pytest.mark.parametrize("k", [9, 16, 17, 18, 20, 24])
+def test_char2_mul_raw_sampled(k):
+    ctx = make_field(2, k)
+    rng = random.Random(k)
+    edge = _edge_operands(ctx)
+    some = [rng.randrange(ctx.order) for _ in range(50)]
+    pairs = [(a, b) for a in edge for b in edge + some]
+    pairs += [(a, b) for a in some for b in edge]
+    pairs += [(rng.randrange(ctx.order), rng.randrange(ctx.order))
+              for _ in range(20000 - len(pairs))]
+    for a, b in pairs:
+        assert ctx._mul_raw(a, b) == raw_mul(ctx, a, b), (a, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 9, 16, 17, 18, 20, 24])
+def test_char2_square_and_pow_raw(k):
+    ctx = make_field(2, k)
+    q = ctx.order
+    rng = random.Random(100 + k)
+    operands = _edge_operands(ctx) + [rng.randrange(q) for _ in range(12)]
+    for a in operands:
+        assert ctx._mul_raw(a, a) == ctx._pow_raw(a, 2) == raw_mul(ctx, a, a)
+        for e in (0, 1, q - 2, q - 1, 2 ** 70 + 3):
+            assert ctx._pow_raw(a, e) == raw_pow(ctx, a, e), (a, e)
+
+
+def test_char2_byte_tables_concurrent_first_use():
+    base = make_field(2, 20)
+    ctx = FieldCtx(2, 20, base.modulus, base.generator)  # no byte tables yet
+    rng = random.Random(7)
+    pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(200)]
+    results = [None] * 8
+
+    def worker(i):
+        results[i] = [ctx._mul_raw(a, b) if i % 2 else ctx._pow_raw(a, b)
+                      for a, b in pairs]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results[1::2] == [[raw_mul(ctx, a, b) for a, b in pairs]] * 4
+    assert results[0::2] == [[raw_pow(ctx, a, b) for a, b in pairs]] * 4
 
 
 def _raw_neg(ctx, a):
