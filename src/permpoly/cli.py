@@ -326,9 +326,13 @@ def _build_parser():
         description="verify and enumerate permutation-polynomial families over GF(p^k)")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("list", "verify", "enumerate", "reproduce", "selftest"):
+    outputs = {"list": ("human", "json"), "verify": ("human", "json"),
+               "enumerate": ("human", "json", "csv"), "reproduce": ("human", "json"),
+               "selftest": ()}
+    for name, formats in outputs.items():
         sp = sub.add_parser(name, allow_abbrev=False)
-        sp.add_argument("--output", choices=("human", "json", "csv"), default="human")
+        if formats:
+            sp.add_argument("--output", choices=formats, default="human")
         if name in ("verify", "enumerate"):
             sp.add_argument("--family")
             sp.add_argument("--param", action="append", default=[],

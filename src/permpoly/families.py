@@ -2,12 +2,12 @@
 
 Each entry bundles a field shape, a parameter schema, a condition predicate
 (evaluated clause by clause, totally: every schema-valid assignment yields
-pass or fail), a builder producing the literal polynomial with expanded
-arbitrary-precision exponents, and an evaluation form for exhaustive sweeps.
-The form of F1 and F6..F12 is one shared :class:`Form`,
-c0 * x^r * G(core(x)) + c*x, evaluated without formal expansion; F2..F5 use
-their literal polynomial.  :func:`evaluator` compiles either against the
-field's log tables (``rep_fn``).
+pass or fail), and the family's formula, stated once as its form.  The form
+of F1 and F6..F12 is one shared :class:`Form`, c0 * x^r * G(core(x)) + c*x;
+F2..F5 use their literal polynomial.  :func:`evaluator` compiles either
+against the field's log tables (``rep_fn``) without formal expansion, and
+:func:`build` expands the form into the literal polynomial with
+arbitrary-precision exponents (:meth:`Form.expand`).
 
 Family ids and parameter names are a stable CLI/JSON contract.  Condition
 clauses mirror each construction's published hypotheses verbatim; where a
@@ -30,8 +30,9 @@ from .errors import (
     EnumerationTooLarge,
     FieldShapeMismatch,
     SchemaMismatch,
+    SizeLimitExceeded,
 )
-from .field import FieldCtx, FieldElem, SparsePoly, is_prime, make_field
+from .field import DEFAULT_SIZE_LIMIT, FieldCtx, FieldElem, SparsePoly, make_field
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -92,7 +93,6 @@ class FamilySpec:
     field_for: object         # params -> (p, k)
     params: tuple[ParamSpec, ...]
     condition: object         # (ctx, params) -> ConditionReport
-    build: object             # (ctx, params) -> SparsePoly
     form: object              # (ctx, params) -> Form or SparsePoly
     notes: str = ""
 
@@ -104,20 +104,22 @@ class FamilySpec:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """q = p^e with p prime; FieldShapeMismatch otherwise."""
+    """q = p^e with p prime; FieldShapeMismatch otherwise.
+
+    q above the size limit is refused before factoring (SizeLimitExceeded).
+    """
     if q < 2:
         raise FieldShapeMismatch(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                e += 1
-            if t == 1 and is_prime(p):
-                return p, e
-            break
-    raise FieldShapeMismatch(f"{q} is not a prime power")
+    if q > DEFAULT_SIZE_LIMIT:
+        raise SizeLimitExceeded(f"q = {q} exceeds limit {DEFAULT_SIZE_LIMIT}")
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    e, t = 0, q
+    while t % p == 0:
+        t //= p
+        e += 1
+    if t != 1:
+        raise FieldShapeMismatch(f"{q} is not a prime power")
+    return p, e
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +188,13 @@ def _subfield_star_clause(ctx, name, rep, m):
 
 
 # ---------------------------------------------------------------------------
-# the evaluation form
+# the form: one statement of a family's formula
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Form:
-    """The evaluation form f(x) = c0 * x^r * G(core(x)) + c*x.
+    """The form f(x) = c0 * x^r * G(core(x)) + c*x: ``rep_fn`` evaluates it,
+    ``expand`` gives its literal polynomial.
 
     G(y) = (w + w^q + ... + w^(q^(n-1)))^E with w = u(y).  ``u`` = None
     stands for u(y) = y, so G is the power y^E; with a sparse polynomial u
@@ -207,6 +210,31 @@ class Form:
     r: int = 0
     c0: int = 1
     c: int = 0
+
+    def expand(self) -> SparsePoly:
+        """The literal polynomial of the form, every exponent expanded.
+
+        Steps that are no-ops (E = 1, r = 0, c0 = 1, c = 0) are skipped, so
+        x^r * core^E costs one ``pow_charp`` and one ``shift_x``.
+        """
+        g = self.core
+        ctx = g.ctx
+        if self.u is not None:
+            w = g = self.u.compose(g)
+            e = 0
+            while ctx.p ** e < self.q:  # q = p^e: conjugates are Frobenius powers
+                e += 1
+            for j in range(1, self.n):
+                g = g + w.frobenius_power(e * j)
+        if self.E != 1:
+            g = g.pow_charp(self.E)
+        if self.r:
+            g = g.shift_x(self.r)
+        if self.c0 != 1:
+            g = g.scale(self.c0)
+        if self.c:
+            g = g + SparsePoly(ctx, [(self.c, 1)])
+        return g
 
     def rep_fn(self):
         """Rep-level evaluator, compiled against the context's log tables.
@@ -266,26 +294,17 @@ def _f1_condition(ctx, p):
                                                   p["c"], p["m"]),))
 
 
-def _f1_parts(ctx, p):
-    m = p["m"]
-    return SparsePoly(ctx, [(1, 1 << m), (1, 1), (p["delta"], 0)]), (1 << (2 * m)) + 1
-
-
-def _f1_build(ctx, p):
-    inner, E = _f1_parts(ctx, p)
-    return inner.pow_charp(E) + SparsePoly(ctx, [(p["c"], 1)])
-
-
 def _f1_form(ctx, p):
-    inner, E = _f1_parts(ctx, p)
-    return Form(inner, E, c=p["c"])
+    m = p["m"]
+    inner = SparsePoly(ctx, [(1, 1 << m), (1, 1), (p["delta"], 0)])
+    return Form(inner, (1 << (2 * m)) + 1, c=p["c"])
 
 
 def _f2_condition(ctx, p):
     return _f1_condition(ctx, p)
 
 
-def _f2_build(ctx, p):
+def _f2_form(ctx, p):
     m = p["m"]
     e = (1 << (2 * m)) + 1
     return SparsePoly(ctx, [(1, (1 << m) * e), (1, e), (p["c"], 1)])
@@ -314,7 +333,7 @@ def _f3_exponent(m):
     return (q * q + q + 1) // 3
 
 
-def _f3_build(ctx, p):
+def _f3_form(ctx, p):
     m, c = p["m"], p["c"]
     s = _f3_exponent(m)
     q = 1 << m
@@ -369,7 +388,7 @@ def _f4_condition(ctx, p):
     return ConditionReport((zero_clause, disj))
 
 
-def _f4_build(ctx, p):
+def _f4_form(ctx, p):
     D = (ctx.order - 1) // 3
     return SparsePoly(ctx, [(1, D + 1), (p["b"], 1)])
 
@@ -397,7 +416,7 @@ def _f5_condition(ctx, p):
     ))
 
 
-def _f5_build(ctx, p):
+def _f5_form(ctx, p):
     m, r, i, b = p["m"], p["r"], p["i"], p["b"]
     return SparsePoly(ctx, [(1, i * ((1 << m) - 1) + r), (b, r)])
 
@@ -417,6 +436,8 @@ def _f7_field(params):
 
 
 def _base_degree(ctx, q):
+    if q > ctx.order:
+        raise FieldShapeMismatch(f"q={q} exceeds the order of GF({ctx.p}^{ctx.k})")
     p, e = _prime_power(q)
     if p != ctx.p or ctx.k % e:
         raise FieldShapeMismatch(f"q={q} incompatible with GF({ctx.p}^{ctx.k})")
@@ -429,33 +450,18 @@ def _f6_condition(ctx, p):
                                                   p["c"], e),))
 
 
-def _f6_inner(ctx, q, delta):
-    return SparsePoly(ctx, [(1, q), (ctx.neg(1), 1), (delta, 0)])
-
-
-def _f6_build(ctx, p):
-    q, delta, c = p["q"], p["delta"], p["c"]
-    e = _base_degree(ctx, q)
-    inner = _f6_inner(ctx, q, delta)
-    if p["case"] == "sum":
-        w = p["u"].compose(inner)
-        g = w + w.frobenius_power(e) + w.frobenius_power(2 * e)
-    else:
-        g = inner.pow_charp(p["i"] * (q * q + q + 1))
-    return g + SparsePoly(ctx, [(c, 1)])
-
-
-def _shift_form(p, inner, n, c0=1):
-    """c0 * G(inner(x)) + c*x: G is the n-term q-power sum of u, or y^E with
-    E = i(q^(n-1) + ... + q + 1)."""
+def _shift_form(ctx, p, sign, n, c0=1):
+    """c0 * G(x^q + sign*x + delta) + c*x: G is the n-term q-power sum of u,
+    or y^E with E = i(q^(n-1) + ... + q + 1)."""
     q = p["q"]
+    inner = SparsePoly(ctx, [(1, q), (sign, 1), (p["delta"], 0)])
     if p["case"] == "sum":
         return Form(inner, u=p["u"], n=n, q=q, c0=c0, c=p["c"])
     return Form(inner, p["i"] * sum(q ** j for j in range(n)), c0=c0, c=p["c"])
 
 
 def _f6_form(ctx, p):
-    return _shift_form(p, _f6_inner(ctx, p["q"], p["delta"]), 3)
+    return _shift_form(ctx, p, ctx.neg(1), 3)
 
 
 def default_twist_scalar(ctx: FieldCtx, q: int) -> int:
@@ -486,46 +492,14 @@ def _f7_condition(ctx, p):
     ))
 
 
-def _f7_inner(ctx, q, delta):
-    return SparsePoly(ctx, [(1, q), (1, 1), (delta, 0)])
-
-
-def _f7_build(ctx, p):
-    q, delta, c = p["q"], p["delta"], p["c"]
-    e = _base_degree(ctx, q)
-    c0 = p.get("c0", default_twist_scalar(ctx, q))
-    inner = _f7_inner(ctx, q, delta)
-    if p["case"] == "sum":
-        w = p["u"].compose(inner)
-        g = w
-        for j in range(1, 4):
-            g = g + w.frobenius_power(e * j)
-    else:
-        g = inner.pow_charp(p["i"] * (q ** 3 + q ** 2 + q + 1))
-    return g.scale(c0) + SparsePoly(ctx, [(c, 1)])
-
-
 def _f7_form(ctx, p):
-    q = p["q"]
-    c0 = p.get("c0", default_twist_scalar(ctx, q))
-    return _shift_form(p, _f7_inner(ctx, q, p["delta"]), 4, c0)
+    c0 = p.get("c0", default_twist_scalar(ctx, p["q"]))
+    return _shift_form(ctx, p, 1, 4, c0)
 
 
 # ---------------------------------------------------------------------------
 # F8..F11: x^r * (sparse linearized core)^(big power)
 # ---------------------------------------------------------------------------
-
-def _product(parts):
-    """Builder and form of x^r * core(x)^E from parts: (ctx, params) -> (core, E)."""
-    def build(ctx, p):
-        core, E = parts(ctx, p)
-        return core.pow_charp(E).shift_x(p["r"])
-
-    def form(ctx, p):
-        core, E = parts(ctx, p)
-        return Form(core, E, r=p["r"])
-    return build, form
-
 
 def _f8_field(params):
     return 2, 2 * params["m"]
@@ -549,10 +523,11 @@ def _f8_condition(ctx, p):
     return ConditionReport(tuple(clauses))
 
 
-def _f8_parts(ctx, p):
+def _f8_form(ctx, p):
     s, a, delta = p["s"], p["a"], p["delta"]
     Q = 1 << p["m"]
-    return SparsePoly(ctx, [(1, s * (Q - 1)), (a, Q - 1), (delta, 0)]), Q + 1
+    core = SparsePoly(ctx, [(1, s * (Q - 1)), (a, Q - 1), (delta, 0)])
+    return Form(core, Q + 1, r=p["r"])
 
 
 def _f9_field(params):
@@ -572,10 +547,11 @@ def _f9_condition(ctx, p):
                             sub_a, sub_d, trace))
 
 
-def _f9_parts(ctx, p):
+def _f9_form(ctx, p):
     s, a, delta = p["s"], p["a"], p["delta"]
     Q = 1 << p["m"]
-    return SparsePoly(ctx, [(1, (Q // 2) * (Q + 1)), (a, Q + 1), (delta, 0)]), s * (Q - 1)
+    core = SparsePoly(ctx, [(1, (Q // 2) * (Q + 1)), (a, Q + 1), (delta, 0)])
+    return Form(core, s * (Q - 1), r=p["r"])
 
 
 def _f10_field(params):
@@ -600,10 +576,11 @@ def _f10_condition(ctx, p):
     return ConditionReport((_gcd_clause("r-coprime", r, ctx.order - 1), branch))
 
 
-def _f10_parts(ctx, p):
+def _f10_form(ctx, p):
     s, a, b = p["s"], p["a"], p["b"]
     Q = 1 << p["m"]
-    return SparsePoly(ctx, [(1, Q * (Q - 1)), (a, Q - 1), (b, 0)]), s * (Q * Q + Q + 1)
+    core = SparsePoly(ctx, [(1, Q * (Q - 1)), (a, Q - 1), (b, 0)])
+    return Form(core, s * (Q * Q + Q + 1), r=p["r"])
 
 
 def _f11_field(params):
@@ -630,11 +607,11 @@ def _f11_condition(ctx, p):
     return ConditionReport(tuple(clauses))
 
 
-def _f11_parts(ctx, p):
+def _f11_form(ctx, p):
     s, a, b, delta = p["s"], p["a"], p["b"], p["delta"]
     Q = 1 << p["m"]
     core = SparsePoly(ctx, [(1, Q * Q * (Q - 1)), (b, Q * (Q - 1)), (a, Q - 1), (delta, 0)])
-    return core, s * (Q * Q + Q + 1)
+    return Form(core, s * (Q * Q + Q + 1), r=p["r"])
 
 
 # ---------------------------------------------------------------------------
@@ -653,26 +630,20 @@ class DeltaFamily:
         self.base_degree = base_degree
         self._qk = self.ctx.p ** (base_degree * step)
 
-    def _inner_poly(self, delta) -> SparsePoly:
-        ctx = self.ctx
-        xc = 1 if self.sign == "plus" else ctx.neg(1)
-        return SparsePoly(ctx, [(1, self._qk), (xc, 1), (delta, 0)])
-
     def form(self, delta) -> Form:
-        """f_delta as an evaluation form: G = g, core = x^(q^step) -/+ x + delta."""
+        """f_delta as a form: G = g, core = x^(q^step) -/+ x + delta.
+
+        ``form(delta).expand()`` is its literal polynomial (may be large).
+        """
         if isinstance(delta, FieldElem):
             delta = delta.rep
-        return Form(self._inner_poly(delta), u=self.g, c=self.c)
+        ctx = self.ctx
+        xc = 1 if self.sign == "plus" else ctx.neg(1)
+        return Form(SparsePoly(ctx, [(1, self._qk), (xc, 1), (delta, 0)]), u=self.g, c=self.c)
 
     def map(self, delta):
         """Rep-level evaluator of f_delta."""
         return self.form(delta).rep_fn()
-
-    def poly(self, delta) -> SparsePoly:
-        """Formal expansion of f_delta (on demand; may be large)."""
-        if isinstance(delta, FieldElem):
-            delta = delta.rep
-        return self.g.compose(self._inner_poly(delta)) + SparsePoly(self.ctx, [(self.c, 1)])
 
 
 def transform_pair(g: SparsePoly, c, step: int, sign: str = "minus",
@@ -722,17 +693,8 @@ def _f12_condition(ctx, p):
     return ConditionReport(tuple(clauses))
 
 
-def _f12_pair(ctx, p):
-    return transform_pair(p["g"], p["c"], p["step"], p["sign"])
-
-
-def _f12_build(ctx, p):
-    fam, _ = _f12_pair(ctx, p)
-    return fam.poly(p["delta"])
-
-
 def _f12_form(ctx, p):
-    fam, _ = _f12_pair(ctx, p)
+    fam, _ = transform_pair(p["g"], p["c"], p["step"], p["sign"])
     return fam.form(p["delta"])
 
 
@@ -760,7 +722,7 @@ _register(FamilySpec(
     "(x^(2^m) + x + d)^(2^(2m)+1) + c*x over GF(2^(3m))",
     ("m",), _f1_field,
     (_int("m"), _elem("delta"), _elem("c", nonzero=True)),
-    _f1_condition, _f1_build, _f1_form,
+    _f1_condition, _f1_form,
     notes="condition: c in GF(2^m)*; bijective for every delta",
 ))
 
@@ -769,7 +731,7 @@ _register(FamilySpec(
     "x^(2^m*(2^(2m)+1)) + x^(2^(2m)+1) + c*x over GF(2^(3m))",
     ("m",), _f1_field,
     (_int("m"), _elem("c", nonzero=True)),
-    _f2_condition, _f2_build, _f2_build,
+    _f2_condition, _f2_form,
     notes="condition: c in GF(2^m)*",
 ))
 
@@ -778,7 +740,7 @@ _register(FamilySpec(
     "c*x + x^s + c^q*x^(q*s), s=(q^2+q+1)/3, q=2^m over GF(2^(2m))",
     ("m",), _f3_field,
     (_int("m"), _elem("c", nonzero=True)),
-    _f3_condition, _f3_build, _f3_build,
+    _f3_condition, _f3_form,
     notes="needs q = 1 mod 3 (even m); condition: trace of c^(q+1) vanishes",
 ))
 
@@ -787,7 +749,7 @@ _register(FamilySpec(
     "x^((2^(2m)-1)/3 + 1) + b*x over GF(2^(2m))",
     ("m",), _f4_field,
     (_int("m"), _elem("b")),
-    _f4_condition, _f4_build, _f4_build,
+    _f4_condition, _f4_form,
     notes="checker enumerates the three coset images and tests disjointness",
 ))
 
@@ -796,7 +758,7 @@ _register(FamilySpec(
     "x^(i*(2^m-1)+r) + b*x^r over GF(2^(2m))",
     ("m",), _f5_field,
     (_int("m"), _int("r"), _int("i"), _elem("b", nonzero=True)),
-    _f5_condition, _f5_build, _f5_build,
+    _f5_condition, _f5_form,
 ))
 
 _register(FamilySpec(
@@ -806,7 +768,7 @@ _register(FamilySpec(
     (_int("q", minimum=2), ParamSpec("case", "choice", choices=("sum", "power")),
      ParamSpec("u", "poly", optional=True), ParamSpec("i", "int", minimum=1, optional=True),
      _elem("delta"), _elem("c", nonzero=True)),
-    _f6_condition, _f6_build, _f6_form,
+    _f6_condition, _f6_form,
     notes="condition: c in GF(q)*; bijective for every delta",
 ))
 
@@ -819,7 +781,7 @@ _register(FamilySpec(
      ParamSpec("u", "poly", optional=True), ParamSpec("i", "int", minimum=1, optional=True),
      ParamSpec("c0", "element", nonzero=True, optional=True),
      _elem("delta"), _elem("c", nonzero=True)),
-    _f7_condition, _f7_build, _f7_form,
+    _f7_condition, _f7_form,
     notes="c0 defaults to 1 in characteristic 2, else to the least root of "
           "c0^(q-1) = -1",
 ))
@@ -829,7 +791,7 @@ _register(FamilySpec(
     "x^r * (x^(s*(2^m-1)) + a*x^(2^m-1) + d)^(2^m+1) over GF(2^(2m))",
     ("m",), _f8_field,
     (_int("m"), _int("r"), _int("s"), _elem("a"), _elem("delta")),
-    _f8_condition, *_product(_f8_parts),
+    _f8_condition, _f8_form,
 ))
 
 _register(FamilySpec(
@@ -838,7 +800,7 @@ _register(FamilySpec(
     ("m",), _f9_field,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("delta", nonzero=True)),
-    _f9_condition, *_product(_f9_parts),
+    _f9_condition, _f9_form,
     notes="registered gate keeps the published cube-ratio trace clause; "
           "exhaustive sweeps show it disagrees with the oracle (see tests)",
 ))
@@ -849,7 +811,7 @@ _register(FamilySpec(
     ("m",), _f10_field,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("b", nonzero=True)),
-    _f10_condition, *_product(_f10_parts),
+    _f10_condition, _f10_form,
 ))
 
 _register(FamilySpec(
@@ -859,7 +821,7 @@ _register(FamilySpec(
     ("m",), _f11_field,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("b", nonzero=True), _elem("delta")),
-    _f11_condition, *_product(_f11_parts),
+    _f11_condition, _f11_form,
     notes="registered gate keeps the published shift-ratio clause; exhaustive "
           "sweeps show it disagrees with the oracle (see tests)",
 ))
@@ -871,7 +833,7 @@ _register(FamilySpec(
     (ParamSpec("p", "int", minimum=2), ParamSpec("k", "int", minimum=2),
      _int("step"), ParamSpec("sign", "choice", choices=("minus", "plus")),
      ParamSpec("g", "poly"), _elem("c", nonzero=True), _elem("delta")),
-    _f12_condition, _f12_build, _f12_form,
+    _f12_condition, _f12_form,
     notes="f_d permutes for every d exactly when h permutes",
 ))
 
@@ -911,11 +873,13 @@ def check(fid: str, params: dict, *, ctx: FieldCtx | None = None) -> ConditionRe
 
 
 def build(fid: str, params: dict, *, ctx: FieldCtx | None = None) -> SparsePoly:
-    """The literal polynomial with all exponents expanded."""
+    """The literal polynomial with all exponents expanded: the family's form,
+    expanded when it is a :class:`Form`."""
     spec = family(fid)
     ctx = ctx or family_ctx(fid, params)
     norm = _validate(spec, ctx, params)
-    return spec.build(ctx, norm)
+    form = spec.form(ctx, norm)
+    return form.expand() if isinstance(form, Form) else form
 
 
 def evaluator(fid: str, params: dict, *, ctx: FieldCtx | None = None):

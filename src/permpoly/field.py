@@ -565,13 +565,17 @@ class FieldCtx:
 
 @lru_cache(maxsize=None)
 def _make_field_cached(p, k, modulus, size_limit):
+    if p < 2:  # the size loop below stops only for p >= 2
+        raise NotPrime(f"{p} is not prime")
+    order = 1
+    for _ in range(k):  # stops within log2(size_limit) steps; no huge p^k
+        order *= p
+        if order > size_limit:
+            raise SizeLimitExceeded(f"{p}^{k} exceeds limit {size_limit}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    order = p ** k
-    if order > size_limit:
-        raise SizeLimitExceeded(f"p^k = {order} exceeds limit {size_limit}")
     if modulus is not None:
         mod = tuple(c % p for c in modulus)
         if len(mod) != k + 1 or mod[k] != 1:

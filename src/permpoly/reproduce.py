@@ -49,8 +49,8 @@ class CriterionResult:
 class RunState:
     """Criterion 12's tally, kept as criteria 1..8 record their instances.
 
-    With ``split`` set, ``record`` checks each instance through the split at
-    once, so no expanded polynomial outlives its criterion.
+    Instances are recorded only with ``split`` set, each checked through the
+    split at once, so no expanded polynomial outlives its criterion.
     """
     split: bool = False
     instances: int = 0
@@ -58,8 +58,6 @@ class RunState:
     details: list = dc_field(default_factory=list)
 
     def record(self, label: str, poly: SparsePoly, verdict: bool):
-        if not self.split:
-            return
         self.instances += 1
         split_verdict, info = zieve_verdict(poly)
         if split_verdict != verdict:
@@ -73,59 +71,67 @@ def _result(cid, family, description, passed, counts, details, start):
                            details, (time.perf_counter() - start) * 1000.0)
 
 
+def _collision(key):
+    return lambda params, vr: (None if vr.is_permutation else
+                               f"{key} rep {params[key]}: collision {vr.witness}")
+
+
+def _scan_each(state, fid, ctx, instances, note, form=None):
+    """Scan each instance, record it for criterion 12, and count bijections.
+
+    Returns the count and the detail lines ``note(params, report)`` gives
+    (None adds none).  An instance is a parameter set of family ``fid``, or
+    of the ad-hoc ``form(params)`` when given.  Only criterion 12 reads the
+    expansions, so they are built only when ``state.split`` is set.
+    """
+    verified, details = 0, []
+    for params in instances:
+        shape = form(params) if form else None
+        vr = is_permutation(shape.rep_fn() if shape else
+                            fam.evaluator(fid, params, ctx=ctx), ctx)
+        if state.split:
+            poly = shape.expand() if shape else fam.build(fid, params, ctx=ctx)
+            state.record(f"{fid} {params}", poly, vr.is_permutation)
+        verified += vr.is_permutation
+        line = note(params, vr)
+        if line:
+            details.append(line)
+    return verified, details
+
+
 # ---------------------------------------------------------------------------
 
 def criterion_1(state: RunState) -> CriterionResult:
     """F2 over GF(512): bijective for all seven base-subfield scalars."""
     start = time.perf_counter()
     ctx = fam.family_ctx("F2", {"m": 3})
-    cs = sorted(ctx.subgroup_reps(7))
-    details = []
-    ok = len(cs) == 7
-    verified = 0
-    for c in cs:
-        params = {"m": 3, "c": c}
-        if not fam.check("F2", params, ctx=ctx).passed:
-            ok = False
-            details.append(f"condition fails for c rep {c}")
-            continue
-        poly = fam.build("F2", params, ctx=ctx)
-        rep = is_permutation(poly, ctx)
-        state.record(f"F2 c={c}", poly, rep.is_permutation)
-        if rep.is_permutation:
-            verified += 1
-        else:
-            ok = False
-            details.append(f"c rep {c}: collision {rep.witness}")
+    cs = [{"m": 3, "c": c} for c in sorted(ctx.subgroup_reps(7))]
+    admissible = [p for p in cs if fam.check("F2", p, ctx=ctx).passed]
+    details = [f"condition fails for c rep {p['c']}" for p in cs if p not in admissible]
+    verified, lines = _scan_each(state, "F2", ctx, admissible, _collision("c"))
     return _result(1, "F2", "x^520 + x^65 + c*x over GF(512), c in GF(8)*",
-                   ok and verified == 7, {"scalars": len(cs), "bijective": verified},
-                   details, start)
+                   len(cs) == verified == 7, {"scalars": len(cs), "bijective": verified},
+                   details + lines, start)
+
+
+def _gated_sweep(state, cid, fid, ctx, fixed, key, description, start, expected=None):
+    """Scan every instance of ``fixed`` whose gate passes; each must be
+    bijective, and ``expected`` (when given) of them must pass."""
+    passing = [p for p, rep in fam.enumerate_instances(fid, fixed) if rep.passed]
+    verified, details = _scan_each(state, fid, ctx, passing, _collision(key))
+    if expected is not None and len(passing) != expected:
+        details.append(f"expected {expected} admissible {key}, found {len(passing)}")
+    ok = 0 < verified == len(passing) and expected in (None, len(passing))
+    return _result(cid, fid, description, ok,
+                   {"admissible": len(passing), "bijective": verified}, details, start)
 
 
 def criterion_2(state: RunState) -> CriterionResult:
     """F3 over GF(256): exactly 119 admissible c, each bijective."""
     start = time.perf_counter()
     ctx = fam.family_ctx("F3", {"m": 4})
-    passing = []
-    for params, rep in fam.enumerate_instances("F3", {"m": 4}):
-        if rep.passed:
-            passing.append(params)
-    details = []
-    verified = 0
-    for params in passing:
-        poly = fam.build("F3", params, ctx=ctx)
-        rep = is_permutation(poly, ctx)
-        state.record(f"F3 c={params['c']}", poly, rep.is_permutation)
-        if rep.is_permutation:
-            verified += 1
-        else:
-            details.append(f"c rep {params['c']}: collision {rep.witness}")
-    ok = len(passing) == 119 and verified == len(passing)
-    if len(passing) != 119:
-        details.append(f"expected 119 admissible c, found {len(passing)}")
-    return _result(2, "F3", "c*x + x^91 + c^16*x^1456 over GF(256)",
-                   ok, {"admissible": len(passing), "bijective": verified},
-                   details, start)
+    return _gated_sweep(state, 2, "F3", ctx, {"m": 4}, "c",
+                        "c*x + x^91 + c^16*x^1456 over GF(256)", start, expected=119)
 
 
 def criterion_3(state: RunState) -> CriterionResult:
@@ -135,14 +141,16 @@ def criterion_3(state: RunState) -> CriterionResult:
     total = 0
     for m in (1, 2):
         ctx = fam.family_ctx("F4", {"m": m})
-        for params, rep in fam.enumerate_instances("F4", {"m": m}):
-            total += 1
-            poly = fam.build("F4", params, ctx=ctx)
-            verdict = is_permutation(poly, ctx).is_permutation
-            state.record(f"F4 m={m} b={params['b']}", poly, verdict)
-            if rep.passed != verdict:
-                disagreements.append(f"m={m} b rep {params['b']}: "
-                                     f"condition={rep.passed} oracle={verdict}")
+        gate = {p["b"]: rep.passed for p, rep in fam.enumerate_instances("F4", {"m": m})}
+        total += len(gate)
+
+        def note(params, vr):
+            b = params["b"]
+            if gate[b] != vr.is_permutation:
+                return (f"m={m} b rep {b}: "
+                        f"condition={gate[b]} oracle={vr.is_permutation}")
+        disagreements += _scan_each(state, "F4", ctx,
+                                    [{"m": m, "b": b} for b in gate], note)[1]
     return _result(3, "F4", "binomial iff-condition vs oracle, all b over GF(4), GF(16)",
                    not disagreements, {"assignments": total,
                                        "disagreements": len(disagreements)},
@@ -157,54 +165,20 @@ def criterion_4(state: RunState) -> CriterionResult:
     passing = {p["b"] for p, rep in fam.enumerate_instances("F5", fixed) if rep.passed}
     expected = set(ctx.subgroup_reps(9)) - set(ctx.subgroup_reps(3))
     details = []
-    ok = passing == expected
-    if not ok:
+    if passing != expected:
         details.append(f"admissible set mismatch: {sorted(passing)} vs {sorted(expected)}")
-    verified = 0
-    for b in sorted(passing):
-        poly = fam.build("F5", dict(fixed, b=b), ctx=ctx)
-        rep = is_permutation(poly, ctx)
-        state.record(f"F5 b={b}", poly, rep.is_permutation)
-        if rep.is_permutation:
-            verified += 1
-        else:
-            ok = False
-            details.append(f"b rep {b}: collision {rep.witness}")
+    verified, lines = _scan_each(state, "F5", ctx,
+                                 [dict(fixed, b=b) for b in sorted(passing)], _collision("b"))
+    details += lines
     # negative control: b = 1 must fail the condition and the oracle
-    neg = fam.check("F5", dict(fixed, b=1), ctx=ctx)
-    poly1 = fam.build("F5", dict(fixed, b=1), ctx=ctx)
-    neg_oracle = is_permutation(poly1, ctx).is_permutation
-    state.record("F5 b=1", poly1, neg_oracle)
-    if neg.passed or neg_oracle:
-        ok = False
-        details.append(f"negative control b=1: condition={neg.passed} oracle={neg_oracle}")
+    neg = fam.check("F5", dict(fixed, b=1), ctx=ctx).passed
+    neg_oracle = _scan_each(state, "F5", ctx, [dict(fixed, b=1)], lambda p, vr: None)[0] > 0
+    if neg or neg_oracle:
+        details.append(f"negative control b=1: condition={neg} oracle={neg_oracle}")
+    ok = passing == expected and verified == len(passing) and not (neg or neg_oracle)
     return _result(4, "F5", "x^25 + b*x^4 over GF(64): b^9=1, b^3!=1 exactly",
                    ok, {"admissible": len(passing), "bijective": verified},
                    details, start)
-
-
-def _gated_sweep(state, cid, fid, ctx, fixed, description, start):
-    """Scan every instance of ``fixed`` whose gate passes; each must be bijective.
-
-    Only criterion 12 reads the expansions, so they are built only when
-    ``state.split`` is set.
-    """
-    details = []
-    passing = verified = 0
-    for params, rep in fam.enumerate_instances(fid, fixed):
-        if not rep.passed:
-            continue
-        passing += 1
-        vr = is_permutation(fam.evaluator(fid, params, ctx=ctx), ctx)
-        if state.split:
-            state.record(f"{fid} a={params['a']}", fam.build(fid, params, ctx=ctx),
-                         vr.is_permutation)
-        if vr.is_permutation:
-            verified += 1
-        else:
-            details.append(f"a rep {params['a']}: collision {vr.witness}")
-    return _result(cid, fid, description, passing > 0 and verified == passing,
-                   {"admissible": passing, "bijective": verified}, details, start)
 
 
 def criterion_5(state: RunState) -> CriterionResult:
@@ -212,7 +186,7 @@ def criterion_5(state: RunState) -> CriterionResult:
     start = time.perf_counter()
     ctx = fam.family_ctx("F8", {"m": 4})
     fixed = {"m": 4, "r": 4, "s": 3, "delta": ctx.generator}
-    return _gated_sweep(state, 5, "F8", ctx, fixed,
+    return _gated_sweep(state, 5, "F8", ctx, fixed, "a",
                         "x^4*(x^45 + a*x^15 + g)^17 over GF(256), all 256 a", start)
 
 
@@ -226,25 +200,18 @@ def criterion_6(state: RunState) -> CriterionResult:
     ctx = fam.family_ctx("F9", {"m": 4})
     delta = ctx.pow(ctx.generator, 85)
     fixed = {"m": 4, "r": 4, "s": 3, "delta": delta}
-    details = []
-    passing = verified = 0
-    for a in sorted(ctx.subgroup_reps(15)):
-        params = dict(fixed, a=a)
-        if not fam.check("F9", params, ctx=ctx).passed:
-            continue
-        passing += 1
-        vr = is_permutation(fam.evaluator("F9", params, ctx=ctx), ctx)
-        if state.split:
-            state.record(f"F9 a={a}", fam.build("F9", params, ctx=ctx),
-                         vr.is_permutation)
-        if vr.is_permutation:
-            verified += 1
-        else:
-            details.append(f"gate passes but not bijective: a = g^{ctx.dlog(a)}"
-                           f" (rep {a}), collision {vr.witness}")
-    ok = passing > 0 and verified == passing
+    candidates = [dict(fixed, a=a) for a in sorted(ctx.subgroup_reps(15))]
+    passing = [p for p in candidates if fam.check("F9", p, ctx=ctx).passed]
+
+    def note(params, vr):
+        a = params["a"]
+        if not vr.is_permutation:
+            return (f"gate passes but not bijective: a = g^{ctx.dlog(a)}"
+                    f" (rep {a}), collision {vr.witness}")
+    verified, details = _scan_each(state, "F9", ctx, passing, note)
     return _result(6, "F9", "x^4*(x^136 + a*x^17 + g^85)^45 over GF(256), a in GF(16)*",
-                   ok, {"gate-passing": passing, "bijective": verified}, details, start)
+                   0 < verified == len(passing),
+                   {"gate-passing": len(passing), "bijective": verified}, details, start)
 
 
 def criterion_7(state: RunState) -> CriterionResult:
@@ -252,7 +219,7 @@ def criterion_7(state: RunState) -> CriterionResult:
     start = time.perf_counter()
     ctx = fam.family_ctx("F10", {"m": 3})
     fixed = {"m": 3, "r": 4, "s": 3, "b": 1}
-    return _gated_sweep(state, 7, "F10", ctx, fixed,
+    return _gated_sweep(state, 7, "F10", ctx, fixed, "a",
                         "x^4*(x^56 + a*x^7 + 1)^219 over GF(512), all 511 a", start)
 
 
@@ -273,25 +240,22 @@ def criterion_8(state: RunState) -> CriterionResult:
                      if rep.passed_except("three-coprime"))
     expected = sorted((ctx.pow(ctx.generator, 21), ctx.pow(ctx.generator, 42)))
     details = []
-    ok = passing == expected
-    if not ok:
+    if passing != expected:
         details.append(f"admissible set {passing} != expected {expected}")
-    verified = 0
-    for a in passing:
-        inner = SparsePoly(ctx, [(1, 48), (1, 12), (a, 1)])
-        poly = inner.pow_charp(63).shift_x(6)
-        vr = is_permutation(poly, ctx)
-        state.record(f"F11-display a={a}", poly, vr.is_permutation)
-        if vr.is_permutation:
-            verified += 1
-        else:
-            ok = False
-            details.append(f"displayed x^6*(x^48+x^12+a*x)^63 not bijective for "
-                           f"a = g^{ctx.dlog(a)}: collision {vr.witness}")
+
+    def display(params):
+        return fam.Form(SparsePoly(ctx, [(1, 48), (1, 12), (params["a"], 1)]), 63, r=6)
+
+    def note(params, vr):
+        if not vr.is_permutation:
+            return (f"displayed x^6*(x^48+x^12+a*x)^63 not bijective for "
+                    f"a = g^{ctx.dlog(params['a'])}: collision {vr.witness}")
+    verified, lines = _scan_each(state, "F11-display", ctx, [{"a": a} for a in passing],
+                                 note, form=display)
     return _result(8, "F11", "admissible set {g^21, g^42} and displayed polynomial "
-                   "over GF(64)", ok,
+                   "over GF(64)", passing == expected and verified == len(passing),
                    {"admissible": len(passing), "display-bijective": verified},
-                   details, start)
+                   details + lines, start)
 
 
 def criterion_9(state: RunState) -> CriterionResult:

@@ -100,6 +100,22 @@ def test_verify_unknown_family_and_param(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "F6", "--q", "2147483647", "--case", "power", "--i", "1",
+     "--delta", "0", "--c", "1"),
+    ("verify", "--family", "F7", "--q", "2147483647", "--case", "power", "--i", "1",
+     "--delta", "0", "--c", "1"),
+    ("verify", "--family", "F12", "--p", "2305843009213693951", "--k", "2",
+     "--step", "1", "--sign", "minus", "--g", "x", "--c", "1", "--delta", "0"),
+])
+def test_verify_huge_shape_exit3(capsys, argv):
+    # refused by size before any factoring or primality test of the shape
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("permpoly: SizeLimitExceeded:") and "Traceback" not in err
+
+
 def test_verify_missing_shape(capsys):
     code, _, err = run_cli(capsys, "verify", "--family", "F5",
                            "--r", "4", "--i", "3", "--b", "g^7")
@@ -185,6 +201,23 @@ def test_list_families(capsys):
     assert [f["id"] for f in doc["families"]] == [f"F{i}" for i in range(1, 13)]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "F5", "--m", "3", "--r", "4", "--i", "3", "--b", "g^7",
+     "--output", "csv"),
+    ("list", "--output", "csv"),
+    ("reproduce", "--output", "csv"),
+    ("selftest", "--output", "human"),
+    ("selftest", "--output", "json"),
+    ("selftest", "--output", "csv"),
+])
+def test_unimplemented_output_format_exit3(capsys, argv):
+    # each command accepts only the formats it renders; csv is enumerate's alone
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "--output" in err and "Traceback" not in err
+
+
 def _fake_criterion(cid, passed):
     def fn(state):
         return rep.CriterionResult(cid, "Fx", "fake", passed, {"n": 1}, [], 0.1)
@@ -212,17 +245,33 @@ def test_mutation_in_f3_builder_is_caught(monkeypatch):
     # off-by-one in the middle exponent must fail the F3 regression, naming F3
     spec = fam.REGISTRY["F3"]
 
-    def broken_build(ctx, p):
-        poly = spec.build(ctx, p)
+    def broken_form(ctx, p):
+        poly = spec.form(ctx, p)
         pairs = [(c, e + 1 if e == 91 else e) for c, e in poly.term_pairs()]
         return SparsePoly(ctx, pairs)
 
     monkeypatch.setitem(fam.REGISTRY, "F3",
-                        dataclasses.replace(spec, build=broken_build))
+                        dataclasses.replace(spec, form=broken_form))
     results = rep.run_all(only=[2])
     assert len(results) == 1
     assert results[0].family == "F3"
     assert not results[0].passed
+
+
+def test_mutation_in_f3_gate_count_is_caught(monkeypatch):
+    # a gate that drops one admissible c leaves 118 bijections: the expected
+    # count of 119 must still fail the F3 regression
+    spec = fam.REGISTRY["F3"]
+
+    def strict(ctx, p):
+        report = spec.condition(ctx, p)
+        return fam.ConditionReport(report.clauses + (fam.Clause("drop", p["c"] != 1),))
+
+    monkeypatch.setitem(fam.REGISTRY, "F3", dataclasses.replace(spec, condition=strict))
+    (result,) = rep.run_all(only=[2])
+    assert result.counts == {"admissible": 118, "bijective": 118}
+    assert not result.passed
+    assert result.details == ["expected 119 admissible c, found 118"]
 
 
 def test_selftest_passes():

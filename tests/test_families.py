@@ -1,7 +1,8 @@
-"""Family registry tests: builders, conditions, enumeration, transforms, and
+"""Family registry tests: expansions, conditions, enumeration, transforms, and
 the soundness sweeps (with the two documented gate defects characterized
 exactly against repaired predicates)."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from permpoly import (
     EnumerationTooLarge,
     FieldShapeMismatch,
     SchemaMismatch,
+    SizeLimitExceeded,
     SparsePoly,
     is_permutation,
     linearized_bijective,
@@ -24,7 +26,7 @@ from helpers import brute_is_permutation, raw_add, raw_eval, raw_mul, raw_pow
 
 
 # --------------------------------------------------------------------------
-# registry and builders
+# registry and expansions
 # --------------------------------------------------------------------------
 
 def test_registry_complete():
@@ -111,6 +113,21 @@ def test_f3_odd_m_shape():
     assert not rep.clause("cube-congruence").passed
 
 
+def test_shape_q_checked_by_size_first():
+    # prime-power shapes factor by trial division up to sqrt(q); q above the
+    # size limit, or above the field's order, is refused before factoring
+    assert fam.family_ctx("F6", {"q": 9}).k == 6
+    assert fam.family_ctx("F7", {"q": 8}).k == 12
+    for q in (1, 12, 4 * 3 ** 5):
+        with pytest.raises(FieldShapeMismatch):
+            fam.family_ctx("F6", {"q": q})
+    for q in (2 ** 31 - 1, 1000003):
+        with pytest.raises(SizeLimitExceeded):
+            fam.family_ctx("F6", {"q": q})
+    with pytest.raises(FieldShapeMismatch):
+        fam.default_twist_scalar(make_field(3, 4), 2 ** 61 - 1)
+
+
 def test_condition_totality_random_inputs():
     rng = random.Random(13)
     for fid, shape in (("F8", {"m": 2}), ("F9", {"m": 2}), ("F10", {"m": 1}),
@@ -159,54 +176,68 @@ def test_enumerate_cap_and_unfixed_int():
 
 
 # --------------------------------------------------------------------------
-# builder/closure agreement
+# expansion/closure agreement
 # --------------------------------------------------------------------------
 
 _U = ((5, 0), (1, 1), (7, 2), (3, 3))  # u of F6/F7 and g of F12, as (coeff, exp)
 
 
-@pytest.mark.parametrize("fid,params", [
-    ("F1", {"m": 1, "delta": 6, "c": 1}),
-    ("F2", {"m": 1, "c": 1}),
-    ("F3", {"m": 2, "c": 7}),
-    ("F4", {"m": 2, "b": 11}),
-    ("F5", {"m": 2, "r": 3, "i": 2, "b": 2}),
-    ("F8", {"m": 2, "r": 1, "s": 2, "a": 5, "delta": 9}),
-    ("F9", {"m": 2, "r": 1, "s": 2, "a": 6, "delta": 7}),
-    ("F10", {"m": 1, "r": 1, "s": 2, "a": 3, "b": 5}),
-    ("F11", {"m": 1, "r": 1, "s": 1, "a": 3, "b": 5, "delta": 2}),
-    ("F1", {"m": 3, "delta": 100, "c": 1}),
-    ("F2", {"m": 3, "c": 7}),
-    ("F3", {"m": 4, "c": 77}),
-    ("F4", {"m": 1, "b": 2}),
-    ("F4", {"m": 4, "b": 7}),
-    ("F5", {"m": 4, "r": 7, "i": 3, "b": 5}),
-    ("F6", {"q": 2, "case": "power", "i": 2, "delta": 3, "c": 1}),
-    ("F6", {"q": 4, "case": "sum", "u": _U, "delta": 33, "c": 2}),
-    ("F6", {"q": 8, "case": "power", "i": 1, "delta": 100, "c": 1}),
-    ("F6", {"q": 3, "case": "sum", "u": _U, "delta": 4, "c": 2}),
-    ("F6", {"q": 3, "case": "power", "i": 2, "delta": 11, "c": 1}),
-    ("F7", {"q": 2, "case": "power", "i": 1, "delta": 3, "c": 1, "c0": 6}),
-    ("F7", {"q": 4, "case": "sum", "u": _U, "delta": 9, "c": 1}),
-    ("F7", {"q": 3, "case": "sum", "u": _U, "delta": 40, "c": 2}),
-    ("F7", {"q": 3, "case": "power", "i": 1, "delta": 7, "c": 1}),
-    ("F8", {"m": 3, "r": 2, "s": 2, "a": 0, "delta": 0}),
-    ("F8", {"m": 4, "r": 4, "s": 3, "a": 9, "delta": 3}),
-    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}),
-    ("F10", {"m": 3, "r": 4, "s": 1, "a": 5, "b": 1}),
-    ("F11", {"m": 2, "r": 4, "s": 1, "a": 3, "b": 1, "delta": 2}),
-    ("F12", {"p": 2, "k": 9, "step": 3, "sign": "plus", "g": _U, "c": 1, "delta": 300}),
-    ("F12", {"p": 2, "k": 4, "step": 1, "sign": "minus", "g": (), "c": 1, "delta": 9}),
-    ("F12", {"p": 3, "k": 3, "step": 1, "sign": "minus", "g": _U, "c": 2, "delta": 5}),
-    ("F12", {"p": 3, "k": 4, "step": 2, "sign": "plus", "g": _U, "c": 1, "delta": 50}),
-    ("F12", {"p": 5, "k": 2, "step": 1, "sign": "minus", "g": _U, "c": 3, "delta": 17}),
-])
-def test_expansion_matches_closure(fid, params):
+# terms and the first 16 hex digits of the SHA-256 of repr(poly._terms),
+# recorded from the hand-written builders that Form.expand replaced
+_EXPANSIONS = [
+    ("F1", {"m": 1, "delta": 6, "c": 1}, 9, "119dcb2f3a30a949"),
+    ("F2", {"m": 1, "c": 1}, 3, "42b30beb2711904c"),
+    ("F3", {"m": 2, "c": 7}, 3, "196189bf7fcd5c4a"),
+    ("F4", {"m": 2, "b": 11}, 2, "ed21202a53cc7650"),
+    ("F5", {"m": 2, "r": 3, "i": 2, "b": 2}, 2, "03acbc65ecabc91a"),
+    ("F8", {"m": 2, "r": 1, "s": 2, "a": 5, "delta": 9}, 9, "165eecadf5dd7e48"),
+    ("F9", {"m": 2, "r": 1, "s": 2, "a": 6, "delta": 7}, 5, "a3616cada126697a"),
+    ("F10", {"m": 1, "r": 1, "s": 2, "a": 3, "b": 5}, 11, "0419f5b4dd6a34d5"),
+    ("F11", {"m": 1, "r": 1, "s": 1, "a": 3, "b": 5, "delta": 2}, 24, "7992f17e94a85499"),
+    ("F1", {"m": 3, "delta": 100, "c": 1}, 9, "ac0057e1fdbf0850"),
+    ("F2", {"m": 3, "c": 7}, 3, "51f601785331d578"),
+    ("F3", {"m": 4, "c": 77}, 3, "671859da8d686adf"),
+    ("F4", {"m": 1, "b": 2}, 2, "ea9fd1952de77a16"),
+    ("F4", {"m": 4, "b": 7}, 2, "a19a0bd9365498d7"),
+    ("F5", {"m": 4, "r": 7, "i": 3, "b": 5}, 2, "cf9ba7aa34267c7c"),
+    ("F6", {"q": 2, "case": "power", "i": 2, "delta": 3, "c": 1}, 16, "6c6a0cdaaba13977"),
+    ("F6", {"q": 4, "case": "sum", "u": _U, "delta": 33, "c": 2}, 19, "5a3334c7a7838730"),
+    ("F6", {"q": 8, "case": "power", "i": 1, "delta": 100, "c": 1}, 21, "64fa327a5d88cf63"),
+    ("F6", {"q": 3, "case": "sum", "u": _U, "delta": 4, "c": 2}, 12, "0a07b35740cde9a5"),
+    ("F6", {"q": 3, "case": "power", "i": 2, "delta": 11, "c": 1}, 76, "fa0e5e1322515cf0"),
+    ("F7", {"q": 2, "case": "power", "i": 1, "delta": 3, "c": 1, "c0": 6}, 29, "1109378b018c618a"),
+    ("F7", {"q": 4, "case": "sum", "u": _U, "delta": 9, "c": 1}, 23, "6c9e168bc1be1e2a"),
+    ("F7", {"q": 3, "case": "sum", "u": _U, "delta": 40, "c": 2}, 16, "7a6f142b07fec74b"),
+    ("F7", {"q": 3, "case": "power", "i": 1, "delta": 7, "c": 1}, 55, "dbb7d1c804729791"),
+    ("F8", {"m": 3, "r": 2, "s": 2, "a": 0, "delta": 0}, 1, "683491f68aa63128"),
+    ("F8", {"m": 4, "r": 4, "s": 3, "a": 9, "delta": 3}, 9, "02f463ed8365729a"),
+    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}, 61, "097655a5429bfb07"),
+    ("F10", {"m": 3, "r": 4, "s": 1, "a": 5, "b": 1}, 20, "63b71cf951eb3df4"),
+    ("F11", {"m": 2, "r": 4, "s": 1, "a": 3, "b": 1, "delta": 2}, 40, "6f6aeaa2c2cb337e"),
+    ("F12", {"p": 2, "k": 9, "step": 3, "sign": "plus", "g": _U, "c": 1, "delta": 300},
+     9, "9880635bf51325c4"),
+    ("F12", {"p": 2, "k": 4, "step": 1, "sign": "minus", "g": (), "c": 1, "delta": 9},
+     1, "4990a9c0bf77d3c8"),
+    ("F12", {"p": 3, "k": 3, "step": 1, "sign": "minus", "g": _U, "c": 2, "delta": 5},
+     7, "f13e4e3ea9166770"),
+    ("F12", {"p": 3, "k": 4, "step": 2, "sign": "plus", "g": _U, "c": 1, "delta": 50},
+     8, "e674aff791d7432f"),
+    ("F12", {"p": 5, "k": 2, "step": 1, "sign": "minus", "g": _U, "c": 3, "delta": 17},
+     9, "da1723801b914701"),
+]
+
+
+@pytest.mark.parametrize("fid,params,terms,digest", _EXPANSIONS,
+                         ids=[f"{c[0]}-params{i}" for i, c in enumerate(_EXPANSIONS)])
+def test_expansion_matches_closure(fid, params, terms, digest):
     # the compiled evaluator against build() through table-free powers with
-    # unreduced exponents, at every point of the field
+    # unreduced exponents, at every point of the field; build() itself is
+    # pinned to the recorded expansion
     ctx = fam.family_ctx(fid, params)
     params = {k: SparsePoly(ctx, v) if k in ("u", "g") else v for k, v in params.items()}
     poly = fam.build(fid, params, ctx=ctx)
+    assert len(poly) == terms
+    assert hashlib.sha256(repr(poly._terms).encode()).hexdigest()[:16] == digest
     ev = fam.evaluator(fid, params, ctx=ctx)
     assert all(raw_eval(ctx, poly, x) == ev(x) for x in range(ctx.order))
 
@@ -261,10 +292,14 @@ def test_form_edge_cases(p, k):
         fam.Form(root, u=u, n=k, q=p, c0=g, c=g),      # q-power sum, odd p by ctx.add
         fam.Form(root, 2, u=u, r=n1, c=1),             # u^E; exponent r = q-1
     ]
-    xs = range(ctx.order) if ctx.order <= 256 else (0, 1, g, ctx.pow(g, 999), n1)
+    small = ctx.order <= 256
+    xs = range(ctx.order) if small else (0, 1, g, ctx.pow(g, 999), n1)
     for form in forms:
         fn = form.rep_fn()
         assert [fn(x) for x in xs] == [_form_ref(form, x) for x in xs]
+        if small:  # the expansion is exact at every point, exponents unreduced
+            poly = form.expand()
+            assert [raw_eval(ctx, poly, x) for x in xs] == [_form_ref(form, x) for x in xs]
     assert forms[0].rep_fn()(g) == ctx.mul(g, g)
     assert forms[1].rep_fn()(0) == ctx.mul(g, ctx.pow(ctx.neg(g), 2 * n1))
     assert forms[2].rep_fn()(0) == 0
@@ -517,7 +552,7 @@ def test_transform_poly_matches_map():
     g = SparsePoly(ctx, [(3, 5), (7, 2), (1, 0)])
     family, _ = transform_pair(g, 1, 2)
     for delta in (0, 9):
-        poly = family.poly(delta)
+        poly = family.form(delta).expand()
         fn = family.map(delta)
         assert all(poly.eval_rep(x) == fn(x) for x in range(16))
 

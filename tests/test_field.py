@@ -52,6 +52,11 @@ def test_not_prime_rejected():
 def test_size_limit():
     with pytest.raises(SizeLimitExceeded):
         make_field(2, 25)
+    # checked before any primality test, and without computing p^k
+    with pytest.raises(SizeLimitExceeded):
+        make_field(2 ** 61 - 1, 2)
+    with pytest.raises(SizeLimitExceeded):
+        make_field(2, 10 ** 12)
     make_field(2, 5, size_limit=32)  # boundary is inclusive
     with pytest.raises(SizeLimitExceeded):
         make_field(2, 5, size_limit=31)
