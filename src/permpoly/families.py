@@ -163,11 +163,13 @@ def _validate(spec: FamilySpec, ctx: FieldCtx, raw: dict) -> dict:
                 raise SchemaMismatch(
                     f"{spec.fid}: '{ps.name}' must be one of {ps.choices}, got {v!r}")
         out[ps.name] = v
-    # conditional requirements for the two-case families
+    # each case of the two-case families needs one of u, i and refuses the other
     if "case" in out:
-        need = "u" if out["case"] == "sum" else "i"
+        need, unused = ("u", "i") if out["case"] == "sum" else ("i", "u")
         if need not in out:
             raise SchemaMismatch(f"{spec.fid}: case '{out['case']}' requires '{need}'")
+        if unused in out:
+            raise SchemaMismatch(f"{spec.fid}: case '{out['case']}' takes no '{unused}'")
     return out
 
 
@@ -282,12 +284,20 @@ class Form:
 
 
 # ---------------------------------------------------------------------------
-# F1, F2: twisted additive-shift compositions over GF(2^3m)
+# field shapes of the characteristic-2 families: GF(2^2m) and GF(2^3m)
 # ---------------------------------------------------------------------------
 
-def _f1_field(params):
+def _gf2_2m(params):
+    return 2, 2 * params["m"]
+
+
+def _gf2_3m(params):
     return 2, 3 * params["m"]
 
+
+# ---------------------------------------------------------------------------
+# F1, F2: twisted additive-shift compositions over GF(2^3m)
+# ---------------------------------------------------------------------------
 
 def _f1_condition(ctx, p):
     return ConditionReport((_subfield_star_clause(ctx, "scale-in-base-field",
@@ -300,10 +310,6 @@ def _f1_form(ctx, p):
     return Form(inner, (1 << (2 * m)) + 1, c=p["c"])
 
 
-def _f2_condition(ctx, p):
-    return _f1_condition(ctx, p)
-
-
 def _f2_form(ctx, p):
     m = p["m"]
     e = (1 << (2 * m)) + 1
@@ -313,10 +319,6 @@ def _f2_form(ctx, p):
 # ---------------------------------------------------------------------------
 # F3: scaled trinomial over GF(2^2m), exponent (q^2+q+1)/3
 # ---------------------------------------------------------------------------
-
-def _f3_field(params):
-    return 2, 2 * params["m"]
-
 
 def _f3_condition(ctx, p):
     m, c = p["m"], p["c"]
@@ -343,10 +345,6 @@ def _f3_form(ctx, p):
 # ---------------------------------------------------------------------------
 # F4: binomial x^((q-1)/3 + 1) + b x over GF(2^2m); condition is an iff
 # ---------------------------------------------------------------------------
-
-def _f4_field(params):
-    return 2, 2 * params["m"]
-
 
 def _f4_sets(ctx, b):
     """Image sets of the three index-3 cosets under x -> x^(D+1) + bx."""
@@ -396,10 +394,6 @@ def _f4_form(ctx, p):
 # ---------------------------------------------------------------------------
 # F5: binomial x^(i(2^m-1)+r) + b x^r over GF(2^2m)
 # ---------------------------------------------------------------------------
-
-def _f5_field(params):
-    return 2, 2 * params["m"]
-
 
 def _f5_condition(ctx, p):
     m, r, i, b = p["m"], p["r"], p["i"], p["b"]
@@ -501,10 +495,6 @@ def _f7_form(ctx, p):
 # F8..F11: x^r * (sparse linearized core)^(big power)
 # ---------------------------------------------------------------------------
 
-def _f8_field(params):
-    return 2, 2 * params["m"]
-
-
 def _f8_condition(ctx, p):
     m, r, s, a, delta = p["m"], p["r"], p["s"], p["a"], p["delta"]
     Q = 1 << m
@@ -530,10 +520,6 @@ def _f8_form(ctx, p):
     return Form(core, Q + 1, r=p["r"])
 
 
-def _f9_field(params):
-    return 2, 2 * params["m"]
-
-
 def _f9_condition(ctx, p):
     m, r, s, a, delta = p["m"], p["r"], p["s"], p["a"], p["delta"]
     sub_a = _subfield_star_clause(ctx, "a-in-subfield", a, m)
@@ -552,10 +538,6 @@ def _f9_form(ctx, p):
     Q = 1 << p["m"]
     core = SparsePoly(ctx, [(1, (Q // 2) * (Q + 1)), (a, Q + 1), (delta, 0)])
     return Form(core, s * (Q - 1), r=p["r"])
-
-
-def _f10_field(params):
-    return 2, 3 * params["m"]
 
 
 def _f10_condition(ctx, p):
@@ -581,10 +563,6 @@ def _f10_form(ctx, p):
     Q = 1 << p["m"]
     core = SparsePoly(ctx, [(1, Q * (Q - 1)), (a, Q - 1), (b, 0)])
     return Form(core, s * (Q * Q + Q + 1), r=p["r"])
-
-
-def _f11_field(params):
-    return 2, 3 * params["m"]
 
 
 def _f11_condition(ctx, p):
@@ -720,7 +698,7 @@ def _register(spec: FamilySpec):
 _register(FamilySpec(
     "F1", "additive-shift composition with scaled linear tail",
     "(x^(2^m) + x + d)^(2^(2m)+1) + c*x over GF(2^(3m))",
-    ("m",), _f1_field,
+    ("m",), _gf2_3m,
     (_int("m"), _elem("delta"), _elem("c", nonzero=True)),
     _f1_condition, _f1_form,
     notes="condition: c in GF(2^m)*; bijective for every delta",
@@ -729,16 +707,16 @@ _register(FamilySpec(
 _register(FamilySpec(
     "F2", "trinomial companion of F1",
     "x^(2^m*(2^(2m)+1)) + x^(2^(2m)+1) + c*x over GF(2^(3m))",
-    ("m",), _f1_field,
+    ("m",), _gf2_3m,
     (_int("m"), _elem("c", nonzero=True)),
-    _f2_condition, _f2_form,
+    _f1_condition, _f2_form,
     notes="condition: c in GF(2^m)*",
 ))
 
 _register(FamilySpec(
     "F3", "conjugate-scaled trinomial with exponent (q^2+q+1)/3",
     "c*x + x^s + c^q*x^(q*s), s=(q^2+q+1)/3, q=2^m over GF(2^(2m))",
-    ("m",), _f3_field,
+    ("m",), _gf2_2m,
     (_int("m"), _elem("c", nonzero=True)),
     _f3_condition, _f3_form,
     notes="needs q = 1 mod 3 (even m); condition: trace of c^(q+1) vanishes",
@@ -747,7 +725,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     "F4", "cube-coset binomial (condition is an exact iff)",
     "x^((2^(2m)-1)/3 + 1) + b*x over GF(2^(2m))",
-    ("m",), _f4_field,
+    ("m",), _gf2_2m,
     (_int("m"), _elem("b")),
     _f4_condition, _f4_form,
     notes="checker enumerates the three coset images and tests disjointness",
@@ -756,7 +734,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     "F5", "subgroup-twisted binomial x^(i(2^m-1)+r) + b*x^r",
     "x^(i*(2^m-1)+r) + b*x^r over GF(2^(2m))",
-    ("m",), _f5_field,
+    ("m",), _gf2_2m,
     (_int("m"), _int("r"), _int("i"), _elem("b", nonzero=True)),
     _f5_condition, _f5_form,
 ))
@@ -789,7 +767,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     "F8", "circle-power product x^r * (x^(s(2^m-1)) + a*x^(2^m-1) + d)^(2^m+1)",
     "x^r * (x^(s*(2^m-1)) + a*x^(2^m-1) + d)^(2^m+1) over GF(2^(2m))",
-    ("m",), _f8_field,
+    ("m",), _gf2_2m,
     (_int("m"), _int("r"), _int("s"), _elem("a"), _elem("delta")),
     _f8_condition, _f8_form,
 ))
@@ -797,7 +775,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     "F9", "subfield-power product x^r * (x^(2^(m-1)(2^m+1)) + a*x^(2^m+1) + d)^(s(2^m-1))",
     "x^r * (x^(2^(m-1)*(2^m+1)) + a*x^(2^m+1) + d)^(s*(2^m-1)) over GF(2^(2m))",
-    ("m",), _f9_field,
+    ("m",), _gf2_2m,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("delta", nonzero=True)),
     _f9_condition, _f9_form,
@@ -808,7 +786,7 @@ _register(FamilySpec(
 _register(FamilySpec(
     "F10", "cubic-extension product x^r * (x^(2^m(2^m-1)) + a*x^(2^m-1) + b)^(s*T)",
     "x^r * (x^(2^m*(2^m-1)) + a*x^(2^m-1) + b)^(s*(2^(2m)+2^m+1)) over GF(2^(3m))",
-    ("m",), _f10_field,
+    ("m",), _gf2_3m,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("b", nonzero=True)),
     _f10_condition, _f10_form,
@@ -818,7 +796,7 @@ _register(FamilySpec(
     "F11", "four-term cubic-extension product with linearized-core gate",
     "x^r * (x^(2^(2m)*(2^m-1)) + b*x^(2^m*(2^m-1)) + a*x^(2^m-1) + d)^(s*(2^(2m)+2^m+1)) "
     "over GF(2^(3m))",
-    ("m",), _f11_field,
+    ("m",), _gf2_3m,
     (_int("m"), _int("r"), _int("s"), _elem("a", nonzero=True),
      _elem("b", nonzero=True), _elem("delta")),
     _f11_condition, _f11_form,

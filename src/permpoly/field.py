@@ -32,21 +32,6 @@ DEFAULT_SIZE_LIMIT = 1 << 24
 TABLE_LIMIT = 1 << 16  # log/antilog tables are built lazily up to this order
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Sorted distinct prime factors of n (trial division; n stays small here)."""
     out = []
@@ -70,48 +55,6 @@ def _ptrim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _ptrim(out)
-
-
-def _pmulmod(a, b, mod, p):
-    if not a or not b:
-        return []
-    dm = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                prod[i + j] = (prod[i + j] + av * bv) % p
-    for i in range(len(prod) - 1, dm - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            off = i - dm
-            for j in range(dm):
-                prod[off + j] = (prod[off + j] - c * mod[j]) % p
-    return _ptrim(prod)
-
-
-def _ppowmod(base, e, mod, p):
-    result = [1]
-    b = [v % p for v in base]
-    _ptrim(b)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, b, mod, p)
-        e >>= 1
-        if e:
-            b = _pmulmod(b, b, mod, p)
-    return result
 
 
 def _pmod(a, mod, p):
@@ -141,22 +84,23 @@ def _pgcd(a, b, p):
 
 
 def is_irreducible(coeffs, p: int) -> bool:
-    """Rabin's test for a monic polynomial over GF(p), coeffs index = degree."""
+    """Rabin's test for a monic polynomial over GF(p), coeffs index = degree.
+
+    Runs on the raw ring arithmetic of GF(p)[x]/(m): m may be reducible, so
+    only the table-free ``_pow_raw``, ``sub`` and ``decode`` are used.
+    """
     mod = [v % p for v in coeffs]
     k = len(mod) - 1
     if k < 1 or mod[-1] != 1:
         return False
     if k == 1:
         return True
-    x = [0, 1]
-    xq = _ppowmod(x, p ** k, mod, p)
-    if _psub(xq, x, p):
+    ring = FieldCtx(p, k, mod, 1)  # rep p is x
+    if ring._pow_raw(p, p ** k) != p:
         return False
     for ell in prime_factors(k):
-        d = k // ell
-        xd = _ppowmod(x, p ** d, mod, p)
-        g = _pgcd(_psub(xd, x, p), mod, p)
-        if len(g) != 1:
+        xd = ring.sub(ring._pow_raw(p, p ** (k // ell)), p)
+        if len(_pgcd(ring.decode(xd), mod, p)) != 1:
             return False
     return True
 
@@ -236,14 +180,6 @@ class FieldCtx:
     @property
     def gen(self) -> "FieldElem":
         return FieldElem(self, self.generator)
-
-    def elements(self):
-        for r in range(self.order):
-            yield FieldElem(self, r)
-
-    def units(self):
-        for r in range(1, self.order):
-            yield FieldElem(self, r)
 
     # -- raw arithmetic (table-free) --------------------------------------
 
@@ -567,15 +503,15 @@ class FieldCtx:
 def _make_field_cached(p, k, modulus, size_limit):
     if p < 2:  # the size loop below stops only for p >= 2
         raise NotPrime(f"{p} is not prime")
+    if k < 1:
+        raise ValueError(f"extension degree must be >= 1, got {k}")
     order = 1
     for _ in range(k):  # stops within log2(size_limit) steps; no huge p^k
         order *= p
         if order > size_limit:
             raise SizeLimitExceeded(f"{p}^{k} exceeds limit {size_limit}")
-    if not is_prime(p):
+    if prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
-    if k < 1:
-        raise ValueError(f"extension degree must be >= 1, got {k}")
     if modulus is not None:
         mod = tuple(c % p for c in modulus)
         if len(mod) != k + 1 or mod[k] != 1:
@@ -737,8 +673,8 @@ class SparsePoly:
     """f(x) = sum(coeff * x^exp) with huge exponents allowed.
 
     Terms are normalized: exponents strictly increasing, no zero
-    coefficients.  Coefficients are stored as integer reps; the public
-    ``terms`` view yields (FieldElem, exp) pairs.
+    coefficients.  Coefficients are stored as integer reps;
+    :meth:`term_pairs` yields (coeff_rep, exp) pairs.
     """
 
     __slots__ = ("ctx", "_terms")
@@ -777,19 +713,12 @@ class SparsePoly:
     def constant(cls, ctx, c) -> "SparsePoly":
         return cls(ctx, [(c, 0)])
 
-    @property
-    def terms(self):
-        return tuple((FieldElem(self.ctx, c), e) for e, c in self._terms)
-
     def term_pairs(self):
         """(coeff_rep, exp) pairs, exponent ascending."""
         return tuple((c, e) for e, c in self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def degree(self) -> int:
-        return self._terms[-1][0] if self._terms else -1
 
     def __len__(self):
         return len(self._terms)

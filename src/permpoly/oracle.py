@@ -109,10 +109,7 @@ def zieve_split(f: SparsePoly, d: int) -> tuple[int, SparsePoly]:
     r is the minimal exponent of f; every exponent must be congruent to r
     mod t, otherwise :class:`NotFactorable` is raised.
     """
-    return _split(f.ctx, f._terms, d)
-
-
-def _split(ctx, terms, d):  # terms: a SparsePoly's (exp, coeff_rep) pairs
+    ctx, terms = f.ctx, f._terms
     n1 = ctx.order - 1
     if d < 1 or n1 % d:
         raise NotADivisor(f"{d} does not divide {n1}")
@@ -129,13 +126,10 @@ def _split(ctx, terms, d):  # terms: a SparsePoly's (exp, coeff_rep) pairs
 
 def natural_divisor(f: SparsePoly) -> int:
     """Largest-step split divisor: d = (q-1)/gcd(q-1, exponent differences)."""
-    return _divisor(f.ctx.order - 1, f._terms)
-
-
-def _divisor(n1, terms):
+    terms = f._terms
     if not terms:
         raise NotFactorable("zero polynomial has no split")
-    t = n1
+    n1 = t = f.ctx.order - 1
     e0 = terms[0][0]
     for e, _ in terms:
         t = math.gcd(t, e - e0)
@@ -165,9 +159,10 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     if not terms:
         return False, {"d": d, "r": None, "t": None, "coprime": False,
                        "subgroup": False}
+    f = SparsePoly._raw(ctx, terms)  # f - f(0); _raw keeps the tuple, no copy
     if d is None:
-        d = _divisor(ctx.order - 1, terms)
-    r, h = _split(ctx, terms, d)
+        d = natural_divisor(f)
+    r, h = zieve_split(f, d)
     n1 = ctx.order - 1
     t = n1 // d
     coprime = math.gcd(r, t) == 1

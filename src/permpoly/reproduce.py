@@ -284,29 +284,18 @@ def criterion_9(state: RunState) -> CriterionResult:
             for c in scalars:
                 run("F1", ctx, {"m": m, "delta": delta, "c": c})
 
-    for q in (2, 3, 4):
-        ctx = fam.family_ctx("F6", {"q": q})
-        e = round(math.log(q, ctx.p))
-        scalars = [r for r in ctx.subfield_reps(e) if r]
-        for _ in range(20):
-            u = SparsePoly(ctx, [(rng.randrange(ctx.order), d) for d in range(6)])
-            deltas = [rng.randrange(ctx.order) for _ in range(20)]
-            for delta in deltas:
-                for c in scalars:
-                    run("F6", ctx, {"q": q, "case": "sum", "u": u,
-                                    "delta": delta, "c": c})
-
-    for q in (2, 3):
-        ctx = fam.family_ctx("F7", {"q": q})
-        e = round(math.log(q, ctx.p))
-        scalars = [r for r in ctx.subfield_reps(e) if r]
-        for _ in range(20):
-            u = SparsePoly(ctx, [(rng.randrange(ctx.order), d) for d in range(6)])
-            deltas = [rng.randrange(ctx.order) for _ in range(20)]
-            for delta in deltas:
-                for c in scalars:
-                    run("F7", ctx, {"q": q, "case": "sum", "u": u,
-                                    "delta": delta, "c": c})
+    for fid, qs in (("F6", (2, 3, 4)), ("F7", (2, 3))):
+        for q in qs:
+            ctx = fam.family_ctx(fid, {"q": q})
+            e = round(math.log(q, ctx.p))
+            scalars = [r for r in ctx.subfield_reps(e) if r]
+            for _ in range(20):
+                u = SparsePoly(ctx, [(rng.randrange(ctx.order), d) for d in range(6)])
+                deltas = [rng.randrange(ctx.order) for _ in range(20)]
+                for delta in deltas:
+                    for c in scalars:
+                        run(fid, ctx, {"q": q, "case": "sum", "u": u,
+                                       "delta": delta, "c": c})
 
     return _result(9, "F1/F6/F7", "shift-composition sweeps always bijective",
                    failed == 0, {"instances": checked, "failures": failed},

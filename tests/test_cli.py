@@ -116,6 +116,20 @@ def test_verify_huge_shape_exit3(capsys, argv):
     assert err.startswith("permpoly: SizeLimitExceeded:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "enumerate"])
+@pytest.mark.parametrize("args,err_line", [
+    (("--family", "F6", "--q", "4", "--case", "power", "--i", "1", "--u", "x",
+      "--delta", "0", "--c", "1"), "F6: case 'power' takes no 'u'"),
+    (("--family", "F7", "--q", "3", "--case", "sum", "--u", "x", "--i", "5",
+      "--delta", "0", "--c", "1"), "F7: case 'sum' takes no 'i'"),
+])
+def test_parameter_unused_by_case_exit3(capsys, command, args, err_line):
+    code, out, err = run_cli(capsys, command, *args)
+    assert code == 3
+    assert out == ""
+    assert err == f"permpoly: {err_line}\n"
+
+
 def test_verify_missing_shape(capsys):
     code, _, err = run_cli(capsys, "verify", "--family", "F5",
                            "--r", "4", "--i", "3", "--b", "g^7")

@@ -105,6 +105,15 @@ def test_schema_rejections():
     with pytest.raises(SchemaMismatch):
         fam.check("F6", {"q": 4, "case": "sum", "delta": 0, "c": 1})  # u missing
 
+    ctx = fam.family_ctx("F6", {"q": 4})
+    with pytest.raises(SchemaMismatch):  # case power reads i, not u
+        fam.check("F6", {"q": 4, "case": "power", "i": 1, "u": SparsePoly.x(ctx),
+                         "delta": 0, "c": 1})
+    ctx = fam.family_ctx("F7", {"q": 3})
+    with pytest.raises(SchemaMismatch):  # case sum reads u, not i
+        fam.check("F7", {"q": 3, "case": "sum", "u": SparsePoly.x(ctx), "i": 5,
+                         "delta": 0, "c": 1})
+
 
 def test_f3_odd_m_shape():
     with pytest.raises(FieldShapeMismatch):

@@ -57,6 +57,8 @@ def test_size_limit():
         make_field(2 ** 61 - 1, 2)
     with pytest.raises(SizeLimitExceeded):
         make_field(2, 10 ** 12)
+    with pytest.raises(ValueError):  # the degree is checked before the size
+        make_field(2 ** 61 - 1, 0)
     make_field(2, 5, size_limit=32)  # boundary is inclusive
     with pytest.raises(SizeLimitExceeded):
         make_field(2, 5, size_limit=31)
@@ -92,6 +94,20 @@ def test_modulus_choice_against_sympy(p, k):
             t, d = divmod(t, p)
             digits.append(d)
         assert not to_poly(digits + [1]).is_irreducible
+
+
+@pytest.mark.parametrize("p,max_k", [(2, 6), (3, 4), (5, 3), (7, 2)])
+def test_is_irreducible_against_sympy(p, max_k):
+    # every monic polynomial of degree 1..max_k; reducible ones such as
+    # x(x^2+x+1)(x^3+x+1) over GF(2) pass x^(p^k) = x and fail only the gcd step
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for k in range(1, max_k + 1):
+        for n in range(p ** k):
+            coeffs = [n // p ** i % p for i in range(k)] + [1]
+            poly = sympy.Poly(sum(c * x ** i for i, c in enumerate(coeffs)), x,
+                              modulus=p)
+            assert is_irreducible(coeffs, p) == poly.is_irreducible, coeffs
 
 
 def test_generator_has_full_order():
@@ -511,6 +527,58 @@ CHAR2_GENERATORS = [1, 2, 2, 2, 2, 2, 2, 3, 7, 2, 2, 3, 2, 7, 2, 3, 2, 10, 2, 2,
                     2, 2, 2, 2]
 
 
+# (modulus, generator) of make_field(p, k) for every odd-characteristic
+# GF(p^k) of order <= 2^24 with p <= 13; Rabin's test and the generator
+# search both run on FieldCtx raw arithmetic and must keep them
+ODD_FIELDS = {
+    (3, 1): ((0, 1), 2),
+    (3, 2): ((1, 0, 1), 4),
+    (3, 3): ((1, 2, 0, 1), 3),
+    (3, 4): ((2, 1, 0, 0, 1), 3),
+    (3, 5): ((1, 2, 0, 0, 0, 1), 3),
+    (3, 6): ((2, 1, 0, 0, 0, 0, 1), 3),
+    (3, 7): ((2, 0, 1, 0, 0, 0, 0, 1), 5),
+    (3, 8): ((2, 0, 1, 0, 0, 0, 0, 0, 1), 38),
+    (3, 9): ((1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 3),
+    (3, 10): ((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), 34),
+    (3, 11): ((2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 5),
+    (3, 12): ((2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 14),
+    (3, 13): ((1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3),
+    (3, 14): ((2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3),
+    (3, 15): ((2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 5),
+    (5, 1): ((0, 1), 2),
+    (5, 2): ((2, 0, 1), 6),
+    (5, 3): ((1, 1, 0, 1), 9),
+    (5, 4): ((2, 0, 0, 0, 1), 6),
+    (5, 5): ((1, 4, 0, 0, 0, 1), 10),
+    (5, 6): ((2, 1, 0, 0, 0, 0, 1), 5),
+    (5, 7): ((1, 1, 0, 0, 0, 0, 0, 1), 9),
+    (5, 8): ((2, 0, 0, 0, 0, 0, 0, 0, 1), 6),
+    (5, 9): ((3, 2, 1, 0, 0, 0, 0, 0, 0, 1), 5),
+    (5, 10): ((3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 5),
+    (7, 1): ((0, 1), 3),
+    (7, 2): ((1, 0, 1), 9),
+    (7, 3): ((2, 0, 0, 1), 22),
+    (7, 4): ((1, 1, 0, 0, 1), 12),
+    (7, 5): ((3, 1, 0, 0, 0, 1), 9),
+    (7, 6): ((2, 0, 0, 0, 0, 0, 1), 8),
+    (7, 7): ((1, 6, 0, 0, 0, 0, 0, 1), 14),
+    (7, 8): ((3, 1, 0, 0, 0, 0, 0, 0, 1), 7),
+    (11, 1): ((0, 1), 2),
+    (11, 2): ((1, 0, 1), 15),
+    (11, 3): ((4, 1, 0, 1), 11),
+    (11, 4): ((2, 1, 0, 0, 1), 11),
+    (11, 5): ((2, 0, 0, 0, 0, 1), 13),
+    (11, 6): ((2, 1, 0, 0, 0, 0, 1), 12),
+    (13, 1): ((0, 1), 2),
+    (13, 2): ((2, 0, 1), 15),
+    (13, 3): ((2, 0, 0, 1), 15),
+    (13, 4): ((2, 0, 0, 0, 1), 17),
+    (13, 5): ((2, 4, 0, 0, 0, 1), 13),
+    (13, 6): ((2, 0, 0, 0, 0, 0, 1), 182),
+}
+
+
 def _edge_operands(ctx):
     """0, 1, 15 and 16 (either side of the comb's b >= 16 switch), 2^k - 1, g."""
     return sorted({v for v in (0, 1, 15, 16, ctx.order - 1, ctx.generator)
@@ -519,6 +587,12 @@ def _edge_operands(ctx):
 
 def test_char2_generators_pinned():
     assert [make_field(2, k).generator for k in range(1, 25)] == CHAR2_GENERATORS
+
+
+def test_odd_char_fields_pinned():
+    got = {(p, k): (make_field(p, k).modulus, make_field(p, k).generator)
+           for p, k in ODD_FIELDS}
+    assert got == ODD_FIELDS
 
 
 @pytest.mark.parametrize("k", range(1, 9))
