@@ -105,6 +105,28 @@ def is_irreducible(coeffs, p: int) -> bool:
     return True
 
 
+def _linear_tables(images):
+    """Byte tables of the GF(2)-linear map x^i -> images[i]: table j sends a
+    byte v to the image of v * x^(8j), partial when 8 does not divide k."""
+    out = []
+    for i in range(0, len(images), 8):
+        t = [0]
+        for v in images[i:i + 8]:
+            t += [w ^ v for w in t]
+        out.append(tuple(t))
+    return tuple(out)
+
+
+def _apply(tabs, a):
+    """a's image under ``_linear_tables``; ``_comb`` and ``_pow_raw`` inline
+    this loop, as a call would add a third to a product's cost at k = 20."""
+    s = 0
+    for t in tabs:
+        s ^= t[a & 255]
+        a >>= 8
+    return s
+
+
 def _multiples(a):
     """a*v for the 16 binary polynomials v of degree < 4, unreduced."""
     a2, a4, a8 = a << 1, a << 2, a << 3
@@ -193,15 +215,60 @@ class FieldCtx:
             xp, top = [1], 2 * self.k - 1
             for _ in range(top):
                 xp.append(self._mul_raw(xp[-1], 2))
-
-            def span(images):
-                t = [0]
-                for v in images:
-                    t += [w ^ v for w in t]
-                return tuple(t)
-            self._bytes = (tuple(span(xp[i:min(i + 8, top)]) for i in range(self.k, top, 8)),
-                           tuple(span(xp[i:min(i + 16, top):2]) for i in range(0, top, 16)))
+            self._bytes = (_linear_tables(xp[self.k:top]), _linear_tables(xp[0:top:2]))
         return self._bytes
+
+    def _scale_tables(self, c):
+        """Byte tables of z -> c*z (p = 2), from the images c*x^i mod m."""
+        return _linear_tables([self._mul_raw(c, 1 << i) for i in range(self.k)])
+
+    def _frobenius_tables(self, s):
+        """Byte tables of z -> z^(2^s) (p = 2), from the images x^(i*2^s) mod m."""
+        return _linear_tables([self._pow_raw(1 << i, 1 << s) for i in range(self.k)])
+
+    def _power_plan(self, t):
+        """z -> z^t for a fixed t >= 1 (p = 2), planned once for many z.
+
+        A run of L ones in t's binary digits is z^(2^L - 1), by Itoh and
+        Tsujii's chain a(2n) = a(n)^(2^n) * a(n), a(n+1) = a(n)^2 * z; one
+        product joins each pair of runs.  A step (src, tabs, other) appends
+        reg[src]^(2^s) * reg[other] to the registers (reg[0] = z), the
+        2^s-th power through byte tables.
+        """
+        steps, runs, frob = [], {1: 0}, lru_cache(maxsize=None)(self._frobenius_tables)
+
+        def step(src, s, other=None):
+            steps.append((src, frob(s), other))
+            return len(steps)
+
+        def run(length):  # the register of z^(2^length - 1)
+            if length not in runs:
+                a, n = 0, 1
+                for bit in bin(length)[3:]:
+                    a, n = step(a, n, a), 2 * n
+                    if bit == "1":
+                        a, n = step(a, 1, 0), n + 1
+                runs[length] = a
+            return runs[length]
+
+        acc, shift = None, 0
+        for ones in bin(t)[2:].split("0"):  # one zero digit between parts
+            if ones:
+                a = run(len(ones))
+                acc = a if acc is None else step(acc, shift + len(ones), a)
+                shift = 0
+            shift += 1
+        if shift > 1:
+            acc = step(acc, shift - 1)
+        mul = self._mul_raw
+
+        def power(z):
+            reg = [z]
+            for src, tabs, other in steps:
+                v = _apply(tabs, reg[src])
+                reg.append(v if other is None else mul(v, reg[other]))
+            return reg[acc]
+        return power
 
     def _comb(self, tab, b):
         """a*b mod m from tab = _multiples(a): a 4-bit comb over b, then a byte fold."""
@@ -687,6 +754,8 @@ class SparsePoly:
                 if coeff.ctx is not ctx:
                     raise CtxMismatch("coefficient from a different context")
                 coeff = coeff.rep
+            elif not 0 <= coeff < ctx.order:
+                ctx.elem(coeff)  # raises the out-of-range ValueError
             if exp < 0:
                 raise ValueError("negative exponent")
             if coeff:
@@ -704,6 +773,11 @@ class SparsePoly:
         obj.ctx = ctx
         obj._terms = tuple(sorted_pairs)
         return obj
+
+    @classmethod
+    def _collect(cls, ctx, acc):
+        """The polynomial of an {exponent: coefficient} dict, zero sums dropped."""
+        return cls._raw(ctx, sorted(filter(operator.itemgetter(1), acc.items())))
 
     @classmethod
     def x(cls, ctx) -> "SparsePoly":
@@ -802,11 +876,14 @@ class SparsePoly:
         ctx = self.ctx
         if len(self._terms) * len(other._terms) > _EXPANSION_CAP:
             raise ValueError("polynomial product too large to expand")
-        pairs = []
+        mul, add = ctx.mul, operator.xor if ctx.p == 2 else ctx.add
+        acc: dict[int, int] = {}
+        get = acc.get
         for e1, c1 in self._terms:
             for e2, c2 in other._terms:
-                pairs.append((ctx.mul(c1, c2), e1 + e2))
-        return SparsePoly(ctx, pairs)
+                e = e1 + e2
+                acc[e] = add(get(e, 0), c2 if c1 == 1 else c1 if c2 == 1 else mul(c1, c2))
+        return SparsePoly._collect(ctx, acc)
 
     def scale(self, c) -> "SparsePoly":
         if isinstance(c, FieldElem):
@@ -866,14 +943,13 @@ class SparsePoly:
         """
         if n < 1:
             raise ValueError("modulus must be positive")
-        pairs = []
+        add = operator.xor if self.ctx.p == 2 else self.ctx.add
+        acc: dict[int, int] = {}
         for e, c in self._terms:
-            if e == 0:
-                pairs.append((c, 0))
-            else:
-                r = e % n
-                pairs.append((c, r if r else n))
-        return SparsePoly(self.ctx, pairs)
+            if e:
+                e = e % n or n
+            acc[e] = add(acc.get(e, 0), c)
+        return SparsePoly._collect(self.ctx, acc)
 
     def __repr__(self):
         return f"SparsePoly({self.pretty()})"

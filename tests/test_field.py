@@ -17,7 +17,7 @@ from permpoly import (
     SparsePoly,
     make_field,
 )
-from permpoly.field import FieldCtx, is_irreducible
+from permpoly.field import FieldCtx, _apply, is_irreducible
 
 from helpers import naive_eval, raw_add, raw_eval, raw_mul, raw_pow
 
@@ -489,6 +489,59 @@ def test_reduce_exponents_on_subgroup():
         assert poly.eval_rep(y) == reduced.eval_rep(y)
 
 
+def _normalized(poly):
+    exps = [e for _, e in poly.term_pairs()]
+    return exps == sorted(set(exps)) and all(c for c, _ in poly.term_pairs())
+
+
+def _fold(e, n):
+    return e % n or n if e else 0
+
+
+def test_products_and_folds_cancel():
+    # the dict-built results against the normalising constructor
+    ctx = make_field(2, 8)
+    one, x = SparsePoly.constant(ctx, 1), SparsePoly.x(ctx)
+    sq = (x + one) * (x + one)
+    assert sq == SparsePoly(ctx, [(1, 2), (1, 0)]) and _normalized(sq)
+    d = 17
+    assert SparsePoly(ctx, [(1, 1), (1, 1 + d)]).reduce_exponents(d).is_zero()
+    ctx3 = make_field(3, 3)
+    three = SparsePoly(ctx3, [(1, 1), (1, 1 + d), (1, 1 + 2 * d)])
+    assert three.reduce_exponents(d).is_zero()
+
+
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 3), (2, 18)])
+def test_products_and_folds_match_constructor(p, k):
+    ctx = make_field(p, k)
+    rng = random.Random(10 * p + k)
+
+    def coeff():  # 1 often, so the product skips its multiplication
+        return 1 if rng.random() < 0.4 else rng.randrange(1, ctx.order)
+
+    for _ in range(40):
+        a = [(coeff(), rng.randrange(12)) for _ in range(rng.randrange(1, 7))]
+        b = [(coeff(), rng.randrange(12)) for _ in range(rng.randrange(1, 7))]
+        fa, fb = SparsePoly(ctx, a), SparsePoly(ctx, b)
+        pairs = [(raw_mul(ctx, c1, c2), e1 + e2)
+                 for c1, e1 in fa.term_pairs() for c2, e2 in fb.term_pairs()]
+        prod = fa * fb
+        assert prod == SparsePoly(ctx, pairs) and _normalized(prod)
+        n = rng.randrange(1, 8)
+        folded = prod.reduce_exponents(n)
+        assert folded == SparsePoly(ctx, [(c, _fold(e, n)) for c, e in pairs])
+        assert _normalized(folded)
+
+
+def test_coefficient_out_of_range_rejected():
+    ctx = make_field(2, 8)
+    for c in (-1, 300):
+        with pytest.raises(ValueError, match="out of range"):
+            SparsePoly(ctx, [(c, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        SparsePoly(make_field(2, 18), [(1 << 18, 1)])
+
+
 # --------------------------------------------------------------------------
 # tables and concurrency
 # --------------------------------------------------------------------------
@@ -654,6 +707,36 @@ def test_char2_byte_tables_concurrent_first_use():
     assert not any(t.is_alive() for t in threads)
     assert results[1::2] == [[raw_mul(ctx, a, b) for a, b in pairs]] * 4
     assert results[0::2] == [[raw_pow(ctx, a, b) for a, b in pairs]] * 4
+
+
+@pytest.mark.parametrize("k", [9, 16, 17, 18, 20, 24])
+def test_char2_linear_map_tables(k):
+    # z -> c*z and z -> z^(2^s) as byte tables; the last table is partial
+    # when 8 does not divide k
+    ctx = make_field(2, k)
+    rng = random.Random(200 + k)
+    edge = [0, 1, ctx.order - 1, ctx.generator]
+    zs = edge + [rng.randrange(ctx.order) for _ in range(20)]
+    for c in edge + [rng.randrange(ctx.order) for _ in range(4)]:
+        tabs = ctx._scale_tables(c)
+        assert len(tabs) == -(-k // 8)
+        assert all(_apply(tabs, z) == raw_mul(ctx, c, z) for z in zs), c
+    for s in range(k + 1):
+        tabs = ctx._frobenius_tables(s)
+        assert all(_apply(tabs, z) == raw_pow(ctx, z, 1 << s) for z in zs), s
+
+
+@pytest.mark.parametrize("k", [9, 16, 17, 18, 20, 24])
+def test_char2_power_plan(k):
+    # every split exponent t = (q-1)/d with d <= 5000, and a few shapes of t
+    ctx = make_field(2, k)
+    n1 = ctx.order - 1
+    rng = random.Random(300 + k)
+    zs = [0, 1, n1, ctx.generator] + [rng.randrange(ctx.order) for _ in range(3)]
+    ts = {n1 // d for d in range(1, 5001) if n1 % d == 0} | {1, 2, 0b1011101, n1}
+    for t in sorted(ts):
+        power = ctx._power_plan(t)
+        assert [power(z) for z in zs] == [raw_pow(ctx, z, t) for z in zs], t
 
 
 def _raw_neg(ctx, a):

@@ -286,7 +286,26 @@ def test_split_sweep_f8_above_table_limit(circle_spy):
     assert [fn(y) for y in mu] == [naive(y) for y in mu]
 
 
-@pytest.mark.parametrize("p, k", [(2, 8), (3, 4), (5, 2)])
+@pytest.mark.parametrize("fid, params, verdict", [
+    ("F8", {"m": 10, "r": 13, "s": 3, "a": 7, "delta": 2}, True),
+    ("F5", {"m": 10, "r": 7, "i": 3, "b": 5}, False),
+])
+def test_split_sweep_gf2_20_shapes(fid, params, verdict, circle_spy):
+    # the byte-table sweep over GF(2^20), d = 1025, against the per-point
+    # reference at every point of the subgroup
+    ctx = fam.family_ctx(fid, params)
+    assert ctx.order == 1 << 20
+    f = fam.build(fid, params, ctx=ctx)
+    split, info = zieve_verdict(f)
+    assert split is verdict
+    assert (info["d"], info["t"]) == (1025, 1023)
+    r, h = zieve_split(f, 1025)
+    (fn, mu), = circle_spy
+    naive = naive_split_map(ctx, r, h, 1023, 1025)
+    assert [fn(y) for y in mu] == [naive(y) for y in mu]
+
+
+@pytest.mark.parametrize("p, k", [(2, 6), (2, 8), (2, 9), (3, 4), (5, 2)])
 def test_split_back_ends_agree(p, k, circle_spy, monkeypatch):
     # the log-table sweep against the per-point reference, the full scan and
     # the ctx-arithmetic sweep (tables forced off), at every accepted d
