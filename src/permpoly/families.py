@@ -346,43 +346,29 @@ def _f3_form(ctx, p):
 # F4: binomial x^((q-1)/3 + 1) + b x over GF(2^2m); condition is an iff
 # ---------------------------------------------------------------------------
 
-def _f4_sets(ctx, b):
-    """Image sets of the three index-3 cosets under x -> x^(D+1) + bx."""
-    n1 = ctx.order - 1
-    D = n1 // 3
-    g3 = ctx.pow(ctx.generator, 3)
-    vsets = []
-    for i in range(3):
-        factor = ctx.add(ctx.pow(ctx.generator, D * i), b)
-        cur = ctx.pow(ctx.generator, 3 + i)
-        out = set()
-        for _ in range(D):
-            out.add(ctx.mul(cur, factor))
-            cur = ctx.mul(cur, g3)
-        vsets.append(out)
-    return vsets
-
-
 def _f4_condition(ctx, p):
-    b = p["b"]
-    n1 = ctx.order - 1
-    D = n1 // 3
-    hit = [s for s in range(3) if ctx.pow(ctx.generator, D * s) == b]
+    """Both clauses of F4's iff, by the index-3 coset labels.
+
+    x -> x^(D+1) + bx sends the coset g^i<g^3> onto V_i = y_i<g^3>, with
+    y_i = (g^(Di) + b) g^i and D = (q-1)/3, and V_i = {0} when y_i = 0.  Two
+    cosets of <g^3> meet exactly when they are equal, so V_i and V_j share a
+    rep iff y_i^D = y_j^D; the least shared rep is the least x with x^D equal
+    to that label, and a third of the field has each nonzero label.
+    """
+    b, g = p["b"], ctx.generator
+    D = (ctx.order - 1) // 3
+    hit = [s for s in range(3) if ctx.pow(g, D * s) == b]
     zero_clause = Clause("zero-image-avoided", not hit,
                          f"b = g^{D * hit[0]}" if hit else "")
-    v = _f4_sets(ctx, b)
-    overlap = None
-    for i in range(3):
-        for j in range(i + 1, 3):
-            inter = v[i] & v[j]
-            if inter:
-                overlap = (i, j, min(inter))
-                break
-        if overlap:
-            break
-    disj = Clause("coset-images-disjoint", overlap is None,
-                  f"V{overlap[0]} and V{overlap[1]} share rep {overlap[2]}"
-                  if overlap else "")
+    label = [ctx.pow(ctx.mul(ctx.add(ctx.pow(g, D * i), b), ctx.pow(g, i)), D)
+             for i in range(3)]
+    pair = next(((i, j) for i, j in ((0, 1), (0, 2), (1, 2))
+                 if label[i] == label[j]), None)
+    witness = ""
+    if pair:
+        least = next(x for x in range(ctx.order) if ctx.pow(x, D) == label[pair[0]])
+        witness = f"V{pair[0]} and V{pair[1]} share rep {least}"
+    disj = Clause("coset-images-disjoint", pair is None, witness)
     return ConditionReport((zero_clause, disj))
 
 

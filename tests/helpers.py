@@ -10,6 +10,8 @@ equivalence checks exercise two genuinely different routes.
 
 from functools import lru_cache
 
+from permpoly.families import Clause, ConditionReport
+
 
 @lru_cache(maxsize=None)
 def _mod_mask(modulus):
@@ -112,3 +114,33 @@ def linearized_kernel(ctx, a, b, m):
 def brute_is_permutation(fn, order):
     """Set-cardinality bijection test, independent of the oracle module."""
     return len({fn(x) for x in range(order)}) == order
+
+
+def naive_f4_report(ctx, b):
+    """F4's condition report from the three image sets themselves.
+
+    V_i is the image of the coset g^i<g^3> under x -> x^(D+1) + bx, D =
+    (q-1)/3, built element by element with ``ctx`` products (table lookups
+    once the field has tables, for speed); two sets overlap when their
+    intersection is nonempty, and the witness is its least rep.
+    """
+    n1 = ctx.order - 1
+    D = n1 // 3
+    g3 = ctx.pow(ctx.generator, 3)
+    vsets = []
+    for i in range(3):
+        factor = ctx.add(ctx.pow(ctx.generator, D * i), b)
+        cur = ctx.pow(ctx.generator, 3 + i)
+        out = set()
+        for _ in range(D):
+            out.add(ctx.mul(cur, factor))
+            cur = ctx.mul(cur, g3)
+        vsets.append(out)
+    hit = [s for s in range(3) if ctx.pow(ctx.generator, D * s) == b]
+    overlap = next(((i, j, min(vsets[i] & vsets[j])) for i in range(3)
+                    for j in range(i + 1, 3) if vsets[i] & vsets[j]), None)
+    return ConditionReport((
+        Clause("zero-image-avoided", not hit, f"b = g^{D * hit[0]}" if hit else ""),
+        Clause("coset-images-disjoint", overlap is None,
+               "V{} and V{} share rep {}".format(*overlap) if overlap else ""),
+    ))

@@ -22,7 +22,14 @@ from permpoly import (
 )
 from permpoly import families as fam
 
-from helpers import brute_is_permutation, raw_add, raw_eval, raw_mul, raw_pow
+from helpers import (
+    brute_is_permutation,
+    naive_f4_report,
+    raw_add,
+    raw_eval,
+    raw_mul,
+    raw_pow,
+)
 
 
 # --------------------------------------------------------------------------
@@ -331,6 +338,32 @@ def test_f6_f7_expansion_matches_closure(q, case):
         poly = fam.build(fid, params, ctx=ctx)
         ev = fam.evaluator(fid, params, ctx=ctx)
         assert all(poly.eval_rep(x) == ev(x) for x in range(ctx.order))
+
+
+# --------------------------------------------------------------------------
+# F4's disjointness clause by coset labels against the image sets
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_f4_check_matches_image_sets(m):
+    # every b over GF(2^2m): names, verdicts and witness strings
+    ctx = fam.family_ctx("F4", {"m": m})
+    ctx.ensure_tables()
+    fails = 0
+    for b in range(ctx.order):
+        report = fam.check("F4", {"m": m, "b": b}, ctx=ctx)
+        assert report == naive_f4_report(ctx, b), b
+        fails += not report.clause("coset-images-disjoint").passed
+    assert 0 < fails < ctx.order
+
+
+@pytest.mark.parametrize("b", [2, 7, 11])
+def test_f4_check_matches_image_sets_gf2_16(b):
+    ctx = fam.family_ctx("F4", {"m": 8})
+    ctx.ensure_tables()
+    report = fam.check("F4", {"m": 8, "b": b}, ctx=ctx)
+    assert report == naive_f4_report(ctx, b)
+    assert report.clause("coset-images-disjoint").passed == (b != 7)
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from array import array
 
 import pytest
 
@@ -17,7 +18,7 @@ from permpoly import (
     SparsePoly,
     make_field,
 )
-from permpoly.field import FieldCtx, _apply, is_irreducible
+from permpoly.field import LIST_TABLE_LIMIT, FieldCtx, _apply, is_irreducible
 
 from helpers import naive_eval, raw_add, raw_eval, raw_mul, raw_pow
 
@@ -353,6 +354,21 @@ def test_subgroup_reps_are_generator_powers_in_order():
                                             for j in range(d)]
 
 
+@pytest.mark.parametrize("k", [17, 18, 20, 24])
+def test_subgroup_reps_untabled_char2(k):
+    # above the table limit the subgroup is stepped through the byte tables of
+    # y -> w*y; a raw_mul chain by w for every divisor d <= 5000
+    ctx = make_field(2, k)
+    assert not ctx.ensure_tables()
+    n1 = ctx.order - 1
+    for d in (d for d in range(1, 5001) if n1 % d == 0):
+        w = raw_pow(ctx, ctx.generator, n1 // d)
+        chain = [1]
+        for _ in range(d - 1):
+            chain.append(raw_mul(ctx, chain[-1], w))
+        assert ctx.subgroup_reps(d) == chain, d
+
+
 def test_unit_circle_size():
     # in GF(q^2) the subgroup of order q+1
     ctx = make_field(2, 4)
@@ -546,8 +562,10 @@ def test_coefficient_out_of_range_rejected():
 # tables and concurrency
 # --------------------------------------------------------------------------
 
-def test_lazy_tables_concurrent_build():
-    ctx = make_field(2, 11)  # fresh enough that tables may not exist yet
+@pytest.mark.parametrize("k", [11, 15])  # list tables, array tables
+def test_lazy_tables_concurrent_build(k):
+    base = make_field(2, k)
+    ctx = FieldCtx(base.p, base.k, base.modulus, base.generator)  # no tables yet
     results = []
 
     def worker():
@@ -561,6 +579,43 @@ def test_lazy_tables_concurrent_build():
         t.join()
     assert len(set(results)) == 1
     assert results[0] == ctx._mul_raw(ctx.generator, ctx.generator)
+
+
+@pytest.mark.parametrize("p,k,kind", [(2, 14, list), (2, 15, array),
+                                      (2, 16, array), (3, 10, array)])
+def test_table_storage_by_order(p, k, kind):
+    # lists up to LIST_TABLE_LIMIT, array('I') above it, and the same
+    # arithmetic either way; GF(3^10) runs Zech addition on array logs
+    ctx = make_field(p, k)
+    assert ctx.ensure_tables()
+    q, n1, g = ctx.order, ctx.order - 1, ctx.generator
+    exp, log = ctx._exp, ctx._log
+    assert (q > LIST_TABLE_LIMIT) == (kind is array)
+    assert type(exp) is kind and type(log) is kind
+    assert ctx._zech is None if p == 2 else type(ctx._zech) is list
+    if kind is array:
+        assert exp.typecode == log.typecode == "I"
+    assert len(exp) == 2 * n1 and len(log) == q
+    assert all(exp[log[x]] == x for x in range(1, q))
+    assert all(exp[i + n1] == exp[i] for i in range(n1))
+    rng = random.Random(q)
+    edge = (0, 1, g, n1)
+    pairs = [(a, b) for a in edge for b in edge]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(60)]
+    for a, b in pairs:
+        assert ctx.mul(a, b) == raw_mul(ctx, a, b)
+        e = rng.randrange(3 * q)
+        assert ctx.pow(a, e) == raw_pow(ctx, a, e)
+        if b:
+            inv = raw_pow(ctx, b, q - 2)
+            assert ctx.inv(b) == inv
+            assert ctx.div(a, b) == raw_mul(ctx, a, inv)
+        if p != 2:
+            nb = _raw_neg(ctx, b)
+            assert ctx.add(a, b) == raw_add(ctx, a, b)
+            assert ctx.neg(b) == nb
+            assert ctx.sub(a, b) == raw_add(ctx, a, nb)
+            assert ctx.add(b, nb) == 0
 
 
 def test_table_mul_matches_raw_mul():
