@@ -17,6 +17,7 @@ the disagreement is surfaced, not patched.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -858,7 +859,8 @@ def enumerate_instances(fid: str, fixed: dict, *, cap: int = DEFAULT_ENUM_CAP):
     """Yield (params, ConditionReport) over all unfixed element parameters.
 
     Element parameters not present in ``fixed`` sweep their schema domain in
-    ascending rep order; integer/choice/poly parameters must be fixed.
+    ascending rep order, nested in schema order (the first outermost);
+    integer/choice/poly parameters must be fixed.
     """
     spec = family(fid)
     ctx = family_ctx(fid, fixed)
@@ -872,28 +874,14 @@ def enumerate_instances(fid: str, fixed: dict, *, cap: int = DEFAULT_ENUM_CAP):
             raise SchemaMismatch(
                 f"{fid}: parameter '{ps.name}' must be fixed for enumeration")
         sweep.append(ps)
+    domains = [range(1 if ps.nonzero else 0, ctx.order) for ps in sweep]
     total = 1
-    domain_size = ctx.order
-    for ps in sweep:
-        total *= domain_size - (1 if ps.nonzero else 0)
+    for dom in domains:
+        total *= len(dom)
         if total > cap:
             raise EnumerationTooLarge(f"{fid}: enumeration of {total}+ assignments "
                                       f"exceeds cap {cap}")
-    if not sweep:
-        params = dict(fixed)
+    names = [ps.name for ps in sweep]
+    for reps in itertools.product(*domains):  # no sweep: one empty assignment
+        params = {**fixed, **dict(zip(names, reps))}
         yield params, check(fid, params, ctx=ctx)
-        return
-
-    def rec(idx, current):
-        if idx == len(sweep):
-            params = dict(current)
-            yield params, check(fid, params, ctx=ctx)
-            return
-        ps = sweep[idx]
-        start = 1 if ps.nonzero else 0
-        for rep in range(start, ctx.order):
-            current[ps.name] = rep
-            yield from rec(idx + 1, current)
-        del current[ps.name]
-
-    yield from rec(0, dict(fixed))

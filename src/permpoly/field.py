@@ -221,9 +221,10 @@ class FieldCtx:
         lock: threads that race here build equal tuples, and one is kept.
         """
         if self._bytes is None:
-            xp, top = [1], 2 * self.k - 1
-            for _ in range(top):
-                xp.append(self._mul_raw(xp[-1], 2))
+            xp, top, kbit = [1], 2 * self.k - 1, 1 << self.k
+            for _ in range(top):  # x^(i+1) mod m by a shift: _mul_raw needs these tables
+                v = xp[-1] << 1
+                xp.append(v ^ self._mod_int if v & kbit else v)
             self._bytes = (_linear_tables(xp[self.k:top]), _linear_tables(xp[0:top:2]))
         return self._bytes
 
@@ -235,15 +236,25 @@ class FieldCtx:
         """Byte tables of z -> z^(2^s) (p = 2), from the images x^(i*2^s) mod m."""
         return _linear_tables([self._pow_raw(1 << i, 1 << s) for i in range(self.k)])
 
-    def _power_plan(self, t):
-        """z -> z^t for a fixed t >= 1 (p = 2), planned once for many z.
+    def _scaler(self, c):
+        """z -> c*z for a fixed c: through the byte tables of the map on an
+        untabled field of characteristic 2, else ``mul``."""
+        if self.p == 2 and self._exp is None:
+            return partial(_apply, self._scale_tables(c))
+        return partial(self.mul, c)
 
-        A run of L ones in t's binary digits is z^(2^L - 1), by Itoh and
-        Tsujii's chain a(2n) = a(n)^(2^n) * a(n), a(n+1) = a(n)^2 * z; one
-        product joins each pair of runs.  A step (src, tabs, other) appends
+    def _power(self, t):
+        """z -> z^t for a fixed t, planned once for many z.
+
+        On an untabled field of characteristic 2 a run of L ones in t's
+        binary digits is z^(2^L - 1), by Itoh and Tsujii's chain
+        a(2n) = a(n)^(2^n) * a(n), a(n+1) = a(n)^2 * z; one product joins
+        each pair of runs.  A step (src, tabs, other) appends
         reg[src]^(2^s) * reg[other] to the registers (reg[0] = z), the
-        2^s-th power through byte tables.
+        2^s-th power through byte tables.  Otherwise, or for t < 1, this is ``pow``.
         """
+        if t < 1 or self.p != 2 or self._exp is not None:
+            return partial(self.pow, e=t)
         steps, runs, frob = [], {1: 0}, lru_cache(maxsize=None)(self._frobenius_tables)
 
         def step(src, s, other=None):
@@ -295,19 +306,7 @@ class FieldCtx:
 
     def _mul_raw(self, a, b):
         if self.p == 2:
-            if b >= 16:
-                return self._comb(_multiples(a), b)
-            acc = 0  # b < 16, as in the byte-table builds by x: shift and add
-            kbit = 1 << self.k
-            mi = self._mod_int
-            while b:
-                if b & 1:
-                    acc ^= a
-                b >>= 1
-                a <<= 1
-                if a & kbit:
-                    a ^= mi
-            return acc
+            return self._comb(_multiples(a), b)
         da, db = self.decode(a), self.decode(b)
         prod = [0] * (2 * self.k - 1)
         p = self.p
@@ -475,11 +474,7 @@ class FieldCtx:
         n1 = self.order - 1
         if d < 1 or n1 % d:
             raise NotADivisor(f"{d} does not divide {n1}")
-        w = self.pow(self.generator, n1 // d)
-        if self.p == 2 and self._exp is None:  # products by w through byte tables
-            step = partial(_apply, self._scale_tables(w))
-        else:
-            step = partial(self.mul, w)
+        step = self._scaler(self.pow(self.generator, n1 // d))
         out = [1]
         for _ in range(d - 1):
             out.append(step(out[-1]))

@@ -8,11 +8,12 @@ polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
 from .errors import CtxMismatch, ImageOutOfRange, NotADivisor, NotFactorable
-from .field import FieldCtx, FieldElem, SparsePoly, _apply
+from .field import FieldCtx, FieldElem, SparsePoly
 
 
 @dataclass
@@ -149,10 +150,10 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     exp[r log y + t log h(y)], h compiled by :meth:`SparsePoly.rep_fn` after
     folding it mod d, so a point costs no field multiplication.  Above
     TABLE_LIMIT the subgroup is swept by index: point j is w^j with w = g^t,
-    and every power y^e is the lookup ``mu[j * e % d]``.  In characteristic
-    2 a coefficient c != 1 multiplies through the byte tables of z -> c*z,
-    and h(y)^t, a power planned once per sweep, lies in the subgroup, so the
-    image is ``mu[(j*r + index[h(y)^t]) % d]``; odd p runs on ``ctx``.
+    and every power y^e is the lookup ``mu[j * e % d]``.  A coefficient
+    c != 1 multiplies through ``ctx._scaler(c)`` and h(y)^t is
+    ``ctx._power(t)``, both chosen once per sweep; h(y)^t lies in the
+    subgroup, so the image is ``mu[(j*r + index[h(y)^t]) % d]``.
     """
     ctx = f.ctx
     terms = f._terms
@@ -177,29 +178,18 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
         def on_circle(y):  # h(y) = 0 sends y out of mu_d, an escape
             v = hf(y)
             return exp[(log[y] * r + log[v] * t) % n1] if v else 0
-    elif ctx.p == 2:
+    else:
         index = {y: j for j, y in enumerate(mu)}
-        power = ctx._power_plan(t)
-        terms = [(e, None if c == 1 else ctx._scale_tables(c)) for c, e in h.term_pairs()]
+        power, add = ctx._power(t), operator.xor if ctx.p == 2 else ctx.add
+        terms = [(e, None if c == 1 else ctx._scaler(c)) for c, e in h.term_pairs()]
 
         def on_circle(y):  # h(y)^t lies in mu_d unless h(y) = 0, an escape
             j = index[y]
             acc = 0
-            for e, tabs in terms:
+            for e, scale in terms:
                 v = mu[j * e % d]
-                acc ^= v if tabs is None else _apply(tabs, v)
+                acc = add(acc, v if scale is None else scale(v))
             return mu[(j * r + index[power(acc)]) % d] if acc else 0
-    else:
-        index = {y: j for j, y in enumerate(mu)}
-        terms = h.term_pairs()
-
-        def on_circle(y):
-            j = index[y]
-            acc = 0
-            for c, e in terms:
-                v = mu[j * e % d]
-                acc = ctx.add(acc, v if c == 1 else ctx.mul(c, v))
-            return ctx.mul(mu[j * r % d], ctx.pow(acc, t))
 
     sub = permutes_subset(on_circle, mu, ctx)
     verdict = coprime and sub.is_permutation

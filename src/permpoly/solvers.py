@@ -190,14 +190,9 @@ def affine_frobenius_roots(a: FieldElem, b: FieldElem, m: int) -> RootReport:
 
 def _power_equation_solution(ctx, e, target):
     """Some c with c**e == target; e divides the unit group order."""
-    if ctx.ensure_tables():
-        t = ctx.dlog(target)
-        assert t % e == 0, "power equation unsolvable"
-        return ctx.pow(ctx.generator, t // e)
-    for c in range(1, ctx.order):
-        if ctx.pow(c, e) == target:
-            return c
-    raise AssertionError("power equation unsolvable")
+    t = ctx.dlog(target)
+    assert t % e == 0, "power equation unsolvable"
+    return ctx.pow(ctx.generator, t // e)
 
 
 def linearized_bijective(a: FieldElem, b: FieldElem, m: int) -> bool:

@@ -175,6 +175,14 @@ def test_enumerate_f5_count_and_order():
     assert sum(1 for _, rep in rows if rep.passed) == 6
 
 
+def test_enumerate_f8_nested_order():
+    # two swept parameters nest in schema order: a outer, delta inner
+    rows = list(fam.enumerate_instances("F8", {"m": 1, "r": 1, "s": 2}))
+    assert [(p["a"], p["delta"]) for p, _ in rows] == [
+        (a, delta) for a in range(4) for delta in range(4)]
+    assert all(list(p) == ["m", "r", "s", "a", "delta"] for p, _ in rows)
+
+
 def test_enumerate_f11_anchor_set():
     ctx = fam.family_ctx("F11", {"m": 2})
     passing = sorted(p["a"] for p, rep in fam.enumerate_instances(

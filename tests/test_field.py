@@ -688,7 +688,7 @@ ODD_FIELDS = {
 
 
 def _edge_operands(ctx):
-    """0, 1, 15 and 16 (either side of the comb's b >= 16 switch), 2^k - 1, g."""
+    """0, 1, 15 and 16 (one and two comb digits), 2^k - 1, g."""
     return sorted({v for v in (0, 1, 15, 16, ctx.order - 1, ctx.generator)
                    if v < ctx.order})
 
@@ -783,15 +783,40 @@ def test_char2_linear_map_tables(k):
 
 @pytest.mark.parametrize("k", [9, 16, 17, 18, 20, 24])
 def test_char2_power_plan(k):
-    # every split exponent t = (q-1)/d with d <= 5000, and a few shapes of t
-    ctx = make_field(2, k)
+    # every split exponent t = (q-1)/d with d <= 5000, and a few shapes of t;
+    # a fresh context has no log tables, so _power plans at k = 9 and 16 too
+    base = make_field(2, k)
+    ctx = FieldCtx(2, k, base.modulus, base.generator)
     n1 = ctx.order - 1
     rng = random.Random(300 + k)
     zs = [0, 1, n1, ctx.generator] + [rng.randrange(ctx.order) for _ in range(3)]
     ts = {n1 // d for d in range(1, 5001) if n1 % d == 0} | {1, 2, 0b1011101, n1}
     for t in sorted(ts):
-        power = ctx._power_plan(t)
+        power = ctx._power(t)
         assert [power(z) for z in zs] == [raw_pow(ctx, z, t) for z in zs], t
+    assert ctx._exp is None
+
+
+@pytest.mark.parametrize("p,k", [(2, 9), (3, 5), (2, 18), (3, 11)])
+def test_scaler_and_power(p, k):
+    # z -> c*z and z -> z^t on a tabled field, on a fresh untabled context of
+    # the same field, and above the table limit, against the raw references
+    base = make_field(p, k)
+    fresh = FieldCtx(p, k, base.modulus, base.generator)
+    ctxs = [fresh, base] if base.ensure_tables() else [base]
+    n1 = base.order - 1
+    rng = random.Random(400 * p + k)
+    zs = [0, 1, n1, base.generator] + [rng.randrange(base.order) for _ in range(8)]
+    cs = [0, 1, n1, base.generator] + [rng.randrange(base.order) for _ in range(3)]
+    ts = {n1 // d for d in range(1, 50) if n1 % d == 0} | {0, 1, 2, 0b1011101, n1}
+    for ctx in ctxs:
+        for c in cs:
+            scale = ctx._scaler(c)
+            assert [scale(z) for z in zs] == [raw_mul(ctx, c, z) for z in zs], (ctx, c)
+        for t in sorted(ts):
+            power = ctx._power(t)
+            assert [power(z) for z in zs] == [raw_pow(ctx, z, t) for z in zs], (ctx, t)
+    assert fresh._exp is None
 
 
 def _raw_neg(ctx, a):

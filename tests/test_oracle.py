@@ -305,6 +305,32 @@ def test_split_sweep_gf2_20_shapes(fid, params, verdict, circle_spy):
     assert [fn(y) for y in mu] == [naive(y) for y in mu]
 
 
+def test_split_sweep_odd_char_above_table_limit(circle_spy):
+    # the index sweep in odd characteristic with no tables to switch off:
+    # GF(3^11), q - 1 = 2 * 23 * 3851, against the per-point reference
+    ctx = make_field(3, 11)
+    assert not ctx.ensure_tables()
+    n1 = ctx.order - 1
+    rng = random.Random(311)
+    verdicts = set()
+    for d in (2, 23, 46):
+        t = n1 // d
+        for _ in range(4):
+            r0 = rng.randrange(1, n1 + 1)
+            f = SparsePoly(ctx, [(rng.randrange(1, ctx.order), r0 + t * rng.randrange(2 * d))
+                                 for _ in range(rng.randrange(1, 4))])
+            r, h = zieve_split(f, d)
+            circle_spy.clear()
+            verdict, info = zieve_verdict(f, d)
+            (fn, mu), = circle_spy
+            naive = naive_split_map(ctx, r, h, t, d)
+            images = [naive(y) for y in mu]
+            assert [fn(y) for y in mu] == images, (f, d)
+            assert verdict == (math.gcd(r, t) == 1 and sorted(images) == sorted(mu)), (f, info)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("p, k", [(2, 6), (2, 8), (2, 9), (3, 4), (5, 2)])
 def test_split_back_ends_agree(p, k, circle_spy, monkeypatch):
     # the log-table sweep against the per-point reference, the full scan and

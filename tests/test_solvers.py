@@ -6,6 +6,7 @@ import pytest
 
 from permpoly import (
     CtxMismatch,
+    FieldCtx,
     HypothesisUnmet,
     RootKind,
     ZeroCoefficient,
@@ -16,7 +17,13 @@ from permpoly import (
     unit_circle_quad,
 )
 
-from helpers import brute_affine_roots, brute_quad_roots, linearized_kernel
+from helpers import (
+    brute_affine_roots,
+    brute_quad_roots,
+    linearized_kernel,
+    raw_mul,
+    raw_pow,
+)
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +187,37 @@ def test_affine_sampled_gf512():
         b = rng.randrange(1, 512)
         rep = affine_frobenius_roots(ctx.elem(a), ctx.elem(b), 3)
         assert sorted(rep.root_reps()) == brute_affine_roots(ctx, a, b, 3)
+
+
+def test_affine_kernel_coset_without_tables():
+    # A = a^T = 1 and b = x0^Q + a*x0, so the roots are x0's kernel coset;
+    # over GF(2^18) the coset offset comes from baby-step giant-step dlog
+    ctx = make_field(2, 18)
+    assert not ctx.ensure_tables()
+    Q = 64
+    a = ctx.pow(ctx.generator, 5 * (ctx.order - 1) // (Q * Q + Q + 1))
+    x0 = 12345
+    b = ctx.add(ctx.pow(x0, Q), ctx.mul(a, x0))
+    rep = affine_frobenius_roots(ctx.elem(a), ctx.elem(b), 6)
+    assert rep.certificate == "kernel-coset"
+    roots = rep.root_reps()
+    assert len(set(roots)) == 64 and x0 in roots
+    assert all(raw_pow(ctx, x, Q) ^ raw_mul(ctx, a, x) ^ b == 0 for x in roots)
+    # a fresh GF(2^6) context starts untabled and must find the same roots
+    base = make_field(2, 6)
+    assert base.ensure_tables()
+    a = base.pow(base.generator, 5 * 63 // 21)
+    cosets = 0
+    for x0 in range(1, 64):
+        b = base.add(base.pow(x0, 4), base.mul(a, x0))
+        if b == 0:
+            continue
+        fresh = FieldCtx(2, 6, base.modulus, base.generator)
+        got = affine_frobenius_roots(fresh.elem(a), fresh.elem(b), 2)
+        want = affine_frobenius_roots(base.elem(a), base.elem(b), 2)
+        assert got.root_reps() == want.root_reps() and x0 in want.root_reps(), x0
+        cosets += got.certificate == "kernel-coset"
+    assert cosets == 60
 
 
 def test_affine_rejects_zero_coefficients():
