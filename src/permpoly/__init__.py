@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     BadDegrees,
+    BadSubset,
     BadSubfieldConstant,
     CtxMismatch,
     DegreeMismatch,

@@ -65,6 +65,10 @@ class BadSubfieldConstant(PermpolyError):
     """Transform constant does not lie in the required subfield."""
 
 
+class BadSubset(PermpolyError):
+    """A subset to check repeats a rep or holds one outside [0, order)."""
+
+
 class ImageOutOfRange(PermpolyError):
     """A map returned a rep outside [0, order) of the field it is scanned on."""
 

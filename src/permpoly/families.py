@@ -242,7 +242,10 @@ class Form:
     def rep_fn(self):
         """Rep-level evaluator, compiled against the context's log tables.
 
-        Above TABLE_LIMIT the same form evaluates through ``ctx`` arithmetic.
+        ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count: core
+        from table columns, then exp[log c0 + r*i + E*log w] for each block
+        value w, plus the column exp[log c + i].  Above TABLE_LIMIT the same
+        form evaluates through ``ctx`` arithmetic, with no sweep.
         """
         core = self.core
         ctx = core.ctx
@@ -281,6 +284,17 @@ class Form:
                         w = add(w, exp[lw * e % n1])
             v = exp[(lc0 + lx * r + log[w] * E) % n1] if w else 0
             return add(v, exp[lc + lx]) if c else v
+
+        def sweep(i0, count):
+            ws = ctx._log_sweep(k0, terms, i0, count)
+            if u is not None:
+                ws = base = list(map(u, ws))
+                for e in qpows:
+                    ws = list(map(add, ws, [exp[log[w] * e % n1] if w else 0 for w in base]))
+            vs = [exp[(a + log[w] * E) % n1] if w else 0
+                  for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
+            return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
+        f.sweep = sweep
         return f
 
 

@@ -17,7 +17,8 @@ import math
 import operator
 import threading
 from array import array
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from itertools import repeat
 
 from .errors import (
     CtxMismatch,
@@ -142,6 +143,19 @@ def _multiples(a):
     a3, a5, a6, a7 = a2 ^ a, a4 ^ a, a4 ^ a2, a4 ^ a2 ^ a
     return (0, a, a2, a3, a4, a5, a6, a7,
             a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
+
+
+@lru_cache(maxsize=4096)  # bounded: one entry per field and stride met
+def _residue_split(n1, step):
+    """(m, s), m <= isqrt(n1) and s = m*step mod n1 taken in [-n1/2, n1/2):
+    the least m with s short (64*|s| <= n1), else the shortest s."""
+    best = (n1, 1, step)
+    for m in range(1, math.isqrt(n1) + 1):
+        s = (m * step + n1 // 2) % n1 - n1 // 2
+        if 64 * abs(s) <= n1:
+            return m, s
+        best = min(best, (abs(s), m, s))
+    return best[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +569,40 @@ class FieldCtx:
             self._exp = exp  # published last; add/mul/pow key off _exp
         return True
 
+    def _column(self, off, step, count):
+        """[exp[(off + j*step) % (q-1)] for j < count] as strided slices of the
+        doubled antilog table; needs tables.  A long stride is split into the
+        m residue classes j = rho mod m of ``_residue_split``, whose stride
+        m*step is short, and slices downwards when it is negative."""
+        exp, n1 = self._exp, self.order - 1
+        m, s = _residue_split(n1, step % n1)
+
+        def run(a, k):  # k values from a, stride s
+            if not s:
+                return [exp[a % n1]] * k
+            out = exp[0:0]
+            while k > 0:
+                a = a % n1 + (n1 if s < 0 else 0)
+                part = exp[a:a + k * s if a + k * s >= 0 else None:s]
+                out += part
+                k, a = k - len(part), a + len(part) * s
+            return out
+
+        if m == 1:
+            return run(off, count)
+        out = [0] * count
+        for rho in range(min(m, count)):
+            out[rho::m] = run(off + rho * step, len(range(rho, count, m)))
+        return out
+
+    def _log_sweep(self, c0, terms, i0, count):
+        """c0 + sum(c*x^e) at g^i, i0 <= i < i0 + count, for the (log c, e)
+        terms of ``SparsePoly.log_terms``: a ``_column`` each, summed by map."""
+        cols = [self._column(lc + i0 * e, e, count) for lc, e in terms]
+        if c0 or not cols:
+            cols.append(repeat(c0, count))
+        return list(reduce(partial(map, operator.xor if self.p == 2 else self.add), cols))
+
     def artin_schreier_table(self) -> dict:
         """Map y*y + y -> least such y, built once; used by even-degree solvers."""
         if self._as_table is None:
@@ -841,8 +889,10 @@ class SparsePoly:
 
         Each term is kept as (log c, e mod (q-1)), so every power is one table
         index; the exponent-0 term is kept apart and is the value at 0.
-        Characteristic 2 accumulates by XOR.  Above TABLE_LIMIT this is
-        :meth:`eval_rep`.  Nothing is cached on the polynomial.
+        Characteristic 2 accumulates by XOR.  ``f.sweep(i0, count)`` gives
+        f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``).
+        Above TABLE_LIMIT this is :meth:`eval_rep`, with no sweep.  Nothing is
+        cached on the polynomial.
         """
         ctx = self.ctx
         if not ctx.ensure_tables():
@@ -859,6 +909,7 @@ class SparsePoly:
             for lc, e in terms:
                 acc = add(acc, exp[lc + lx * e % n1])
             return acc
+        f.sweep = partial(ctx._log_sweep, c0, terms)
         return f
 
     def log_terms(self):

@@ -2,7 +2,8 @@
 
 Maps are accepted either as :class:`SparsePoly` or as plain callables on
 integer reps, so composition closures verify without formal expansion.  A
-polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).
+polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`); on a tabled
+field its evaluator is swept in log order, in blocks of table columns.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import math
 import operator
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
-from .errors import CtxMismatch, ImageOutOfRange, NotADivisor, NotFactorable
+from .errors import BadSubset, CtxMismatch, ImageOutOfRange, NotADivisor, NotFactorable
 from .field import FieldCtx, FieldElem, SparsePoly
 
 
@@ -58,12 +60,35 @@ def _sequential_scan(fn, order):
     return None, order
 
 
+def _sweep_injective(fn, order):
+    """Whether f(0) and f(g^i), i < order - 1, swept in blocks, mark ``order``
+    distinct bytes; False at the first block that falls short."""
+    seen = bytearray(order)
+    i, block, n1 = 0, 256, order - 1
+    try:
+        seen[fn(0)] = 1
+        while i < n1:
+            count = min(block, n1 - i)
+            any(map(seen.__setitem__, fn.sweep(i, count), repeat(1)))
+            i += count
+            if int.from_bytes(seen, "little").bit_count() <= i:  # 3x faster than count(1)
+                return False
+            block = min(2 * block, 4096)
+    except IndexError:  # an image past the field, which the sequential scan reports
+        return False
+    return True
+
+
 def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
-    """Exhaustively test whether f is a bijection of the whole field."""
+    """Exhaustively test whether f is a bijection of the whole field.  An
+    evaluator with a ``sweep`` is swept first, and scanned only at a collision."""
     fn = _as_rep_fn(f, ctx)
-    ctx.ensure_tables()
+    tabled = ctx.ensure_tables()
     start = time.perf_counter()
-    witness, evals = _sequential_scan(fn, ctx.order)
+    if tabled and hasattr(fn, "sweep") and _sweep_injective(fn, ctx.order):
+        witness, evals = None, ctx.order
+    else:
+        witness, evals = _sequential_scan(fn, ctx.order)
     elapsed = (time.perf_counter() - start) * 1000.0
     return VerifyReport("field", witness is None, witness, None, evals, elapsed)
 
@@ -72,12 +97,16 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     """Test whether f maps ``subset`` into itself bijectively.
 
     Closure under f is not assumed: an image outside the subset is itself a
-    failure, reported through ``escape``.
+    failure, reported through ``escape``.  A subset that repeats a rep or
+    holds one outside [0, order) raises :class:`BadSubset` before any
+    evaluation.
     """
     fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
     reps = [s.rep if isinstance(s, FieldElem) else s for s in subset]
     member = set(reps)
+    if len(member) != len(reps) or reps and not 0 <= min(reps) <= max(reps) < ctx.order:
+        raise BadSubset(f"subset reps must be distinct and in [0, {ctx.order})")
     start = time.perf_counter()
     seen = {}
     witness = None

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 from . import families as fam
 from .field import make_field
-from .oracle import is_permutation, permutes_subset, zieve_split
+from .oracle import VerifyReport, _sequential_scan, is_permutation, permutes_subset, zieve_split
 from .solvers import quad_char2_roots
 
 
@@ -67,6 +68,16 @@ def run_selftest(out) -> bool:
     ok &= _check(out, "constant-map witness",
                  not vr.is_permutation and vr.witness is not None
                  and vr.witness[0] != vr.witness[1])
+
+    same = True
+    for fid, params in (("F3", {"m": 4, "c": 1}), ("F4", {"m": 4, "b": 7})):
+        fn = fam.evaluator(fid, params)
+        vr = replace(is_permutation(fn, make_field(2, 8)), elapsed_ms=0.0)
+        witness, evals = _sequential_scan(fn, 256)
+        same &= hasattr(fn, "sweep") and vr == VerifyReport(
+            "field", witness is None, witness, None, evals, 0.0)
+    ok &= _check(out, "sweep scan equals sequential scan GF(256)", same,
+                 f"F4 witness={vr.witness}")
 
     ctx256 = make_field(2, 8)
     poly = fam.build("F3", {"m": 4, "c": 5})

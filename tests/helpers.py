@@ -8,6 +8,7 @@ exponent reduction, and sums are taken digit by digit (``raw_add``;
 equivalence checks exercise two genuinely different routes.
 """
 
+import itertools
 from functools import lru_cache
 
 from permpoly.families import Clause, ConditionReport
@@ -109,6 +110,25 @@ def linearized_kernel(ctx, a, b, m):
     return [x for x in range(ctx.order)
             if ctx.add(ctx.add(ctx.mul(a, x), ctx.mul(b, ctx.pow(x, q))),
                        ctx.pow(x, q * q)) == 0]
+
+
+def log_order_points(ctx):
+    """g^i for 0 <= i < q-1, by repeated products with the generator."""
+    out, x = [], 1
+    for _ in range(ctx.order - 1):
+        out.append(x)
+        x = ctx.mul(x, ctx.generator)
+    return out
+
+
+def swept(fn, n1, blocks=(1, 7, 300, 4096)):
+    """``fn.sweep`` over the logs 0..n1-1 in blocks of cycling sizes."""
+    out, i = [], 0
+    for b in itertools.cycle(blocks):
+        if i >= n1:
+            return out
+        out += fn.sweep(i, min(b, n1 - i))
+        i += b
 
 
 def brute_is_permutation(fn, order):

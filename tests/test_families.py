@@ -24,11 +24,13 @@ from permpoly import families as fam
 
 from helpers import (
     brute_is_permutation,
+    log_order_points,
     naive_f4_report,
     raw_add,
     raw_eval,
     raw_mul,
     raw_pow,
+    swept,
 )
 
 
@@ -266,6 +268,33 @@ def test_expansion_matches_closure(fid, params, terms, digest):
     assert all(raw_eval(ctx, poly, x) == ev(x) for x in range(ctx.order))
 
 
+# every registered family on list tables (the expansions above), a few on
+# array tables (GF(2^15), GF(2^16)), and F12 over GF(3^5)
+_SWEEPS = [(fid, params) for fid, params, _, _ in _EXPANSIONS] + [
+    ("F1", {"m": 5, "delta": 1234, "c": 624}),
+    ("F6", {"q": 32, "case": "sum", "u": _U, "delta": 99, "c": 1130}),
+    ("F3", {"m": 8, "c": 7}),
+    ("F4", {"m": 8, "b": 7}),
+    ("F8", {"m": 8, "r": 7, "s": 3, "a": 1, "delta": 3}),
+    ("F12", {"p": 3, "k": 5, "step": 1, "sign": "minus", "g": _U, "c": 2, "delta": 5}),
+]
+
+
+@pytest.mark.parametrize("fid,params", _SWEEPS,
+                         ids=[f"{c[0]}-params{i}" for i, c in enumerate(_SWEEPS)])
+def test_evaluator_sweep_matches_closure(fid, params):
+    # sweep(i0, count) against the per-point closure at every g^i, in uneven
+    # blocks, across the wrap at q-1 and from a start past it
+    ctx = fam.family_ctx(fid, params)
+    params = {k: SparsePoly(ctx, v) if k in ("u", "g") else v for k, v in params.items()}
+    ev = fam.evaluator(fid, params, ctx=ctx)
+    want = [ev(x) for x in log_order_points(ctx)]
+    n1 = len(want)
+    assert swept(ev, n1) == want
+    assert ev.sweep(n1 - 2, 5) == [want[i % n1] for i in range(n1 - 2, n1 + 3)]
+    assert ev.sweep(2 * n1 + 1, 3) == [want[i % n1] for i in range(1, 4)]
+
+
 @pytest.mark.parametrize("fid,params", [
     ("F8", {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 10}),
     ("F6", {"q": 64, "case": "sum", "u": _U, "delta": 1000, "c": 1}),
@@ -321,6 +350,10 @@ def test_form_edge_cases(p, k):
     for form in forms:
         fn = form.rep_fn()
         assert [fn(x) for x in xs] == [_form_ref(form, x) for x in xs]
+        if small:  # the log-order sweep, on tabled fields only
+            assert swept(fn, n1) == [fn(x) for x in log_order_points(ctx)]
+        else:
+            assert not hasattr(fn, "sweep")
         if small:  # the expansion is exact at every point, exponents unreduced
             poly = form.expand()
             assert [raw_eval(ctx, poly, x) for x in xs] == [_form_ref(form, x) for x in xs]

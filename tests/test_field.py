@@ -1,5 +1,6 @@
 """Field-layer tests: contexts, arithmetic, structure maps, sparse polynomials."""
 
+import math
 import random
 import sys
 import threading
@@ -18,9 +19,9 @@ from permpoly import (
     SparsePoly,
     make_field,
 )
-from permpoly.field import LIST_TABLE_LIMIT, FieldCtx, _apply, is_irreducible
+from permpoly.field import LIST_TABLE_LIMIT, FieldCtx, _apply, _residue_split, is_irreducible
 
-from helpers import naive_eval, raw_add, raw_eval, raw_mul, raw_pow
+from helpers import log_order_points, naive_eval, raw_add, raw_eval, raw_mul, raw_pow, swept
 
 
 # --------------------------------------------------------------------------
@@ -453,6 +454,10 @@ def test_compiled_eval_edge_cases(p, k):
         fn = poly.rep_fn()
         for x in xs:
             assert fn(x) == raw_eval(ctx, poly, x) == poly.eval_rep(x)
+        if ctx.order <= 256:  # the log-order sweep, on tabled fields only
+            assert swept(fn, n1) == [fn(x) for x in log_order_points(ctx)]
+        else:
+            assert not hasattr(fn, "sweep")
     assert polys[0].rep_fn()(0) == 0
     assert polys[1].rep_fn()(0) == 0
     assert polys[2].rep_fn()(0) == g  # 0**0 == 1
@@ -469,6 +474,31 @@ def test_compiled_eval_matches_raw_reference(p, k):
                                 for _ in range(5)])
         fn = poly.rep_fn()
         assert all(fn(x) == raw_eval(ctx, poly, x) for x in range(ctx.order))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 3), (2, 8), (2, 15), (2, 16)])
+def test_log_column_matches_comprehension(p, k):
+    # q-1 = 1, 2, 7, 255, 2^15-1, 2^16-1: strides 0, 1, short and long (split
+    # into residue classes, upwards or downwards), offsets and strides past
+    # q-1, counts below the class count m and past a whole period
+    ctx = make_field(p, k)
+    ctx.ensure_tables()
+    exp, n1 = ctx._exp, ctx.order - 1
+    rng = random.Random(n1)
+    # n1 // 3 splits into three classes of stride 0 where 3 divides q-1
+    steps = {0, 1, n1 - 1, n1, 2 * n1 + 1, n1 // 2, n1 // 3, n1 // 3 + 1}
+    steps |= {rng.randrange(1, max(2, n1 // 64)) for _ in range(3)}  # short
+    steps |= {rng.randrange(n1 // 4, max(n1 // 4 + 1, 3 * n1 // 4)) for _ in range(6)}
+    split = False
+    for step in steps:
+        m, s = _residue_split(n1, step % n1)
+        split |= m > 1
+        assert 1 <= m <= max(1, math.isqrt(n1)) and (m * step - s) % n1 == 0
+        for off in (0, 2, n1 - 1, n1, 3 * n1 + 2, rng.randrange(10 * n1)):
+            for count in sorted({0, 1, max(1, m - 1), m + 1, 300, n1 + 3}):
+                want = [exp[(off + j * step) % n1] for j in range(count)]
+                assert list(ctx._column(off, step, count)) == want, (step, off, count)
+    assert split == (n1 >= 7)
 
 
 def test_poly_ring_ops_and_frobenius_power():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from permpoly import (
+    BadSubset,
     CtxMismatch,
     ImageOutOfRange,
     NotADivisor,
@@ -109,6 +110,19 @@ def test_subset_escape_is_a_failure():
     x, y = rep.escape
     assert x in set(mu) and y not in set(mu)
     assert ctx.add(x, 1) == y
+
+
+@pytest.mark.parametrize("compiled", [False, True])
+def test_subset_reps_validated(compiled):
+    # a repeated rep used to give the witness (1, 1); a rep outside [0, q)
+    # raised a bare IndexError from the compiled polynomial
+    ctx = make_field(2, 4)
+    f = SparsePoly(ctx, [(1, 3)]).rep_fn() if compiled else (lambda x: x)
+    for subset in ([1, 1, 2], [100], [-1, 2], [ctx.elem(3), 3]):
+        calls = []
+        with pytest.raises(BadSubset):
+            permutes_subset(lambda x: calls.append(x) or f(x), subset, ctx)
+        assert calls == []  # raised before any evaluation
 
 
 def test_subset_accepts_field_elems():
@@ -371,3 +385,78 @@ def test_split_back_ends_agree(p, k, circle_spy, monkeypatch):
     monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
     assert not ctx.ensure_tables()
     assert sweeps() == tabled
+
+
+# --------------------------------------------------------------------------
+# log-order sweep scan against the sequential scan
+# --------------------------------------------------------------------------
+
+def _same_as_sequential(f, ctx):
+    """is_permutation's report equals the sequential scan's, elapsed_ms aside."""
+    fn = f.rep_fn() if isinstance(f, (SparsePoly, fam.Form)) else f
+    vr = is_permutation(fn, ctx)
+    witness, evals = oracle._sequential_scan(fn, ctx.order)
+    assert (vr.target, vr.is_permutation, vr.witness, vr.escape, vr.evaluations) == \
+        ("field", witness is None, witness, None, evals)
+    return vr
+
+
+@pytest.mark.parametrize("fid,params,witness", [
+    ("F3", {"m": 4, "c": 1}, None),
+    ("F3", {"m": 8, "c": 7}, None),                   # array tables
+    ("F1", {"m": 5, "delta": 77, "c": 1131}, None),   # a Form on array tables
+    ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}, (0, 1)),  # f(0) collides
+    ("F4", {"m": 8, "b": 7}, (497, 532)),             # a collision in the first block
+    ("F4", {"m": 4, "b": 7}, (12, 18)),
+    ("F12", {"p": 3, "k": 5, "step": 1, "sign": "minus", "g": ((1, 3),), "c": 2,
+             "delta": 5}, None),
+])
+def test_sweep_scan_matches_sequential(fid, params, witness):
+    ctx = fam.family_ctx(fid, params)
+    params = {k: SparsePoly(ctx, v) if k == "g" else v for k, v in params.items()}
+    fn = fam.evaluator(fid, params, ctx=ctx)
+    assert hasattr(fn, "sweep")
+    assert _same_as_sequential(fn, ctx).witness == witness
+
+
+def test_sweep_scan_collision_in_a_late_block():
+    # x^3 on GF(2^16): g^i and g^(i + (q-1)/3) are the first pair to collide
+    # in log order, at i = 21845, so the sweep passes eight blocks first
+    ctx = make_field(2, 16)
+    fn = SparsePoly(ctx, [(1, 3), (1, 0)]).rep_fn()
+    starts = []
+
+    def spy(x):
+        return fn(x)
+    spy.sweep = lambda i0, count: starts.append(i0) or fn.sweep(i0, count)
+    vr = _same_as_sequential(spy, ctx)
+    assert not vr.is_permutation and len(starts) == 9 and starts[-1] < 21845
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 3), (3, 2), (2, 8)])
+def test_sweep_scan_edge_cases(p, k):
+    ctx = make_field(p, k)
+    ctx.ensure_tables()
+    q, g = ctx.order, ctx.generator
+    polys = [
+        SparsePoly(ctx),                                 # zero
+        SparsePoly(ctx, [(g, 0)]),                       # nonzero constant
+        SparsePoly(ctx, [(1, 1)]),                       # identity
+        SparsePoly(ctx, [(1, q - 1)]),                   # x^(q-1): 0 and 1 only
+        SparsePoly(ctx, [(1, q - 1), (g, 1)]),
+        SparsePoly(ctx, [(g, 2 * q - 1), (1, 0)]),       # x^(2q-1) = x^q = x^1
+        fam.Form(SparsePoly(ctx, [(1, 1), (g, 0)]), q - 1, r=1, c=1),
+    ]
+    assert {_same_as_sequential(f, ctx).is_permutation for f in polys} == {True, False}
+
+
+def test_sweep_scan_image_out_of_range_as_sequential():
+    # an evaluator compiled on GF(2^8) and scanned as a map on GF(2^4): its
+    # sweep runs off the 16-entry mark array, and the sequential scan raises
+    big, small = make_field(2, 8), make_field(2, 4)
+    fn = SparsePoly(big, [(big.generator, 1)]).rep_fn()
+    with pytest.raises(ImageOutOfRange) as seq:
+        oracle._sequential_scan(fn, small.order)
+    with pytest.raises(ImageOutOfRange) as exc:
+        is_permutation(fn, small)
+    assert (exc.value.x, exc.value.y) == (seq.value.x, seq.value.y) == (8, 24)
