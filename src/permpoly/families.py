@@ -242,19 +242,28 @@ class Form:
     def rep_fn(self):
         """Rep-level evaluator, compiled against the context's log tables.
 
-        ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count: core
-        from table columns, then exp[log c0 + r*i + E*log w] for each block
-        value w, plus the column exp[log c + i].  Above TABLE_LIMIT the same
-        form evaluates through ``ctx`` arithmetic, with no sweep.
+        ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count.  With
+        ``u`` None and c = 0, f = c0 * x^r * core^E, and when the core's
+        exponents split, all e = e0 mod t with t = gcd(q-1, e - e0) >= 16,
+        f is swept from a row of logs repeated with period (q-1)/t
+        (``FieldCtx._period_sweep``).  Otherwise core comes from table
+        columns, then exp[log c0 + r*i + E*log w] for each block value w,
+        plus the column exp[log c + i].  Above TABLE_LIMIT the same form
+        evaluates through ``ctx`` arithmetic, with no sweep.
         """
+        return self._binder()(self.core.eval_rep(0))
+
+    def _binder(self):
+        """k0 -> ``rep_fn`` of this form with k0 as the core's constant term:
+        everything but k0 is compiled once (``DeltaFamily.map`` binds delta)."""
         core = self.core
         ctx = core.ctx
+        rest = core._terms[1:] if core._terms and not core._terms[0][0] else core._terms
         u = self.u.rep_fn() if self.u is not None else None
         E, r, c0, c = self.E, self.r, self.c0, self.c
         qpows = [self.q ** j for j in range(1, self.n)]
 
-        def direct(x):
-            w = core.eval_rep(x)
+        def outer(x, w):  # c0 * x^r * G(w) + c*x through ctx, w = core(x)
             if u is not None:
                 w = u(w)
                 w = reduce(ctx.add, [ctx.pow(w, e) for e in qpows], w)
@@ -262,40 +271,47 @@ class Form:
             return ctx.add(v, ctx.mul(c, x))
 
         if not ctx.ensure_tables():
-            return direct
+            rest_fn = SparsePoly._raw(ctx, rest).eval_rep
+            return lambda k0: lambda x: outer(x, ctx.add(k0, rest_fn(x)))
         exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
         add = operator.xor if ctx.p == 2 else ctx.add
-        f0, lc0, lc = direct(0), log[c0], log[c]  # 0 has no log: f(0) from ctx
-        k0, terms = core.log_terms()
-        qpows = [e % n1 for e in qpows]
+        lc0, lc = log[c0], log[c]
+        terms = core.log_terms()[1]
+        lq = [e % n1 for e in qpows]
 
-        def f(x):
-            if x == 0:
-                return f0
-            lx = log[x]
-            w = k0
-            for lt, e in terms:
-                w = add(w, exp[lt + lx * e % n1])
-            if u is not None:
-                w = u(w)
-                if w and qpows:
-                    lw = log[w]
-                    for e in qpows:
-                        w = add(w, exp[lw * e % n1])
-            v = exp[(lc0 + lx * r + log[w] * E) % n1] if w else 0
-            return add(v, exp[lc + lx]) if c else v
+        def bind(k0):
+            f0 = outer(0, k0)  # 0 has no log: f(0) from ctx
 
-        def sweep(i0, count):
-            ws = ctx._log_sweep(k0, terms, i0, count)
-            if u is not None:
-                ws = base = list(map(u, ws))
-                for e in qpows:
-                    ws = list(map(add, ws, [exp[log[w] * e % n1] if w else 0 for w in base]))
-            vs = [exp[(a + log[w] * E) % n1] if w else 0
-                  for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
-            return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
-        f.sweep = sweep
-        return f
+            def f(x):
+                if x == 0:
+                    return f0
+                lx = log[x]
+                w = k0
+                for lt, e in terms:
+                    w = add(w, exp[lt + lx * e % n1])
+                if u is not None:
+                    w = u(w)
+                    if w and lq:
+                        lw = log[w]
+                        for e in lq:
+                            w = add(w, exp[lw * e % n1])
+                v = exp[(lc0 + lx * r + log[w] * E) % n1] if w else 0
+                return add(v, exp[lc + lx]) if c else v
+
+            def sweep(i0, count):
+                ws = ctx._log_sweep(k0, terms, i0, count)
+                if u is not None:
+                    ws = base = list(map(u, ws))
+                    for e in lq:
+                        ws = list(map(add, ws, [exp[log[w] * e % n1] if w else 0 for w in base]))
+                vs = [exp[(a + log[w] * E) % n1] if w else 0
+                      for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
+                return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
+            if u is None and not c:
+                sweep = ctx._period_sweep(((0, k0),) + rest if k0 else rest, sweep, r, E)
+            f.sweep = sweep
+            return f
+        return bind
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +624,7 @@ class DeltaFamily:
         self.sign = sign
         self.base_degree = base_degree
         self._qk = self.ctx.p ** (base_degree * step)
+        self._bind = None
 
     def form(self, delta) -> Form:
         """f_delta as a form: G = g, core = x^(q^step) -/+ x + delta.
@@ -621,8 +638,16 @@ class DeltaFamily:
         return Form(SparsePoly(ctx, [(1, self._qk), (xc, 1), (delta, 0)]), u=self.g, c=self.c)
 
     def map(self, delta):
-        """Rep-level evaluator of f_delta."""
-        return self.form(delta).rep_fn()
+        """Rep-level evaluator of f_delta: the form of delta = 0 is compiled
+        once per family (:meth:`Form._binder`), and delta bound as its core's
+        constant term."""
+        if isinstance(delta, FieldElem):
+            delta = delta.rep
+        if not 0 <= delta < self.ctx.order:
+            self.ctx.elem(delta)  # raises the out-of-range ValueError
+        if self._bind is None:
+            self._bind = self.form(0)._binder()
+        return self._bind(delta)
 
 
 def transform_pair(g: SparsePoly, c, step: int, sign: str = "minus",

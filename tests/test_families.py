@@ -11,6 +11,7 @@ from permpoly import (
     BadDegrees,
     BadSubfieldConstant,
     EnumerationTooLarge,
+    FieldCtx,
     FieldShapeMismatch,
     SchemaMismatch,
     SizeLimitExceeded,
@@ -283,16 +284,104 @@ _SWEEPS = [(fid, params) for fid, params, _, _ in _EXPANSIONS] + [
 @pytest.mark.parametrize("fid,params", _SWEEPS,
                          ids=[f"{c[0]}-params{i}" for i, c in enumerate(_SWEEPS)])
 def test_evaluator_sweep_matches_closure(fid, params):
-    # sweep(i0, count) against the per-point closure at every g^i, in uneven
-    # blocks, across the wrap at q-1 and from a start past it
     ctx = fam.family_ctx(fid, params)
     params = {k: SparsePoly(ctx, v) if k in ("u", "g") else v for k, v in params.items()}
-    ev = fam.evaluator(fid, params, ctx=ctx)
+    _assert_sweep_is_closure(fam.evaluator(fid, params, ctx=ctx), ctx)
+
+
+def _assert_sweep_is_closure(ev, ctx):
+    """sweep(i0, count) against the per-point closure at every g^i, in uneven
+    blocks, across the wrap at q-1 and from a start past it."""
     want = [ev(x) for x in log_order_points(ctx)]
     n1 = len(want)
     assert swept(ev, n1) == want
     assert ev.sweep(n1 - 2, 5) == [want[i % n1] for i in range(n1 - 2, n1 + 3)]
     assert ev.sweep(2 * n1 + 1, 3) == [want[i % n1] for i in range(1, 4)]
+    assert ev.sweep(n1 + 300, 600) == [want[i % n1] for i in range(300, 900)]
+
+
+@pytest.fixture
+def log_sweeps(monkeypatch):
+    """Calls of ``FieldCtx._log_sweep``, the column sweep, made after setup."""
+    calls, inner = [], FieldCtx._log_sweep
+
+    def spy(self, *args):
+        calls.append(args[2:])
+        return inner(self, *args)
+    monkeypatch.setattr(FieldCtx, "_log_sweep", spy)
+    return calls
+
+
+def _head_only(calls, ctx):
+    """The period sweep asks the columns once, for its row's first d values,
+    d at most a sixteenth of the field, and never per block."""
+    assert len(calls) == 1 and calls[0][0] == 0 and 16 * calls[0][1] <= ctx.order - 1, calls
+
+
+# split-shaped evaluators, t = gcd(q-1, e - e0) >= 16: the period sweep
+_PERIODIC = [
+    ("F3", {"m": 8, "c": 7}),  # t = 255
+    ("F4", {"m": 8, "b": 7}),  # t = 21845, d = 3
+    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}),
+    ("F8", {"m": 8, "r": 7, "s": 3, "a": 1, "delta": 3}),
+    ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}),  # f(1) = 0: zeros in the row
+    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}),  # GF(256), t = 17
+    ("F10", {"m": 5, "r": 1, "s": 1, "a": 5, "b": 1}),  # GF(2^15), t = 31
+    ("F11", {"m": 5, "r": 1, "s": 1, "a": 3, "b": 1, "delta": 2}),
+]
+
+
+@pytest.mark.parametrize("fid,params", _PERIODIC,
+                         ids=[f"{c[0]}-params{i}" for i, c in enumerate(_PERIODIC)])
+def test_period_sweep_matches_closure(fid, params, log_sweeps):
+    ctx = fam.family_ctx(fid, params)
+    _assert_sweep_is_closure(fam.evaluator(fid, params, ctx=ctx), ctx)
+    _head_only(log_sweeps, ctx)
+
+
+def _period_shapes(ctx):
+    """Split-shaped maps beyond the registry, as (name, evaluator)."""
+    g, n1 = ctx.generator, ctx.order - 1
+    t = next(t for t in (255, 22, 121) if n1 % t == 0)
+    return [
+        # core without a constant term: a = r + E*e0 = 2 + 5*3, not r
+        ("alpha-not-r", fam.Form(SparsePoly(ctx, [(g, 3), (1, 3 + 2 * t)]), 5, r=2)),
+        ("monomial-form", fam.Form(SparsePoly(ctx, [(g, 3)]), 2, r=1)),  # d = 1
+        ("two-terms", SparsePoly(ctx, [(g, 3), (1, 3 + t)])),
+        # core = x * (x^t - 1) vanishes where x^t = 1: zeros in the row
+        ("zeros", fam.Form(SparsePoly(ctx, [(ctx.neg(1), 1), (1, 1 + t)]), 2, r=1, c0=g)),
+    ]
+
+
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 5)])
+def test_period_sweep_shapes(p, k, log_sweeps):
+    # GF(3^5) has q-1 = 242 = 2 * 11^2: t = 22, d = 11, odd characteristic
+    ctx = make_field(p, k)
+    ctx.ensure_tables()
+    for name, f in _period_shapes(ctx):
+        fn = f.rep_fn()
+        if isinstance(f, fam.Form):
+            assert [fn(x) for x in range(0, ctx.order, 97)] == \
+                [_form_ref(f, x) for x in range(0, ctx.order, 97)], name
+        del log_sweeps[:]
+        _assert_sweep_is_closure(fn, ctx)
+        _head_only(log_sweeps, ctx)
+
+
+def test_column_sweep_kept(log_sweeps):
+    # F1, F2 and F6 are not split-shaped (d = q-1, c != 0 or u set),
+    # x^3 + 1 over GF(2^16) has t = 3, below 16, and a polynomial with one
+    # nonconstant term is one column: all sweep by columns
+    ctx = make_field(2, 16)
+    cases = [fam.evaluator("F1", {"m": 5, "delta": 1234, "c": 624}),
+             fam.evaluator("F2", {"m": 5, "c": 844}),
+             fam.evaluator("F6", {"q": 32, "case": "power", "i": 1, "delta": 99, "c": 317}),
+             SparsePoly(ctx, [(1, 3), (1, 0)]).rep_fn(),
+             SparsePoly(ctx, [(ctx.generator, 7)]).rep_fn()]
+    for fn in cases:
+        del log_sweeps[:]
+        fn.sweep(5, 300)
+        assert log_sweeps == [(5, 300)]
 
 
 @pytest.mark.parametrize("fid,params", [

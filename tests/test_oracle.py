@@ -410,6 +410,7 @@ def _same_as_sequential(f, ctx):
     ("F4", {"m": 4, "b": 7}, (12, 18)),
     ("F12", {"p": 3, "k": 5, "step": 1, "sign": "minus", "g": ((1, 3),), "c": 2,
              "delta": 5}, None),
+    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}, (161, 268)),  # a period sweep's collision
 ])
 def test_sweep_scan_matches_sequential(fid, params, witness):
     ctx = fam.family_ctx(fid, params)
