@@ -33,7 +33,7 @@ from .errors import (
     SchemaMismatch,
     SizeLimitExceeded,
 )
-from .field import DEFAULT_SIZE_LIMIT, FieldCtx, FieldElem, SparsePoly, make_field
+from .field import _ORBIT_MIN, DEFAULT_SIZE_LIMIT, FieldCtx, FieldElem, SparsePoly, make_field
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -250,6 +250,12 @@ class Form:
         columns, then exp[log c0 + r*i + E*log w] for each block value w,
         plus the column exp[log c + i].  Above TABLE_LIMIT the same form
         evaluates through ``ctx`` arithmetic, with no sweep.
+
+        With r = 0 and an affine core (every nonconstant exponent a power of
+        p), ``f.fibres`` = (reps, shifts) is set as well, on tabled and
+        untabled fields alike, when the kernel K of core - core(0) has at
+        least 16 elements: f(x + k) = f(x) + c*k, the fibres x + K of the
+        reps cover the field once, and the shifts are c*K (``_fibres``).
         """
         return self._binder()(self.core.eval_rep(0))
 
@@ -270,9 +276,17 @@ class Form:
             v = ctx.mul(ctx.mul(c0, ctx.pow(x, r)), ctx.pow(w, E))
             return ctx.add(v, ctx.mul(c, x))
 
-        if not ctx.ensure_tables():
+        tabled = ctx.ensure_tables()
+        fibres = self._fibres(rest)
+
+        def attach(f):
+            if fibres:
+                f.fibres = fibres
+            return f
+
+        if not tabled:
             rest_fn = SparsePoly._raw(ctx, rest).eval_rep
-            return lambda k0: lambda x: outer(x, ctx.add(k0, rest_fn(x)))
+            return lambda k0: attach(lambda x: outer(x, ctx.add(k0, rest_fn(x))))
         exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
         add = operator.xor if ctx.p == 2 else ctx.add
         lc0, lc = log[c0], log[c]
@@ -310,8 +324,31 @@ class Form:
             if u is None and not c:
                 sweep = ctx._period_sweep(((0, k0),) + rest if k0 else rest, sweep, r, E)
             f.sweep = sweep
-            return f
+            return attach(f)
         return bind
+
+    def _fibres(self, rest):
+        """(reps, shifts) of the fibre sweep for the core's nonconstant terms
+        ``rest``, or None.
+
+        With r = 0 and every nonconstant core exponent a power of p, core =
+        k0 + lam with lam GF(p)-linear, so f(x + k) = f(x) + c*k for every k
+        in K = ker lam, whatever u, n, E and c0 are.  The reps span a
+        complement of K, so the fibres x + K, x a rep, cover the field once,
+        and the fibre of x has the images f(x) + s, s among the shifts c*K.
+        None when |K| < _ORBIT_MIN; a largest exponent below it (|K| is at
+        most the degree of lam) rules that out before any linear algebra.
+        """
+        ctx = self.core.ctx
+        p = ctx.p
+        if self.r or not rest or rest[-1][0] < _ORBIT_MIN or any(
+                p ** round(math.log(e, p)) != e for e, _ in rest):
+            return None
+        lam = SparsePoly._raw(ctx, rest).eval_rep
+        kernel, complement = ctx._kernel_split([lam(p ** i) for i in range(ctx.k)])
+        if p ** len(kernel) < _ORBIT_MIN:
+            return None
+        return ctx._span(complement), ctx._span([ctx.mul(self.c, v) for v in kernel])
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,11 @@ TABLE_LIMIT = 1 << 16  # log/antilog tables are built lazily up to this order
 # list time over GF(2^8..2^12), 0.86-1.30x over GF(2^13), GF(2^14) as other
 # load on the cache varied, and 0.59-0.70x over GF(2^15), GF(2^16), GF(3^10).
 LIST_TABLE_LIMIT = 1 << 14
+# A sweep that derives a whole orbit of points from one computed value (the
+# period sweep's t-th roots of unity, the fibre sweep's kernel of a linear
+# core) is taken only when the group acting has at least this many elements:
+# below it the set-up outweighs the points it saves.
+_ORBIT_MIN = 16
 
 
 def prime_factors(n: int) -> list[int]:
@@ -495,6 +500,48 @@ class FieldCtx:
         assert len(set(out)) == d
         return out
 
+    def _kernel_split(self, images):
+        """Bases (kernel, complement) of the GF(p)-linear map sending the
+        digit basis vector p^i (the rep of x^i) to images[i].
+
+        The images are row-reduced in turn, each kept row monic at its
+        highest digit and paired with its preimage.  An image that reduces
+        to 0 gives a kernel vector, its reduced preimage; one that does not
+        adds p^i to the complement.  The complement's images are independent,
+        so it meets the kernel in 0 only, and the two span the field.
+        """
+        p = self.p
+        rows, kernel, complement = [], [], []  # rows: (pivot p^j, image, preimage)
+
+        def minus(v, a, w):  # v - a*w, a in GF(p)
+            return self.sub(v, w if a == 1 else self.mul(a, w))
+        for i, v in enumerate(images):
+            pre = p ** i
+            for w, img, x in rows:  # highest pivot first: a row's digits above its pivot are 0
+                a = v // w % p
+                if a:
+                    v, pre = minus(v, a, img), minus(pre, a, x)
+            if not v:
+                kernel.append(pre)
+                continue
+            w = 1
+            while w * p <= v:
+                w *= p
+            a = pow(v // w, p - 2, p)  # makes the row monic at its top digit
+            rows.append((w, self.mul(a, v), self.mul(a, pre)))
+            rows.sort(reverse=True)
+            complement.append(p ** i)
+        return kernel, complement
+
+    def _span(self, basis):
+        """Every GF(p)-combination of ``basis``, as a list of reps."""
+        add = operator.xor if self.p == 2 else self.add
+        out = [0]
+        for b in basis:
+            out = [add(x, y) for y in [0, b] + [self.mul(a, b) for a in range(2, self.p)]
+                   for x in out]
+        return out
+
     def subgroup(self, d: int) -> list["FieldElem"]:
         return [FieldElem(self, r) for r in self.subgroup_reps(d)]
 
@@ -615,9 +662,12 @@ class FieldCtx:
         gives a row P of logs, extended to L entries, L the least multiple of
         d at least min(256, q-1) (None where f is 0), and the run of logs
         from R*L is [exp[x + a*R*L mod (q-1)] for x in P]: no log, mod or
-        term per point.  For t < 16 the sweep stays ``columns``, so the d
-        values computed before the first block and held in the row stay at
-        most a sixteenth of the field.  The row is not taken from f's
+        term per point.  For t < _ORBIT_MIN (16) the sweep stays
+        ``columns``, so the d values computed before the first block and held
+        in the row stay at most a sixteenth of the field; so it does when the
+        row would not repeat within the field (L >= q-1), as on GF(256),
+        where building the row and reading it once costs more than the
+        columns.  The row is not taken from f's
         closure: a sweep holding f, as f.sweep, makes a reference cycle per
         compile, whose garbage collection tripled the cost of
         ``SparsePoly.rep_fn``, and a closure call costs 2 to 5 column points.
@@ -643,11 +693,11 @@ class FieldCtx:
             if impl is None:
                 e0 = terms[0][0] if terms else 0
                 t = math.gcd(n1, *(e - e0 for e, _ in terms))
-                if t < 16:
+                d, a = n1 // t, (r + E * e0) % n1
+                size = -(-min(256, n1) // d) * d
+                if t < _ORBIT_MIN or size >= n1:
                     impl = columns
                 else:
-                    d, a = n1 // t, (r + E * e0) % n1
-                    size = -(-min(256, n1) // d) * d
                     row = [log[y] if y else None for y in columns(0, d)]
                     while len(row) < size:  # P[j + len] = P[j] + a*len, len a multiple of d
                         shift = a * len(row)
@@ -988,16 +1038,20 @@ class SparsePoly:
             raise CtxMismatch("polynomials from different contexts")
         return other
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self and other merged term by term, op(c1, c2) on shared exponents."""
         other = self._other(other)
-        return SparsePoly(self.ctx, [(c, e) for e, c in self._terms]
-                          + [(c, e) for e, c in other._terms])
+        acc = dict(self._terms)
+        get = acc.get
+        for e, c in other._terms:
+            acc[e] = op(get(e, 0), c)
+        return SparsePoly._collect(self.ctx, acc)
+
+    def __add__(self, other):
+        return self._combine(other, operator.xor if self.ctx.p == 2 else self.ctx.add)
 
     def __sub__(self, other):
-        other = self._other(other)
-        neg = self.ctx.neg
-        return SparsePoly(self.ctx, [(c, e) for e, c in self._terms]
-                          + [(neg(c), e) for e, c in other._terms])
+        return self._combine(other, operator.xor if self.ctx.p == 2 else self.ctx.sub)
 
     def __mul__(self, other):
         other = self._other(other)
@@ -1028,8 +1082,8 @@ class SparsePoly:
     def frobenius_power(self, i: int) -> "SparsePoly":
         """The polynomial f(x)**(p^i): exact identity in characteristic p."""
         ctx = self.ctx
-        q = ctx.p ** i
-        return SparsePoly(ctx, [(ctx.pow(c, q), e * q) for e, c in self._terms])
+        q = ctx.p ** i  # c -> c^q keeps coefficients nonzero, e -> e*q the order
+        return SparsePoly._raw(ctx, [(e * q, ctx.pow(c, q)) for e, c in self._terms])
 
     def pow_charp(self, e: int) -> "SparsePoly":
         """f**e by base-p digit splitting; exact formal expansion."""

@@ -2,9 +2,13 @@
 
 Maps are accepted either as :class:`SparsePoly` or as plain callables on
 integer reps, so composition closures verify without formal expansion.  A
-polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`); on a tabled
-field its evaluator is swept in log order, in blocks of table columns or, for
-a split-shaped map x^r * h(x^t), by the period of the split.
+polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).  A form
+c0 * G(core(x)) + c*x with an affine core (F1, F6, F7, F12) is swept by the
+fibres x + K of the core's linear part, K its kernel, on any field: f is
+evaluated once per fibre and f(x + k) = f(x) + c*k gives the rest.  Other
+evaluators on a tabled field are swept in log order, in blocks of table
+columns or, for a split-shaped map x^r * h(x^t), by the period of the split.
+Both block sources feed one marking loop, and every image is still marked.
 """
 
 from __future__ import annotations
@@ -60,34 +64,68 @@ def _sequential_scan(fn, order):
     return None, order
 
 
-def _sweep_injective(fn, order):
-    """Whether f(0) and f(g^i), i < order - 1, swept in blocks growing from
-    256 to 4096 logs, are ``order`` distinct reps; False at the first image
-    already marked, or past the field."""
+def _injective(blocks, order):
+    """Whether the blocks of images hold ``order`` distinct reps, marked in
+    one bytearray; False at the first image already marked, past the field,
+    or when the blocks run out short of the field."""
     seen = bytearray(order)
-    i, block, n1 = 0, 256, order - 1
     try:
-        seen[fn(0)] = 1
-        while i < n1:
-            count = min(block, n1 - i)
-            for y in fn.sweep(i, count):
+        for block in blocks:
+            for y in block:
                 if seen[y]:
                     return False
                 seen[y] = 1
-            i += count
-            block = min(2 * block, 4096)
     except IndexError:  # an image past the field, which the sequential scan reports
         return False
-    return True
+    return seen.count(1) == order
+
+
+def _log_blocks(fn, order):
+    """f(0), then f(g^i) for i < order - 1 from ``fn.sweep``, in blocks
+    growing from 256 to 4096 logs."""
+    yield (fn(0),)
+    i, block, n1 = 0, 256, order - 1
+    while i < n1:
+        count = min(block, n1 - i)
+        yield fn.sweep(i, count)
+        i += count
+        block = min(2 * block, 4096)
+
+
+def _fibre_blocks(fn, ctx):
+    """One block per fibre x + K of ``fn.fibres`` = (reps, shifts): f is
+    called at the rep x only, and f(x + k) = f(x) + c*k gives the rest."""
+    reps, shifts = fn.fibres
+    if ctx.p == 2:
+        for x in reps:
+            y = fn(x)
+            yield [y ^ s for s in shifts]
+    else:
+        add = ctx.add
+        for x in reps:
+            y = fn(x)
+            yield [add(y, s) for s in shifts]
 
 
 def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
-    """Exhaustively test whether f is a bijection of the whole field.  An
-    evaluator with a ``sweep`` is swept first, and scanned only at a collision."""
+    """Exhaustively test whether f is a bijection of the whole field.
+
+    Every image is computed and marked.  An evaluator with ``fibres`` is
+    swept fibre by fibre, on any field; else one with a ``sweep``, on a
+    tabled field, in log order.  The sequential scan runs from 0 when
+    neither applies or at the first repeated image, so the witness and the
+    evaluation count are always the sequential scan's.
+    """
     fn = _as_rep_fn(f, ctx)
     tabled = ctx.ensure_tables()
     start = time.perf_counter()
-    if tabled and hasattr(fn, "sweep") and _sweep_injective(fn, ctx.order):
+    if hasattr(fn, "fibres"):
+        blocks = _fibre_blocks(fn, ctx)
+    elif tabled and hasattr(fn, "sweep"):
+        blocks = _log_blocks(fn, ctx.order)
+    else:
+        blocks = None
+    if blocks is not None and _injective(blocks, ctx.order):
         witness, evals = None, ctx.order
     else:
         witness, evals = _sequential_scan(fn, ctx.order)

@@ -88,6 +88,16 @@ def run_selftest(out) -> bool:
     ok &= _check(out, "period sweep equals sequential scan GF(4096)", same,
                  f"F8 witness={vr.witness}")
 
+    same = True  # F1's core x^16 + x + delta over GF(2^12): fibres of ker = GF(16)
+    for c in (1, 2):  # c = 2 lies outside GF(16): no permutation
+        fn = fam.evaluator("F1", {"m": 4, "delta": 5, "c": c})
+        vr = replace(is_permutation(fn, make_field(2, 12)), elapsed_ms=0.0)
+        witness, evals = _sequential_scan(fn, 4096)
+        same &= hasattr(fn, "fibres") and vr == VerifyReport(
+            "field", witness is None, witness, None, evals, 0.0)
+    ok &= _check(out, "fibre sweep equals sequential scan GF(4096)", same,
+                 f"F1 witness={vr.witness}")
+
     ctx256 = make_field(2, 8)
     poly = fam.build("F3", {"m": 4, "c": 5})
     r, h = zieve_split(poly, 17)

@@ -314,7 +314,12 @@ def log_sweeps(monkeypatch):
 
 def _head_only(calls, ctx):
     """The period sweep asks the columns once, for its row's first d values,
-    d at most a sixteenth of the field, and never per block."""
+    d at most a sixteenth of the field, and never per block.  On a field of
+    at most 257 elements the row (at least 256 logs) would not repeat within
+    the field, so the columns answer every block of ``swept``, from 0, 1, 8."""
+    if ctx.order <= 257:
+        assert [i0 for i0, _ in calls[:3]] == [0, 1, 8], calls
+        return
     assert len(calls) == 1 and calls[0][0] == 0 and 16 * calls[0][1] <= ctx.order - 1, calls
 
 
@@ -325,9 +330,10 @@ _PERIODIC = [
     ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}),
     ("F8", {"m": 8, "r": 7, "s": 3, "a": 1, "delta": 3}),
     ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}),  # f(1) = 0: zeros in the row
-    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}),  # GF(256), t = 17
+    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}),  # GF(256), t = 17: columns
     ("F10", {"m": 5, "r": 1, "s": 1, "a": 5, "b": 1}),  # GF(2^15), t = 31
     ("F11", {"m": 5, "r": 1, "s": 1, "a": 3, "b": 1, "delta": 2}),
+    ("F9", {"m": 6, "r": 5, "s": 3, "a": 6, "delta": 7}),  # GF(2^12), t = 65: a row of 315
 ]
 
 
@@ -342,7 +348,7 @@ def test_period_sweep_matches_closure(fid, params, log_sweeps):
 def _period_shapes(ctx):
     """Split-shaped maps beyond the registry, as (name, evaluator)."""
     g, n1 = ctx.generator, ctx.order - 1
-    t = next(t for t in (255, 22, 121) if n1 % t == 0)
+    t = next(t for t in (255, 22, 121, 48) if n1 % t == 0)
     return [
         # core without a constant term: a = r + E*e0 = 2 + 5*3, not r
         ("alpha-not-r", fam.Form(SparsePoly(ctx, [(g, 3), (1, 3 + 2 * t)]), 5, r=2)),
@@ -353,9 +359,11 @@ def _period_shapes(ctx):
     ]
 
 
-@pytest.mark.parametrize("p,k", [(2, 16), (3, 5)])
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 5), (5, 4)])
 def test_period_sweep_shapes(p, k, log_sweeps):
-    # GF(3^5) has q-1 = 242 = 2 * 11^2: t = 22, d = 11, odd characteristic
+    # GF(3^5) has q-1 = 242 = 2 * 11^2: t = 22, d = 11, odd characteristic,
+    # where a row would span the field, so the columns stay; GF(5^4) has
+    # q-1 = 624: t = 48, d = 13, a row of 260
     ctx = make_field(p, k)
     ctx.ensure_tables()
     for name, f in _period_shapes(ctx):
@@ -450,6 +458,105 @@ def test_form_edge_cases(p, k):
     assert forms[1].rep_fn()(0) == ctx.mul(g, ctx.pow(ctx.neg(g), 2 * n1))
     assert forms[2].rep_fn()(0) == 0
     assert forms[4].rep_fn()(g) == g
+
+
+# --------------------------------------------------------------------------
+# fibres of affine-core forms: f(x + k) = f(x) + c*k for k in ker(core - core(0))
+# --------------------------------------------------------------------------
+
+def _form_of(fid, params, ctx):
+    spec = fam.family(fid)
+    return spec.form(ctx, fam._validate(spec, ctx, params))
+
+
+_FIBRED = [
+    ("F1", {"m": 4, "delta": 5, "c": 1}),  # GF(2^12), K = GF(16)
+    ("F1", {"m": 5, "delta": 77, "c": 1131}),  # GF(2^15), array tables
+    ("F6", {"q": 16, "case": "sum", "u": _U, "delta": 9, "c": 1}),
+    ("F6", {"q": 32, "case": "power", "i": 3, "delta": 9, "c": 1}),
+    ("F7", {"q": 16, "case": "power", "i": 1, "delta": 9, "c": 1}),  # GF(2^16), twist c0
+    ("F7", {"q": 16, "case": "sum", "u": _U, "delta": 9, "c": 2}),  # c outside GF(16)
+    ("F6", {"q": 27, "case": "power", "i": 1, "delta": 9, "c": 2}),  # GF(3^9), K = GF(27)
+    ("F12", {"p": 5, "k": 4, "step": 2, "sign": "plus", "g": _U, "c": 2, "delta": 3}),
+    ("F12", {"p": 5, "k": 4, "step": 2, "sign": "minus", "g": _U, "c": 1, "delta": 0}),
+]
+
+
+@pytest.mark.parametrize("fid,params", _FIBRED,
+                         ids=[f"{c[0]}-params{i}" for i, c in enumerate(_FIBRED)])
+def test_fibres_identity(fid, params):
+    # the fibres cover the field once; each kernel vector k = s/c is killed
+    # by the core's linear part, and f(x + k) = f(x) + s under the form's
+    # table-free reference at sampled reps x and shifts s
+    ctx = fam.family_ctx(fid, params)
+    params = {k: SparsePoly(ctx, v) if k in ("u", "g") else v for k, v in params.items()}
+    form = _form_of(fid, params, ctx)
+    fn = form.rep_fn()
+    reps, shifts = fn.fibres
+    assert len(reps) * len(shifts) == ctx.order and len(set(shifts)) == len(shifts) >= 16
+    lam = SparsePoly(ctx, [(c, e) for c, e in form.core.term_pairs() if e])
+    rng = random.Random(len(reps))
+    for x in rng.sample(reps, 5):
+        fx = _form_ref(form, x)
+        assert fn(x) == fx
+        for s in rng.sample(shifts, 5):
+            k = ctx.div(s, form.c)
+            assert raw_eval(ctx, lam, k) == 0
+            assert _form_ref(form, raw_add(ctx, x, k)) == raw_add(ctx, fx, s)
+
+
+def test_fibres_above_table_limit():
+    # F1 over GF(2^18) has no tables: K = GF(2^6) and the shifts c*K come
+    # from ctx arithmetic, the identity holds on the expanded polynomial
+    # under raw_eval, and the scan sweeps all 2^18 points fibre by fibre
+    ctx = fam.family_ctx("F1", {"m": 6})
+    sub = ctx.subfield_reps(6)
+    params = {"m": 6, "delta": 5, "c": sub[5]}
+    fn = fam.evaluator("F1", params, ctx=ctx)
+    assert not ctx.ensure_tables()
+    reps, shifts = fn.fibres
+    assert len(reps) == 4096 and sorted(shifts) == sorted(raw_mul(ctx, sub[5], v) for v in sub)
+    poly = fam.build("F1", params, ctx=ctx)
+    rng = random.Random(18)
+    for x in rng.sample(reps, 4):
+        fx = raw_eval(ctx, poly, x)
+        assert fn(x) == fx
+        for v in rng.sample(sub, 4):
+            assert raw_eval(ctx, poly, x ^ v) == fx ^ raw_mul(ctx, sub[5], v)
+    vr = is_permutation(fn, ctx)
+    assert (vr.is_permutation, vr.witness, vr.evaluations) == (True, None, 1 << 18)
+
+
+@pytest.fixture
+def kernel_splits(monkeypatch):
+    """The fields of the ``FieldCtx._kernel_split`` calls made after setup."""
+    calls, inner = [], FieldCtx._kernel_split
+    monkeypatch.setattr(FieldCtx, "_kernel_split",
+                        lambda self, images: calls.append(self) or inner(self, images))
+    return calls
+
+
+def test_no_fibres_below_orbit_min(kernel_splits):
+    # criterion 9's F1 m=3 (|K| = 8) and F7 q=3 (|K| = 3) have a largest
+    # core exponent below 16, and r != 0 or a core that is not affine (F8)
+    # rules fibres out: none of these runs any linear algebra; x^16 + x^2 + 7
+    # over GF(2^12) passes those checks, and its kernel GF(8) is too small
+    ctx = make_field(2, 12)
+    cases = [fam.evaluator("F1", {"m": 3, "delta": 5, "c": 1}),
+             fam.evaluator("F7", {"q": 3, "case": "power", "i": 1, "delta": 7, "c": 1}),
+             fam.evaluator("F8", {"m": 6, "r": 5, "s": 3, "a": 1, "delta": 3}),
+             fam.Form(SparsePoly(ctx, [(1, 16), (1, 1)]), 3, r=1, c=1).rep_fn()]
+    assert not any(hasattr(fn, "fibres") for fn in cases) and kernel_splits == []
+    fn = fam.Form(SparsePoly(ctx, [(1, 16), (1, 2), (7, 0)]), 3, c=1).rep_fn()
+    assert not hasattr(fn, "fibres") and kernel_splits == [ctx]
+
+
+def test_fibres_compiled_once_per_delta_family(kernel_splits):
+    ctx = make_field(5, 4)
+    family, _ = transform_pair(SparsePoly(ctx, _U), 2, 2, "minus")
+    f0, f7 = family.map(0), family.map(7)
+    assert f0.fibres is f7.fibres and kernel_splits == [ctx]
+    assert all(f7(x) == _form_ref(family.form(7), x) for x in f7.fibres[0][:20])
 
 
 @pytest.mark.parametrize("q,case", [(2, "sum"), (2, "power"),

@@ -579,6 +579,72 @@ def test_products_and_folds_match_constructor(p, k):
         assert _normalized(folded)
 
 
+@pytest.mark.parametrize("p,k", [(2, 8), (3, 3), (5, 2), (2, 18)])
+def test_sums_match_constructor(p, k):
+    # + and - merge the term dicts; each equals the normalizing constructor
+    # on the joined pairs, with cancelled terms, zero results and zero
+    # operands among the draws
+    ctx = make_field(p, k)
+    rng = random.Random(20 * p + k)
+    zero = SparsePoly(ctx)
+    for _ in range(40):
+        a = [(rng.randrange(1, ctx.order), rng.randrange(8)) for _ in range(rng.randrange(5))]
+        b = [(rng.randrange(1, ctx.order), rng.randrange(8)) for _ in range(rng.randrange(5))]
+        fa, fb = SparsePoly(ctx, a), SparsePoly(ctx, b)
+        fb = fb + SparsePoly(ctx, fa.term_pairs()[:1])  # a shared exponent, often
+        pa, pb = fa.term_pairs(), fb.term_pairs()
+        total, diff = fa + fb, fa - fb
+        assert total == SparsePoly(ctx, pa + pb) and _normalized(total)
+        assert diff == SparsePoly(ctx, pa + tuple((_raw_neg(ctx, c), e) for c, e in pb))
+        assert _normalized(diff)
+        assert (fa - fa) == zero == fa + (zero - fa)
+        assert fa + zero == fa == zero + fa
+    other = SparsePoly(make_field(2, 4), [(1, 1)])
+    for op in (SparsePoly.__add__, SparsePoly.__sub__):
+        with pytest.raises(CtxMismatch):
+            op(SparsePoly.x(ctx), other)
+        with pytest.raises(CtxMismatch):
+            op(SparsePoly.x(ctx), 1)
+
+
+def _raw_linear_kernel(ctx, poly):
+    """ker of a linearized poly by enumeration over raw_eval."""
+    return [x for x in range(ctx.order) if raw_eval(ctx, poly, x) == 0]
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (2, 8), (3, 4), (5, 3), (3, 5)])
+def test_kernel_split_exhaustive(p, k):
+    # x^(p^s) -/+ x and random linearized maps: the kernel vectors map to 0
+    # and span the kernel found by enumeration, and kernel + complement
+    # cover the field once
+    ctx = make_field(p, k)
+    rng = random.Random(30 * p + k)
+    maps = [[(1, p ** s), (ctx.neg(1), 1)] for s in range(1, k)]
+    maps += [[(1, p ** s), (1, 1)] for s in range(1, k)]
+    maps += [[(rng.randrange(ctx.order), p ** s) for s in range(k)] for _ in range(4)]
+    maps += [[(1, p)], [(0, 1)]]  # a bijection (kernel 0) and the zero map (all)
+    for terms in maps:
+        poly = SparsePoly(ctx, terms)
+        kernel, complement = ctx._kernel_split([raw_eval(ctx, poly, p ** i) for i in range(k)])
+        assert len(kernel) + len(complement) == k
+        assert all(raw_eval(ctx, poly, v) == 0 for v in kernel)
+        span = ctx._span(kernel)
+        assert sorted(span) == _raw_linear_kernel(ctx, poly), terms
+        cover = {raw_add(ctx, x, v) for x in ctx._span(complement) for v in span}
+        assert len(cover) == ctx.order
+
+
+@pytest.mark.parametrize("k,s", [(12, 4), (15, 5), (16, 6), (18, 6), (18, 4)])
+def test_kernel_split_frobenius_char2(k, s):
+    # ker(x^(2^s) + x) = GF(2^gcd(s, k)), on tabled fields and above the limit
+    ctx = make_field(2, k)
+    poly = SparsePoly(ctx, [(1, 1 << s), (1, 1)])
+    kernel, complement = ctx._kernel_split([raw_eval(ctx, poly, 1 << i) for i in range(k)])
+    span = ctx._span(kernel)
+    assert sorted(span) == ctx.subfield_reps(math.gcd(s, k))
+    assert len({x ^ v for x in ctx._span(complement) for v in span}) == ctx.order
+
+
 def test_coefficient_out_of_range_rejected():
     ctx = make_field(2, 8)
     for c in (-1, 300):

@@ -8,6 +8,7 @@ import pytest
 from permpoly import (
     BadSubset,
     CtxMismatch,
+    FieldCtx,
     ImageOutOfRange,
     NotADivisor,
     NotFactorable,
@@ -16,6 +17,7 @@ from permpoly import (
     make_field,
     natural_divisor,
     permutes_subset,
+    transform_pair,
     zieve_split,
     zieve_verdict,
 )
@@ -461,3 +463,102 @@ def test_sweep_scan_image_out_of_range_as_sequential():
     with pytest.raises(ImageOutOfRange) as exc:
         is_permutation(fn, small)
     assert (exc.value.x, exc.value.y) == (seq.value.x, seq.value.y) == (8, 24)
+
+
+# --------------------------------------------------------------------------
+# fibre sweep scan against the sequential scan
+# --------------------------------------------------------------------------
+
+_U3 = ((3, 0), (1, 1), (7, 2))
+_U4 = ((5, 0), (1, 1), (77, 2), (1234, 3))
+
+
+@pytest.mark.parametrize("fid,params,verdict", [
+    ("F1", {"m": 4, "delta": 5, "c": 1}, True),        # GF(2^12), |K| = 16
+    ("F1", {"m": 4, "delta": 5, "c": 2}, False),       # c outside GF(16)
+    ("F1", {"m": 5, "delta": 77, "c": 1131}, True),    # GF(2^15), array tables
+    ("F1", {"m": 5, "delta": 5, "c": 3}, False),
+    ("F6", {"q": 16, "case": "power", "i": 1, "delta": 9, "c": 1}, True),
+    ("F6", {"q": 16, "case": "power", "i": 1, "delta": 9, "c": 2}, False),
+    ("F6", {"q": 16, "case": "sum", "u": _U3, "delta": 9, "c": 1}, True),
+    ("F6", {"q": 16, "case": "sum", "u": _U3, "delta": 9, "c": 5}, False),
+    ("F6", {"q": 32, "case": "power", "i": 3, "delta": 9, "c": 1}, True),
+    ("F6", {"q": 32, "case": "power", "i": 1, "delta": 9, "c": 2}, False),
+    ("F6", {"q": 32, "case": "sum", "u": _U4, "delta": 9, "c": 1130}, True),
+    ("F6", {"q": 32, "case": "sum", "u": _U4, "delta": 9, "c": 2}, False),
+    ("F7", {"q": 16, "case": "power", "i": 1, "delta": 9, "c": 1}, True),   # GF(2^16)
+    ("F7", {"q": 16, "case": "power", "i": 1, "delta": 9, "c": 2}, False),
+    ("F6", {"q": 27, "case": "power", "i": 1, "delta": 9, "c": 1}, True),   # GF(3^9)
+    ("F6", {"q": 27, "case": "sum", "u": _U3, "delta": 9, "c": 5}, False),
+])
+def test_fibre_scan_matches_sequential(fid, params, verdict):
+    ctx = fam.family_ctx(fid, params)
+    params = {k: SparsePoly(ctx, v) if k == "u" else v for k, v in params.items()}
+    fn = fam.evaluator(fid, params, ctx=ctx)
+    assert hasattr(fn, "fibres")
+    assert _same_as_sequential(fn, ctx).is_permutation == verdict
+
+
+@pytest.mark.parametrize("sign", ["minus", "plus"])
+def test_fibre_scan_f12_gf625(sign):
+    # f(x) = g(x^25 -/+ x + delta) + c*x over GF(5^4), step 2, |K| = 25:
+    # DeltaFamily maps for c in GF(25)*, forms for c = 0 (f is constant on
+    # each fibre) and for c drawn from the whole field; g = x with
+    # c = -/+1 is x^25 + delta, a permutation, and random g mostly are not
+    ctx = make_field(5, 4)
+    rng = random.Random(625 + len(sign))
+    xc = 1 if sign == "plus" else ctx.neg(1)
+    gs = [SparsePoly(ctx, [(1, 1)])] + [
+        SparsePoly(ctx, [(rng.randrange(ctx.order), d) for d in range(5)]) for _ in range(5)]
+    verdicts = []
+    for g in gs:
+        for c in (ctx.sub(0, xc), 1, 0, rng.randrange(1, ctx.order)):
+            delta = rng.randrange(ctx.order)
+            if c and ctx.subfield_test(c, 2):
+                fn = transform_pair(g, c, 2, sign)[0].map(delta)
+            else:
+                core = SparsePoly(ctx, [(1, 25), (xc, 1), (delta, 0)])
+                fn = fam.Form(core, u=g, c=c).rep_fn()
+            assert len(fn.fibres[1]) == 25
+            verdicts.append(_same_as_sequential(fn, ctx).is_permutation)
+    assert True in verdicts and False in verdicts
+
+
+def test_fibre_scan_collision_in_a_late_fibre():
+    # F1 m=4 (a permutation) with its last fibre sent where its first goes:
+    # the map keeps f(x + k) = f(x) + k (c = 1), and its one collision shows
+    # at the last fibre, after a call at every rep
+    ctx = make_field(2, 12)
+    fn = fam.evaluator("F1", {"m": 4, "delta": 5, "c": 1}, ctx=ctx)
+    reps, shifts = fn.fibres
+    kernel, move = set(shifts), reps[-1] ^ reps[0]
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return fn(x ^ move) if x ^ reps[-1] in kernel else fn(x)
+    spy.fibres = fn.fibres
+    vr = _same_as_sequential(spy, ctx)
+    assert not vr.is_permutation and calls[:len(reps)] == reps
+    # fibres that fall short of the field are not taken for a bijection:
+    # the sequential scan runs from 0 after them
+    del calls[:]
+    spy = lambda x: calls.append(x) or fn(x)  # noqa: E731
+    spy.fibres = (reps[:-1], shifts)
+    vr = is_permutation(spy, ctx)
+    assert (vr.is_permutation, vr.evaluations) == (True, ctx.order)
+    assert calls == reps[:-1] + list(range(ctx.order))
+
+
+def test_fibre_scan_needs_no_tables(monkeypatch):
+    # F1 m=4 with the tables of GF(2^12) off: the untabled evaluator carries
+    # fibres, and the scan takes them, with the sequential scan's report
+    base = make_field(2, 12)
+    ctx = FieldCtx(2, 12, base.modulus, base.generator)
+    monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
+    for c, verdict in ((1, True), (2, False)):
+        core = SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)])
+        fn = fam.Form(core, 257, c=c).rep_fn()
+        assert hasattr(fn, "fibres") and not hasattr(fn, "sweep")
+        assert _same_as_sequential(fn, ctx).is_permutation == verdict
+    assert ctx._exp is None
