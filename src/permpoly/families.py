@@ -5,8 +5,9 @@ Each entry bundles a field shape, a parameter schema, a condition predicate
 pass or fail), and the family's formula, stated once as its form.  The form
 of F1 and F6..F12 is one shared :class:`Form`, c0 * x^r * G(core(x)) + c*x;
 F2..F5 use their literal polynomial.  :func:`evaluator` compiles either
-against the field's log tables (``rep_fn``) without formal expansion, and
-:func:`build` expands the form into the literal polynomial with
+without formal expansion (``rep_fn``): a form is its core's ``SparsePoly``
+evaluator followed by the outer map, swept in the log domain on tabled
+fields, and :func:`build` expands the form into the literal polynomial with
 arbitrary-precision exponents (:meth:`Form.expand`).
 
 Family ids and parameter names are a stable CLI/JSON contract.  Condition
@@ -201,8 +202,9 @@ class Form:
 
     G(y) = (w + w^q + ... + w^(q^(n-1)))^E with w = u(y).  ``u`` = None
     stands for u(y) = y, so G is the power y^E; with a sparse polynomial u
-    and n = 1, G is u^E; n > 1 gives the q-power sum of u.  ``c0`` is
-    nonzero and E >= 1.
+    over the core's field and n = 1, G is u^E; n > 1 gives the q-power sum
+    of u, q a power of p.  ``c0`` is a nonzero element and E >= 1; a form
+    outside that domain raises ValueError (CtxMismatch for u) when made.
     """
 
     core: SparsePoly
@@ -214,6 +216,15 @@ class Form:
     c0: int = 1
     c: int = 0
 
+    def __post_init__(self):
+        ctx = self.core.ctx
+        if self.E < 1 or not 0 < self.c0 < ctx.order:
+            raise ValueError(f"need E >= 1 and c0 nonzero, got E = {self.E}, c0 = {self.c0}")
+        if self.n > 1 and (self.q < 1 or ctx.p ** round(math.log(self.q, ctx.p)) != self.q):
+            raise ValueError(f"q = {self.q} is not a power of p = {ctx.p}")
+        if self.u is not None and self.u.ctx is not ctx:
+            raise CtxMismatch("u from a different context than the core")
+
     def expand(self) -> SparsePoly:
         """The literal polynomial of the form, every exponent expanded.
 
@@ -224,9 +235,7 @@ class Form:
         ctx = g.ctx
         if self.u is not None:
             w = g = self.u.compose(g)
-            e = 0
-            while ctx.p ** e < self.q:  # q = p^e: conjugates are Frobenius powers
-                e += 1
+            e = round(math.log(self.q, ctx.p))  # q = p^e: conjugates are Frobenius powers
             for j in range(1, self.n):
                 g = g + w.frobenius_power(e * j)
         if self.E != 1:
@@ -240,96 +249,64 @@ class Form:
         return g
 
     def rep_fn(self):
-        """Rep-level evaluator, compiled against the context's log tables.
+        """Rep-level evaluator: the core's ``rep_fn``, then the outer map.
 
-        ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count.  With
-        ``u`` None and c = 0, f = c0 * x^r * core^E, and when the core's
-        exponents split, all e = e0 mod t with t = gcd(q-1, e - e0) >= 16,
-        f is swept from a row of logs repeated with period (q-1)/t
-        (``FieldCtx._period_sweep``).  Otherwise core comes from table
-        columns, then exp[log c0 + r*i + E*log w] for each block value w,
-        plus the column exp[log c + i].  Above TABLE_LIMIT the same form
-        evaluates through ``ctx`` arithmetic, with no sweep.
+        ``f(x)`` takes w = core(x) and gives c0 * x^r * G(w) + c*x through
+        ``ctx`` arithmetic, on every field.  On a tabled field
+        ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count: w from
+        the core's sweep, then exp[log c0 + r*i + E*log G(w)] per value, plus
+        the column exp[log c + i].  With ``u`` None and c = 0, f = c0 * x^r *
+        core^E, and when the core's exponents split with t = gcd(q-1, e - e0)
+        >= 16, f is swept from a row of logs repeated with period (q-1)/t
+        (``FieldCtx._period_sweep``).  Above TABLE_LIMIT there is no sweep.
 
-        With r = 0 and an affine core (every nonconstant exponent a power of
-        p), ``f.fibres`` = (reps, shifts) is set as well, on tabled and
-        untabled fields alike, when the kernel K of core - core(0) has at
-        least 16 elements: f(x + k) = f(x) + c*k, the fibres x + K of the
-        reps cover the field once, and the shifts are c*K (``_fibres``).
+        With r = 0 and an affine core whose linear part has a kernel K of at
+        least 16 elements, ``f.fibres`` = (reps, shifts) is set as well, on
+        every field: f(x + k) = f(x) + c*k for k in K (``_fibres``).
         """
-        return self._binder()(self.core.eval_rep(0))
-
-    def _binder(self):
-        """k0 -> ``rep_fn`` of this form with k0 as the core's constant term:
-        everything but k0 is compiled once (``DeltaFamily.map`` binds delta)."""
-        core = self.core
-        ctx = core.ctx
-        rest = core._terms[1:] if core._terms and not core._terms[0][0] else core._terms
+        core, ctx = self.core, self.core.ctx
+        core_fn = core.rep_fn()
         u = self.u.rep_fn() if self.u is not None else None
         E, r, c0, c = self.E, self.r, self.c0, self.c
         qpows = [self.q ** j for j in range(1, self.n)]
 
-        def outer(x, w):  # c0 * x^r * G(w) + c*x through ctx, w = core(x)
+        f0 = None
+
+        def f(x):  # the steps of ``expand``, each no-op skipped
+            if x == 0 and f0 is not None:
+                return f0
+            w = core_fn(x)
             if u is not None:
                 w = u(w)
                 w = reduce(ctx.add, [ctx.pow(w, e) for e in qpows], w)
-            v = ctx.mul(ctx.mul(c0, ctx.pow(x, r)), ctx.pow(w, E))
-            return ctx.add(v, ctx.mul(c, x))
+            v = ctx.pow(w, E) if E != 1 else w
+            v = ctx.mul(ctx.mul(c0, ctx.pow(x, r)), v) if r or c0 != 1 else v
+            return ctx.add(v, ctx.mul(c, x)) if c else v
+        f0 = f(0)  # once per compile: each scan starts at 0
 
-        tabled = ctx.ensure_tables()
-        fibres = self._fibres(rest)
-
-        def attach(f):
-            if fibres:
-                f.fibres = fibres
+        if fibres := self._fibres():
+            f.fibres = fibres
+        if not ctx.ensure_tables():
             return f
-
-        if not tabled:
-            rest_fn = SparsePoly._raw(ctx, rest).eval_rep
-            return lambda k0: attach(lambda x: outer(x, ctx.add(k0, rest_fn(x))))
         exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
         add = operator.xor if ctx.p == 2 else ctx.add
         lc0, lc = log[c0], log[c]
-        terms = core.log_terms()[1]
         lq = [e % n1 for e in qpows]
 
-        def bind(k0):
-            f0 = outer(0, k0)  # 0 has no log: f(0) from ctx
+        def columns(i0, count):  # holds no f (``FieldCtx._period_sweep``)
+            ws = core_fn.sweep(i0, count)
+            if u is not None:
+                ws = base = list(map(u, ws))
+                for e in lq:
+                    ws = list(map(add, ws, [exp[log[w] * e % n1] if w else 0 for w in base]))
+            vs = [exp[(a + log[w] * E) % n1] if w else 0
+                  for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
+            return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
+        f.sweep = ctx._period_sweep(core._terms, columns, r, E) if u is None and not c else columns
+        return f
 
-            def f(x):
-                if x == 0:
-                    return f0
-                lx = log[x]
-                w = k0
-                for lt, e in terms:
-                    w = add(w, exp[lt + lx * e % n1])
-                if u is not None:
-                    w = u(w)
-                    if w and lq:
-                        lw = log[w]
-                        for e in lq:
-                            w = add(w, exp[lw * e % n1])
-                v = exp[(lc0 + lx * r + log[w] * E) % n1] if w else 0
-                return add(v, exp[lc + lx]) if c else v
-
-            def sweep(i0, count):
-                ws = ctx._log_sweep(k0, terms, i0, count)
-                if u is not None:
-                    ws = base = list(map(u, ws))
-                    for e in lq:
-                        ws = list(map(add, ws, [exp[log[w] * e % n1] if w else 0 for w in base]))
-                vs = [exp[(a + log[w] * E) % n1] if w else 0
-                      for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
-                return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
-            if u is None and not c:
-                sweep = ctx._period_sweep(((0, k0),) + rest if k0 else rest, sweep, r, E)
-            f.sweep = sweep
-            return attach(f)
-        return bind
-
-    def _fibres(self, rest):
-        """(reps, shifts) of the fibre sweep for the core's nonconstant terms
-        ``rest``, or None.
+    def _fibres(self):
+        """(reps, shifts) of the fibre sweep, or None.
 
         With r = 0 and every nonconstant core exponent a power of p, core =
         k0 + lam with lam GF(p)-linear, so f(x + k) = f(x) + c*k for every k
@@ -341,6 +318,7 @@ class Form:
         """
         ctx = self.core.ctx
         p = ctx.p
+        rest = [t for t in self.core._terms if t[0]]
         if self.r or not rest or rest[-1][0] < _ORBIT_MIN or any(
                 p ** round(math.log(e, p)) != e for e, _ in rest):
             return None
@@ -661,7 +639,6 @@ class DeltaFamily:
         self.sign = sign
         self.base_degree = base_degree
         self._qk = self.ctx.p ** (base_degree * step)
-        self._bind = None
 
     def form(self, delta) -> Form:
         """f_delta as a form: G = g, core = x^(q^step) -/+ x + delta.
@@ -675,16 +652,8 @@ class DeltaFamily:
         return Form(SparsePoly(ctx, [(1, self._qk), (xc, 1), (delta, 0)]), u=self.g, c=self.c)
 
     def map(self, delta):
-        """Rep-level evaluator of f_delta: the form of delta = 0 is compiled
-        once per family (:meth:`Form._binder`), and delta bound as its core's
-        constant term."""
-        if isinstance(delta, FieldElem):
-            delta = delta.rep
-        if not 0 <= delta < self.ctx.order:
-            self.ctx.elem(delta)  # raises the out-of-range ValueError
-        if self._bind is None:
-            self._bind = self.form(0)._binder()
-        return self._bind(delta)
+        """Rep-level evaluator of f_delta: ``form(delta).rep_fn()``."""
+        return self.form(delta).rep_fn()
 
 
 def transform_pair(g: SparsePoly, c, step: int, sign: str = "minus",

@@ -643,8 +643,8 @@ class FieldCtx:
         return out
 
     def _log_sweep(self, c0, terms, i0, count):
-        """c0 + sum(c*x^e) at g^i, i0 <= i < i0 + count, for the (log c, e)
-        terms of ``SparsePoly.log_terms``: a ``_column`` each, summed by map."""
+        """c0 + sum(c*x^e) at g^i, i0 <= i < i0 + count, for the terms given
+        as (log c, e mod (q-1)): a ``_column`` each, summed by map."""
         cols = [self._column(lc + i0 * e, e, count) for lc, e in terms]
         if c0 or not cols:
             cols.append(repeat(c0, count))
@@ -655,25 +655,31 @@ class FieldCtx:
         of the (e, c) ``terms``: ``columns(i0, count)`` = [f(g^i) for
         i0 <= i < i0 + count] is the column sweep (``_log_sweep``).
 
-        Chosen on the first call, so compiling costs nothing.  With e0 the
-        first exponent and t = gcd(q-1, e - e0 for every e), k(g^i) is
-        g^(e0*i) times a function of i mod d, d = (q-1)/t (Zieve's split), so
-        log f(g^i) = a*i + lam[i mod d], a = r + E*e0.  ``columns(0, d)``
-        gives a row P of logs, extended to L entries, L the least multiple of
-        d at least min(256, q-1) (None where f is 0), and the run of logs
-        from R*L is [exp[x + a*R*L mod (q-1)] for x in P]: no log, mod or
-        term per point.  For t < _ORBIT_MIN (16) the sweep stays
-        ``columns``, so the d values computed before the first block and held
-        in the row stay at most a sixteenth of the field; so it does when the
-        row would not repeat within the field (L >= q-1), as on GF(256),
-        where building the row and reading it once costs more than the
-        columns.  The row is not taken from f's
-        closure: a sweep holding f, as f.sweep, makes a reference cycle per
-        compile, whose garbage collection tripled the cost of
-        ``SparsePoly.rep_fn``, and a closure call costs 2 to 5 column points.
-        Needs tables.
+        The shape is checked when compiled and the row built on the first
+        call, so compiling evaluates nothing.  With e0 the first exponent and
+        t = gcd(q-1, e - e0 for every e), k(g^i) is g^(e0*i) times a function
+        of i mod d, d = (q-1)/t (Zieve's split), so log f(g^i) = a*i +
+        lam[i mod d], a = r + E*e0.  ``columns(0, d)`` gives a row P of logs,
+        extended to L entries, L the least multiple of d at least
+        min(256, q-1) (None where f is 0), and the run of logs from R*L is
+        [exp[x + a*R*L mod (q-1)] for x in P]: no log, mod or term per point.
+        For t < _ORBIT_MIN (16) the sweep is ``columns``, so the d values
+        computed before the first block and held in the row stay at most a
+        sixteenth of the field; so it is when the row would not repeat
+        within the field (L >= q-1), as on GF(256), where building the row
+        and reading it once costs more than the columns.  The row is not
+        taken from f's closure: a sweep holding f, as f.sweep, makes a
+        reference cycle per compile, whose garbage collection tripled the
+        cost of ``SparsePoly.rep_fn``, and a closure call costs 2 to 5 column
+        points.  Needs tables.
         """
         exp, log, n1 = self._exp, self._log, self.order - 1
+        e0 = terms[0][0] if terms else 0
+        t = math.gcd(n1, *(e - e0 for e, _ in terms))
+        d, a = n1 // t, (r + E * e0) % n1
+        size = -(-min(256, n1) // d) * d
+        if t < _ORBIT_MIN or size >= n1:
+            return columns
         impl = None
 
         def period(a, row, full, i0, count):
@@ -691,19 +697,12 @@ class FieldCtx:
         def sweep(i0, count):
             nonlocal impl
             if impl is None:
-                e0 = terms[0][0] if terms else 0
-                t = math.gcd(n1, *(e - e0 for e, _ in terms))
-                d, a = n1 // t, (r + E * e0) % n1
-                size = -(-min(256, n1) // d) * d
-                if t < _ORBIT_MIN or size >= n1:
-                    impl = columns
-                else:
-                    row = [log[y] if y else None for y in columns(0, d)]
-                    while len(row) < size:  # P[j + len] = P[j] + a*len, len a multiple of d
-                        shift = a * len(row)
-                        row += [x if x is None else (x + shift) % n1
-                                for x in row[:size - len(row)]]
-                    impl = partial(period, a, row, None not in row)
+                row = [log[y] if y else None for y in columns(0, d)]
+                while len(row) < size:  # P[j + len] = P[j] + a*len, len a multiple of d
+                    shift = a * len(row)
+                    row += [x if x is None else (x + shift) % n1
+                            for x in row[:size - len(row)]]
+                impl = partial(period, a, row, None not in row)
             return impl(i0, count)
         return sweep
 
@@ -1005,7 +1004,8 @@ class SparsePoly:
             return self.eval_rep
         exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
         add = operator.xor if ctx.p == 2 else ctx.add
-        c0, terms = self.log_terms()
+        c0 = self.eval_rep(0)
+        terms = [(log[c], e % n1) for e, c in self._terms if e]
 
         def f(x):
             if x == 0:
@@ -1018,11 +1018,6 @@ class SparsePoly:
         columns = partial(ctx._log_sweep, c0, terms)  # one column: a slice no row beats
         f.sweep = ctx._period_sweep(self._terms, columns) if len(terms) > 1 else columns
         return f
-
-    def log_terms(self):
-        """(constant term, [(log c, e mod (q-1)) of the other terms]); needs tables."""
-        log, n1 = self.ctx._log, self.ctx.order - 1
-        return self.eval_rep(0), [(log[c], e % n1) for e, c in self._terms if e]
 
     def eval(self, x: FieldElem) -> FieldElem:
         if x.ctx is not self.ctx:

@@ -10,6 +10,7 @@ import pytest
 from permpoly import (
     BadDegrees,
     BadSubfieldConstant,
+    CtxMismatch,
     EnumerationTooLarge,
     FieldCtx,
     FieldShapeMismatch,
@@ -458,6 +459,22 @@ def test_form_edge_cases(p, k):
     assert forms[1].rep_fn()(0) == ctx.mul(g, ctx.pow(ctx.neg(g), 2 * n1))
     assert forms[2].rep_fn()(0) == 0
     assert forms[4].rep_fn()(g) == g
+    # outside its domain a form is refused when made: E = 0, c0 = 0 and a q
+    # that is no power of p used to compile to an evaluator that disagreed
+    # with expand(), and a u from another field to compile at all
+    with pytest.raises(ValueError):
+        fam.Form(root, 0)                              # E = 0
+    for c0 in (0, ctx.order):
+        with pytest.raises(ValueError):
+            fam.Form(root, 3, c0=c0)
+    for q in (p + 1, 0):                               # q no power of p
+        with pytest.raises(ValueError):
+            fam.Form(root, u=u, n=2, q=q)
+    conj = fam.Form(root, u=u, n=2, q=p ** k)          # q = p^k is a power of p
+    assert conj.rep_fn()(g) == _form_ref(conj, g)
+    other = make_field(3 if p == 2 else 2, 3)
+    with pytest.raises(CtxMismatch):
+        fam.Form(root, u=SparsePoly(other, [(1, 2)]))
 
 
 # --------------------------------------------------------------------------
@@ -551,11 +568,13 @@ def test_no_fibres_below_orbit_min(kernel_splits):
     assert not hasattr(fn, "fibres") and kernel_splits == [ctx]
 
 
-def test_fibres_compiled_once_per_delta_family(kernel_splits):
+def test_fibres_of_delta_family_maps():
+    # delta is the core's constant term, so it leaves the kernel alone: every
+    # map of the family has the same fibres, and each map is its own form
     ctx = make_field(5, 4)
     family, _ = transform_pair(SparsePoly(ctx, _U), 2, 2, "minus")
     f0, f7 = family.map(0), family.map(7)
-    assert f0.fibres is f7.fibres and kernel_splits == [ctx]
+    assert f0.fibres == f7.fibres
     assert all(f7(x) == _form_ref(family.form(7), x) for x in f7.fibres[0][:20])
 
 
