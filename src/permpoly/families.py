@@ -257,8 +257,8 @@ class Form:
         the core's sweep, then exp[log c0 + r*i + E*log G(w)] per value, plus
         the column exp[log c + i].  With ``u`` None and c = 0, f = c0 * x^r *
         core^E, and when the core's exponents split with t = gcd(q-1, e - e0)
-        >= 16, f is swept from a row of logs repeated with period (q-1)/t
-        (``FieldCtx._period_sweep``).  Above TABLE_LIMIT there is no sweep.
+        >= 16, ``f.cosets()`` gives the images one coset of mu_t at a time
+        (``FieldCtx._cosets``).  Above TABLE_LIMIT there is neither.
 
         With r = 0 and an affine core whose linear part has a kernel K of at
         least 16 elements, ``f.fibres`` = (reps, shifts) is set as well, on
@@ -293,7 +293,7 @@ class Form:
         lc0, lc = log[c0], log[c]
         lq = [e % n1 for e in qpows]
 
-        def columns(i0, count):  # holds no f (``FieldCtx._period_sweep``)
+        def columns(i0, count):  # holds no f (``FieldCtx._cosets``)
             ws = core_fn.sweep(i0, count)
             if u is not None:
                 ws = base = list(map(u, ws))
@@ -302,7 +302,9 @@ class Form:
             vs = [exp[(a + log[w] * E) % n1] if w else 0
                   for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
             return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
-        f.sweep = ctx._period_sweep(core._terms, columns, r, E) if u is None and not c else columns
+        f.sweep = columns
+        if u is None and not c and (cosets := ctx._cosets(core._terms, columns, r, E)):
+            f.cosets = cosets
         return f
 
     def _fibres(self):

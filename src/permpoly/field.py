@@ -41,7 +41,7 @@ TABLE_LIMIT = 1 << 16  # log/antilog tables are built lazily up to this order
 # load on the cache varied, and 0.59-0.70x over GF(2^15), GF(2^16), GF(3^10).
 LIST_TABLE_LIMIT = 1 << 14
 # A sweep that derives a whole orbit of points from one computed value (the
-# period sweep's t-th roots of unity, the fibre sweep's kernel of a linear
+# coset sweep's t-th roots of unity, the fibre sweep's kernel of a linear
 # core) is taken only when the group acting has at least this many elements:
 # below it the set-up outweighs the points it saves.
 _ORBIT_MIN = 16
@@ -650,61 +650,42 @@ class FieldCtx:
             cols.append(repeat(c0, count))
         return list(reduce(partial(map, operator.xor if self.p == 2 else self.add), cols))
 
-    def _period_sweep(self, terms, columns, r=0, E=1):
-        """A faster ``columns`` for f(x) = c0 * x^r * k(x)^E, k the polynomial
-        of the (e, c) ``terms``: ``columns(i0, count)`` = [f(g^i) for
-        i0 <= i < i0 + count] is the column sweep (``_log_sweep``).
+    def _cosets(self, terms, columns, r=0, E=1):
+        """The images of f(x) = c0 * x^r * k(x)^E on the nonzero points, one
+        block per coset g^j * mu_t, k the polynomial of the (e, c) ``terms``
+        and ``columns(i0, count)`` = [f(g^i) for i0 <= i < i0 + count].
 
-        The shape is checked when compiled and the row built on the first
-        call, so compiling evaluates nothing.  With e0 the first exponent and
-        t = gcd(q-1, e - e0 for every e), k(g^i) is g^(e0*i) times a function
-        of i mod d, d = (q-1)/t (Zieve's split), so log f(g^i) = a*i +
-        lam[i mod d], a = r + E*e0.  ``columns(0, d)`` gives a row P of logs,
-        extended to L entries, L the least multiple of d at least
-        min(256, q-1) (None where f is 0), and the run of logs from R*L is
-        [exp[x + a*R*L mod (q-1)] for x in P]: no log, mod or term per point.
-        For t < _ORBIT_MIN (16) the sweep is ``columns``, so the d values
-        computed before the first block and held in the row stay at most a
-        sixteenth of the field; so it is when the row would not repeat
-        within the field (L >= q-1), as on GF(256), where building the row
-        and reading it once costs more than the columns.  The row is not
-        taken from f's closure: a sweep holding f, as f.sweep, makes a
-        reference cycle per compile, whose garbage collection tripled the
-        cost of ``SparsePoly.rep_fn``, and a closure call costs 2 to 5 column
-        points.  Needs tables.
+        With e0 the first exponent and t = gcd(q-1, e - e0 for every e),
+        log f(g^i) = a*i + lam[i mod d], d = (q-1)/t and a = r + E*e0
+        (Zieve's split), so the coset g^j * mu_t goes onto g^P * mu_t, P =
+        log f(g^j), and its images are exp[P + a*d*R], R < t.  The returned
+        generator function reads ``columns(0, d)`` once and yields per coset
+        the slice exp[P:P + q-1:d] when gcd(a, t) = 1 (the same images,
+        another order), the exact column of stride a*d when it is not (each
+        image gcd(a, t) times), and t zeros where f(g^j) = 0.  None when
+        t < _ORBIT_MIN (16), so the d values computed up front are at most a
+        sixteenth of the field.  The generator closes over ``columns``, never
+        over f, which holds it: such a reference cycle per compile, and its
+        garbage collection, tripled the cost of ``SparsePoly.rep_fn``.
+        Needs tables.
         """
         exp, log, n1 = self._exp, self._log, self.order - 1
         e0 = terms[0][0] if terms else 0
         t = math.gcd(n1, *(e - e0 for e, _ in terms))
+        if t < _ORBIT_MIN:
+            return None
         d, a = n1 // t, (r + E * e0) % n1
-        size = -(-min(256, n1) // d) * d
-        if t < _ORBIT_MIN or size >= n1:
-            return columns
-        impl = None
+        whole = math.gcd(a, t) == 1
 
-        def period(a, row, full, i0, count):
-            out, size = [], len(row)
-            while count > 0:
-                j = i0 % size
-                k = min(size - j, count)
-                s = a * (i0 - j) % n1
-                part = row[j:j + k]
-                out += ([exp[x + s] for x in part] if full else
-                        [exp[x + s] if x is not None else 0 for x in part])
-                i0, count = i0 + k, count - k
-            return out
-
-        def sweep(i0, count):
-            nonlocal impl
-            if impl is None:
-                row = [log[y] if y else None for y in columns(0, d)]
-                while len(row) < size:  # P[j + len] = P[j] + a*len, len a multiple of d
-                    shift = a * len(row)
-                    row += [x if x is None else (x + shift) % n1
-                            for x in row[:size - len(row)]]
-                impl = partial(period, a, row, None not in row)
-            return impl(i0, count)
-        return sweep
+        def cosets():
+            for y in columns(0, d):
+                if not y:
+                    yield [0] * t
+                elif whole:
+                    yield exp[log[y]:log[y] + n1:d]
+                else:
+                    yield self._column(log[y], a * d, t)
+        return cosets
 
     def artin_schreier_table(self) -> dict:
         """Map y*y + y -> least such y, built once; used by even-degree solvers."""
@@ -993,11 +974,11 @@ class SparsePoly:
         Each term is kept as (log c, e mod (q-1)), so every power is one table
         index; the exponent-0 term is kept apart and is the value at 0.
         Characteristic 2 accumulates by XOR.  ``f.sweep(i0, count)`` gives
-        f(g^i) for i0 <= i < i0 + count: when two or more terms of nonzero
-        exponent split with t = gcd(q-1, e - e0) >= 16, from a row of logs
-        repeated with period (q-1)/t (``FieldCtx._period_sweep``), else from
-        table columns (``_log_sweep``).  Above TABLE_LIMIT this is
-        :meth:`eval_rep`, with no sweep.  Nothing is cached on the polynomial.
+        f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``);
+        when the exponents split with t = gcd(q-1, e - e0) >= 16,
+        ``f.cosets()`` gives the images one coset of mu_t at a time
+        (``FieldCtx._cosets``).  Above TABLE_LIMIT this is :meth:`eval_rep`,
+        with neither.  Nothing is cached on the polynomial.
         """
         ctx = self.ctx
         if not ctx.ensure_tables():
@@ -1015,8 +996,9 @@ class SparsePoly:
             for lc, e in terms:
                 acc = add(acc, exp[lc + lx * e % n1])
             return acc
-        columns = partial(ctx._log_sweep, c0, terms)  # one column: a slice no row beats
-        f.sweep = ctx._period_sweep(self._terms, columns) if len(terms) > 1 else columns
+        f.sweep = partial(ctx._log_sweep, c0, terms)
+        if cosets := ctx._cosets(self._terms, f.sweep):
+            f.cosets = cosets
         return f
 
     def eval(self, x: FieldElem) -> FieldElem:

@@ -5,14 +5,16 @@ integer reps, so composition closures verify without formal expansion.  A
 polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).  A form
 c0 * G(core(x)) + c*x with an affine core (F1, F6, F7, F12) is swept by the
 fibres x + K of the core's linear part, K its kernel, on any field: f is
-evaluated once per fibre and f(x + k) = f(x) + c*k gives the rest.  Other
-evaluators on a tabled field are swept in log order, in blocks of table
-columns or, for a split-shaped map x^r * h(x^t), by the period of the split.
-Both block sources feed one marking loop, and every image is still marked.
+evaluated once per fibre and f(x + k) = f(x) + c*k gives the rest.  A
+split-shaped map x^r * h(x^t) on a tabled field is swept one coset of mu_t at
+a time, each coset's images a strided slice of the antilog table; other
+evaluators on a tabled field in log order, in blocks of table columns.  Every
+block source feeds one marking loop, and every image is still marked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import time
@@ -111,16 +113,19 @@ def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
     """Exhaustively test whether f is a bijection of the whole field.
 
     Every image is computed and marked.  An evaluator with ``fibres`` is
-    swept fibre by fibre, on any field; else one with a ``sweep``, on a
-    tabled field, in log order.  The sequential scan runs from 0 when
-    neither applies or at the first repeated image, so the witness and the
-    evaluation count are always the sequential scan's.
+    swept fibre by fibre, on any field; else, on a tabled field, one with
+    ``cosets`` coset by coset after f(0), and one with a ``sweep`` in log
+    order.  The sequential scan runs from 0 when none applies or at the
+    first repeated image, so the witness and the evaluation count are
+    always the sequential scan's.
     """
     fn = _as_rep_fn(f, ctx)
     tabled = ctx.ensure_tables()
     start = time.perf_counter()
     if hasattr(fn, "fibres"):
         blocks = _fibre_blocks(fn, ctx)
+    elif tabled and hasattr(fn, "cosets"):
+        blocks = itertools.chain([(fn(0),)], fn.cosets())
     elif tabled and hasattr(fn, "sweep"):
         blocks = _log_blocks(fn, ctx.order)
     else:

@@ -79,13 +79,14 @@ def run_selftest(out) -> bool:
     ok &= _check(out, "sweep scan equals sequential scan GF(256)", same,
                  f"F4 witness={vr.witness}")
 
-    same = True  # F8's core over GF(2^12) splits with t = 63: the period sweep
-    for r, delta in ((11, 1), (5, 3)):
+    same = True  # F8's core over GF(2^12) splits with t = 63: the coset sweep
+    for r, delta in ((11, 1), (5, 3), (3, 1)):  # gcd(3, 63) > 1: a repeat in a coset
         fn = fam.evaluator("F8", {"m": 6, "r": r, "s": 3, "a": 1, "delta": delta})
         vr = replace(is_permutation(fn, make_field(2, 12)), elapsed_ms=0.0)
         witness, evals = _sequential_scan(fn, 4096)
-        same &= vr == VerifyReport("field", witness is None, witness, None, evals, 0.0)
-    ok &= _check(out, "period sweep equals sequential scan GF(4096)", same,
+        same &= hasattr(fn, "cosets") and vr == VerifyReport(
+            "field", witness is None, witness, None, evals, 0.0)
+    ok &= _check(out, "coset sweep equals sequential scan GF(4096)", same,
                  f"F8 witness={vr.witness}")
 
     same = True  # F1's core x^16 + x + delta over GF(2^12): fibres of ker = GF(16)

@@ -4,6 +4,7 @@ exactly against repaired predicates)."""
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -313,28 +314,35 @@ def log_sweeps(monkeypatch):
     return calls
 
 
-def _head_only(calls, ctx):
-    """The period sweep asks the columns once, for its row's first d values,
-    d at most a sixteenth of the field, and never per block.  On a field of
-    at most 257 elements the row (at least 256 logs) would not repeat within
-    the field, so the columns answer every block of ``swept``, from 0, 1, 8."""
-    if ctx.order <= 257:
-        assert [i0 for i0, _ in calls[:3]] == [0, 1, 8], calls
-        return
-    assert len(calls) == 1 and calls[0][0] == 0 and 16 * calls[0][1] <= ctx.order - 1, calls
+def _assert_cosets(fn, ctx, calls):
+    """``fn.cosets()`` asks the columns once, for (0, d) with 16*d <= q-1,
+    and never per block; block j holds, in some order, the closure's images
+    at g^(j + d*R), R < (q-1)/d; and f(0) with every block is, as a
+    multiset, the images of the whole field."""
+    del calls[:]
+    blocks = [list(b) for b in fn.cosets()]
+    d = len(blocks)
+    assert calls == [(0, d)] and 16 * d <= ctx.order - 1, calls
+    want = [fn(x) for x in log_order_points(ctx)]
+    for j, block in enumerate(blocks):
+        assert sorted(block) == sorted(want[j::d]), j
+    images = Counter([fn(0)] + [y for block in blocks for y in block])
+    assert images == Counter(fn(x) for x in range(ctx.order))
 
 
-# split-shaped evaluators, t = gcd(q-1, e - e0) >= 16: the period sweep
+# split-shaped evaluators, t = gcd(q-1, e - e0) >= 16: the coset sweep; with
+# a = r + E*e0, gcd(a, t) = 1 gives each coset's images as one slice, and
+# gcd(a, t) > 1 as the exact column, each image gcd(a, t) times
 _PERIODIC = [
     ("F3", {"m": 8, "c": 7}),  # t = 255
     ("F4", {"m": 8, "b": 7}),  # t = 21845, d = 3
-    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}),
+    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}),  # a = 3, t = 255: gcd 3
     ("F8", {"m": 8, "r": 7, "s": 3, "a": 1, "delta": 3}),
-    ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}),  # f(1) = 0: zeros in the row
-    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}),  # GF(256), t = 17: columns
+    ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}),  # f(1) = 0: a coset of zeros
+    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}),  # GF(256), t = 17, d = 15
     ("F10", {"m": 5, "r": 1, "s": 1, "a": 5, "b": 1}),  # GF(2^15), t = 31
     ("F11", {"m": 5, "r": 1, "s": 1, "a": 3, "b": 1, "delta": 2}),
-    ("F9", {"m": 6, "r": 5, "s": 3, "a": 6, "delta": 7}),  # GF(2^12), t = 65: a row of 315
+    ("F9", {"m": 6, "r": 5, "s": 3, "a": 6, "delta": 7}),  # GF(2^12), t = 65, a = 5: gcd 5
 ]
 
 
@@ -342,8 +350,9 @@ _PERIODIC = [
                          ids=[f"{c[0]}-params{i}" for i, c in enumerate(_PERIODIC)])
 def test_period_sweep_matches_closure(fid, params, log_sweeps):
     ctx = fam.family_ctx(fid, params)
-    _assert_sweep_is_closure(fam.evaluator(fid, params, ctx=ctx), ctx)
-    _head_only(log_sweeps, ctx)
+    fn = fam.evaluator(fid, params, ctx=ctx)
+    _assert_sweep_is_closure(fn, ctx)
+    _assert_cosets(fn, ctx, log_sweeps)
 
 
 def _period_shapes(ctx):
@@ -355,16 +364,17 @@ def _period_shapes(ctx):
         ("alpha-not-r", fam.Form(SparsePoly(ctx, [(g, 3), (1, 3 + 2 * t)]), 5, r=2)),
         ("monomial-form", fam.Form(SparsePoly(ctx, [(g, 3)]), 2, r=1)),  # d = 1
         ("two-terms", SparsePoly(ctx, [(g, 3), (1, 3 + t)])),
-        # core = x * (x^t - 1) vanishes where x^t = 1: zeros in the row
+        # core = x * (x^t - 1) vanishes where x^t = 1: a coset of zeros
         ("zeros", fam.Form(SparsePoly(ctx, [(ctx.neg(1), 1), (1, 1 + t)]), 2, r=1, c0=g)),
     ]
 
 
 @pytest.mark.parametrize("p,k", [(2, 16), (3, 5), (5, 4)])
 def test_period_sweep_shapes(p, k, log_sweeps):
-    # GF(3^5) has q-1 = 242 = 2 * 11^2: t = 22, d = 11, odd characteristic,
-    # where a row would span the field, so the columns stay; GF(5^4) has
-    # q-1 = 624: t = 48, d = 13, a row of 260
+    # GF(3^5) has q-1 = 242 = 2 * 11^2: t = 22, d = 11, odd characteristic;
+    # GF(5^4) has q-1 = 624: t = 48, d = 13.  Over GF(2^16) (t = 255) a = 17
+    # (alpha-not-r) and a = 3 (two-terms, zeros) share a factor with t, as
+    # a = 3 does with t = 48 over GF(5^4)
     ctx = make_field(p, k)
     ctx.ensure_tables()
     for name, f in _period_shapes(ctx):
@@ -372,15 +382,14 @@ def test_period_sweep_shapes(p, k, log_sweeps):
         if isinstance(f, fam.Form):
             assert [fn(x) for x in range(0, ctx.order, 97)] == \
                 [_form_ref(f, x) for x in range(0, ctx.order, 97)], name
-        del log_sweeps[:]
         _assert_sweep_is_closure(fn, ctx)
-        _head_only(log_sweeps, ctx)
+        _assert_cosets(fn, ctx, log_sweeps)
 
 
 def test_column_sweep_kept(log_sweeps):
-    # F1, F2 and F6 are not split-shaped (d = q-1, c != 0 or u set),
-    # x^3 + 1 over GF(2^16) has t = 3, below 16, and a polynomial with one
-    # nonconstant term is one column: all sweep by columns
+    # every evaluator sweeps by columns; F1, F2 and F6 are not split-shaped
+    # (d = q-1, c != 0 or u set) and x^3 + 1 over GF(2^16) has t = 3, below
+    # 16, so they have no cosets, while a monomial is one coset (d = 1)
     ctx = make_field(2, 16)
     cases = [fam.evaluator("F1", {"m": 5, "delta": 1234, "c": 624}),
              fam.evaluator("F2", {"m": 5, "c": 844}),
@@ -391,6 +400,7 @@ def test_column_sweep_kept(log_sweeps):
         del log_sweeps[:]
         fn.sweep(5, 300)
         assert log_sweeps == [(5, 300)]
+    assert [hasattr(fn, "cosets") for fn in cases] == [False] * 4 + [True]
 
 
 @pytest.mark.parametrize("fid,params", [

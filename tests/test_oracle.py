@@ -24,7 +24,7 @@ from permpoly import (
 from permpoly import families as fam
 from permpoly import oracle
 
-from helpers import naive_split_map
+from helpers import brute_is_permutation, naive_split_map
 
 
 def test_identity_and_frobenius_are_permutations():
@@ -408,11 +408,11 @@ def _same_as_sequential(f, ctx):
     ("F3", {"m": 8, "c": 7}, None),                   # array tables
     ("F1", {"m": 5, "delta": 77, "c": 1131}, None),   # a Form on array tables
     ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}, (0, 1)),  # f(0) collides
-    ("F4", {"m": 8, "b": 7}, (497, 532)),             # a collision in the first block
+    ("F4", {"m": 8, "b": 7}, (497, 532)),             # a collision across cosets
     ("F4", {"m": 4, "b": 7}, (12, 18)),
     ("F12", {"p": 3, "k": 5, "step": 1, "sign": "minus", "g": ((1, 3),), "c": 2,
              "delta": 5}, None),
-    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}, (161, 268)),  # a period sweep's collision
+    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}, (161, 268)),  # one inside a coset
 ])
 def test_sweep_scan_matches_sequential(fid, params, witness):
     ctx = fam.family_ctx(fid, params)
@@ -463,6 +463,49 @@ def test_sweep_scan_image_out_of_range_as_sequential():
     with pytest.raises(ImageOutOfRange) as exc:
         is_permutation(fn, small)
     assert (exc.value.x, exc.value.y) == (seq.value.x, seq.value.y) == (8, 24)
+
+
+def _split_shaped(ctx, rng):
+    """Maps x^r * h(x^t) with t >= 16, as (map, t, a): F4-like
+    x^(D+1) + b*x with D = (q-1)/3 (d = 3) at every b up to GF(256), at 32
+    random b above it, then random polynomials and forms c0 * x^r * core^E
+    whose exponents agree mod a divisor t of q-1 (a = r + E*e0, e0 the
+    least core exponent)."""
+    n1, q = ctx.order - 1, ctx.order
+    out = []
+    if n1 % 3 == 0 and n1 // 3 >= 16:
+        bs = range(q) if q <= 256 else rng.sample(range(q), 32)
+        out += [(SparsePoly(ctx, [(1, n1 // 3 + 1), (b, 1)]), n1 // 3, 1) for b in bs]
+    for t in [t for t in range(16, n1) if n1 % t == 0][-3:]:
+        for _ in range(12):
+            e0 = rng.randrange(n1)
+            exps = sorted({e0} | {e0 + t * rng.randrange(1, n1 // t) for _ in range(2)})
+            core = SparsePoly(ctx, [(rng.randrange(1, q), e) for e in exps])
+            if rng.random() < 0.5:
+                out.append((core, t, e0))
+            else:
+                E, r = rng.randrange(1, 6), rng.randrange(n1)
+                out.append((fam.Form(core, E, r=r, c0=rng.randrange(1, q)), t, r + E * e0))
+    return out
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (2, 8), (2, 10), (2, 12), (3, 5), (5, 4)])
+def test_coset_scan_matches_sequential_and_brute(p, k):
+    # a non-permutation collides across cosets when gcd(a, t) = 1 and no
+    # coset maps to 0, and inside a coset (g^j and g^(j + d*t/gcd(a, t)))
+    # when gcd(a, t) > 1; every kind is met on every field
+    ctx = make_field(p, k)
+    ctx.ensure_tables()
+    kinds = set()
+    for f, t, a in _split_shaped(ctx, random.Random(100 * p + k)):
+        fn = f.rep_fn()
+        assert hasattr(fn, "cosets")
+        vr = _same_as_sequential(fn, ctx)
+        assert vr.is_permutation == brute_is_permutation(fn, ctx.order)
+        zero = 0 in map(fn, range(1, ctx.order))  # a whole coset goes to 0
+        kinds.add("permutation" if vr.is_permutation else "inside" if math.gcd(a, t) > 1
+                  else "zero" if zero else "across")
+    assert kinds >= {"permutation", "inside", "across"}
 
 
 # --------------------------------------------------------------------------
