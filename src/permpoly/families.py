@@ -203,8 +203,9 @@ class Form:
     G(y) = (w + w^q + ... + w^(q^(n-1)))^E with w = u(y).  ``u`` = None
     stands for u(y) = y, so G is the power y^E; with a sparse polynomial u
     over the core's field and n = 1, G is u^E; n > 1 gives the q-power sum
-    of u, q a power of p.  ``c0`` is a nonzero element and E >= 1; a form
-    outside that domain raises ValueError (CtxMismatch for u) when made.
+    of u, q a power of p.  ``c0`` is a nonzero element, ``c`` an element,
+    E >= 1 and r >= 0; a form outside that domain raises ValueError
+    (CtxMismatch for u) when made.
     """
 
     core: SparsePoly
@@ -218,8 +219,9 @@ class Form:
 
     def __post_init__(self):
         ctx = self.core.ctx
-        if self.E < 1 or not 0 < self.c0 < ctx.order:
-            raise ValueError(f"need E >= 1 and c0 nonzero, got E = {self.E}, c0 = {self.c0}")
+        if self.E < 1 or self.r < 0 or not 0 < self.c0 < ctx.order or not 0 <= self.c < ctx.order:
+            raise ValueError(f"need E >= 1, r >= 0, c0 nonzero and c an element, got "
+                             f"E = {self.E}, r = {self.r}, c0 = {self.c0}, c = {self.c}")
         if self.n > 1 and (self.q < 1 or ctx.p ** round(math.log(self.q, ctx.p)) != self.q):
             raise ValueError(f"q = {self.q} is not a power of p = {ctx.p}")
         if self.u is not None and self.u.ctx is not ctx:
@@ -255,14 +257,15 @@ class Form:
         ``ctx`` arithmetic, on every field.  On a tabled field
         ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count: w from
         the core's sweep, then exp[log c0 + r*i + E*log G(w)] per value, plus
-        the column exp[log c + i].  With ``u`` None and c = 0, f = c0 * x^r *
-        core^E, and when the core's exponents split with t = gcd(q-1, e - e0)
-        >= 16, ``f.cosets()`` gives the images one coset of mu_t at a time
-        (``FieldCtx._cosets``).  Above TABLE_LIMIT there is neither.
+        the column exp[log c + i].  Above TABLE_LIMIT there is no sweep.
 
-        With r = 0 and an affine core whose linear part has a kernel K of at
-        least 16 elements, ``f.fibres`` = (reps, shifts) is set as well, on
-        every field: f(x + k) = f(x) + c*k for k in K (``_fibres``).
+        ``f.blocks(f)`` gives all of f's images in blocks.  With r = 0 and an
+        affine core whose linear part has a kernel K of at least 16 elements,
+        on every field, these are the fibres x + K: f(x + k) = f(x) + c*k for
+        k in K (``_fibres``).  Else, on a tabled field, they come from the
+        sweep (``FieldCtx._blocks``): one coset of mu_t at a time when ``u``
+        is None, c = 0 (so f = c0 * x^r * core^E) and the core's exponents
+        split with t = gcd(q-1, e - e0) >= 16, otherwise in log order.
         """
         core, ctx = self.core, self.core.ctx
         core_fn = core.rep_fn()
@@ -284,16 +287,22 @@ class Form:
             return ctx.add(v, ctx.mul(c, x)) if c else v
         f0 = f(0)  # once per compile: each scan starts at 0
 
-        if fibres := self._fibres():
-            f.fibres = fibres
+        add = operator.xor if ctx.p == 2 else ctx.add
+        if split := self._fibres():
+            reps, shifts = split
+
+            def fibres(f):  # f at the reps only, f(x + k) = f(x) + c*k the rest
+                for x in reps:
+                    y = f(x)
+                    yield [y ^ s for s in shifts] if ctx.p == 2 else [add(y, s) for s in shifts]
+            f.blocks = fibres
         if not ctx.ensure_tables():
             return f
         exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
-        add = operator.xor if ctx.p == 2 else ctx.add
         lc0, lc = log[c0], log[c]
         lq = [e % n1 for e in qpows]
 
-        def columns(i0, count):  # holds no f (``FieldCtx._cosets``)
+        def columns(i0, count):  # holds no f (``FieldCtx._blocks``)
             ws = core_fn.sweep(i0, count)
             if u is not None:
                 ws = base = list(map(u, ws))
@@ -303,12 +312,12 @@ class Form:
                   for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
             return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
         f.sweep = columns
-        if u is None and not c and (cosets := ctx._cosets(core._terms, columns, r, E)):
-            f.cosets = cosets
+        if not split:
+            f.blocks = ctx._blocks(columns, core._terms if u is None and not c else None, r, E)
         return f
 
     def _fibres(self):
-        """(reps, shifts) of the fibre sweep, or None.
+        """(reps, shifts) of the fibre blocks, or None.
 
         With r = 0 and every nonconstant core exponent a power of p, core =
         k0 + lam with lam GF(p)-linear, so f(x + k) = f(x) + c*k for every k
@@ -647,9 +656,11 @@ class DeltaFamily:
 
         ``form(delta).expand()`` is its literal polynomial (may be large).
         """
-        if isinstance(delta, FieldElem):
-            delta = delta.rep
         ctx = self.ctx
+        if isinstance(delta, FieldElem):
+            if delta.ctx is not ctx:
+                raise CtxMismatch("delta from a different context")
+            delta = delta.rep
         xc = 1 if self.sign == "plus" else ctx.neg(1)
         return Form(SparsePoly(ctx, [(1, self._qk), (xc, 1), (delta, 0)]), u=self.g, c=self.c)
 

@@ -40,8 +40,8 @@ TABLE_LIMIT = 1 << 16  # log/antilog tables are built lazily up to this order
 # list time over GF(2^8..2^12), 0.86-1.30x over GF(2^13), GF(2^14) as other
 # load on the cache varied, and 0.59-0.70x over GF(2^15), GF(2^16), GF(3^10).
 LIST_TABLE_LIMIT = 1 << 14
-# A sweep that derives a whole orbit of points from one computed value (the
-# coset sweep's t-th roots of unity, the fibre sweep's kernel of a linear
+# A block source that derives a whole orbit of points from one computed
+# value (the cosets' t-th roots of unity, the fibres' kernel of a linear
 # core) is taken only when the group acting has at least this many elements:
 # below it the set-up outweighs the points it saves.
 _ORBIT_MIN = 16
@@ -650,41 +650,49 @@ class FieldCtx:
             cols.append(repeat(c0, count))
         return list(reduce(partial(map, operator.xor if self.p == 2 else self.add), cols))
 
-    def _cosets(self, terms, columns, r=0, E=1):
-        """The images of f(x) = c0 * x^r * k(x)^E on the nonzero points, one
-        block per coset g^j * mu_t, k the polynomial of the (e, c) ``terms``
-        and ``columns(i0, count)`` = [f(g^i) for i0 <= i < i0 + count].
+    def _blocks(self, columns, terms=None, r=0, E=1):
+        """The block source of an evaluator f on this tabled field: a
+        generator function ``blocks(f)`` whose blocks hold f's images over
+        the whole field once, f(0) first, with ``columns(i0, count)`` =
+        [f(g^i) for i0 <= i < i0 + count].
 
-        With e0 the first exponent and t = gcd(q-1, e - e0 for every e),
-        log f(g^i) = a*i + lam[i mod d], d = (q-1)/t and a = r + E*e0
-        (Zieve's split), so the coset g^j * mu_t goes onto g^P * mu_t, P =
-        log f(g^j), and its images are exp[P + a*d*R], R < t.  The returned
-        generator function reads ``columns(0, d)`` once and yields per coset
-        the slice exp[P:P + q-1:d] when gcd(a, t) = 1 (the same images,
-        another order), the exact column of stride a*d when it is not (each
-        image gcd(a, t) times), and t zeros where f(g^j) = 0.  None when
-        t < _ORBIT_MIN (16), so the d values computed up front are at most a
-        sixteenth of the field.  The generator closes over ``columns``, never
-        over f, which holds it: such a reference cycle per compile, and its
-        garbage collection, tripled the cost of ``SparsePoly.rep_fn``.
-        Needs tables.
+        ``cosets`` when f = c0 * x^r * k(x)^E, k the polynomial of the (e, c)
+        ``terms``, and t = gcd(q-1, e - e0 for every e) >= _ORBIT_MIN (16),
+        e0 the first exponent.  Then log f(g^i) = a*i + lam[i mod d], d =
+        (q-1)/t and a = r + E*e0 (Zieve's split), so the coset g^j * mu_t
+        goes into g^P * mu_t, P = log f(g^j).  ``cosets`` reads the head
+        ``columns(0, d)`` once, at most a sixteenth of the field.  f repeats
+        an image when gcd(a, t) > 1, when a head value is 0 (its coset goes
+        to 0) or when two labels P mod d agree (two cosets go into one): then
+        it yields no block, and the sequential scan finds the repeat.  Else
+        each coset's images are the slice exp[P:P + q-1:d], in another order.
+
+        Otherwise ``log_order``: the columns in blocks growing from 256 to
+        4096 logs.  Neither closes over f, which holds it: such a reference
+        cycle per compile, and its garbage collection, tripled the cost of
+        ``SparsePoly.rep_fn``.  Needs tables.
         """
         exp, log, n1 = self._exp, self._log, self.order - 1
         e0 = terms[0][0] if terms else 0
-        t = math.gcd(n1, *(e - e0 for e, _ in terms))
+        t = 0 if terms is None else math.gcd(n1, *(e - e0 for e, _ in terms))
         if t < _ORBIT_MIN:
-            return None
+            def log_order(f):
+                yield (f(0),)
+                i, block = 0, 256
+                while i < n1:
+                    count = min(block, n1 - i)
+                    yield columns(i, count)
+                    i += count
+                    block = min(2 * block, 4096)
+            return log_order
         d, a = n1 // t, (r + E * e0) % n1
-        whole = math.gcd(a, t) == 1
 
-        def cosets():
-            for y in columns(0, d):
-                if not y:
-                    yield [0] * t
-                elif whole:
+        def cosets(f):
+            head = columns(0, d)
+            if math.gcd(a, t) == 1 and all(head) and len({log[y] % d for y in head}) == d:
+                yield (f(0),)
+                for y in head:
                     yield exp[log[y]:log[y] + n1:d]
-                else:
-                    yield self._column(log[y], a * d, t)
         return cosets
 
     def artin_schreier_table(self) -> dict:
@@ -974,11 +982,11 @@ class SparsePoly:
         Each term is kept as (log c, e mod (q-1)), so every power is one table
         index; the exponent-0 term is kept apart and is the value at 0.
         Characteristic 2 accumulates by XOR.  ``f.sweep(i0, count)`` gives
-        f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``);
-        when the exponents split with t = gcd(q-1, e - e0) >= 16,
-        ``f.cosets()`` gives the images one coset of mu_t at a time
-        (``FieldCtx._cosets``).  Above TABLE_LIMIT this is :meth:`eval_rep`,
-        with neither.  Nothing is cached on the polynomial.
+        f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``),
+        and ``f.blocks(f)`` gives all of f's images, one coset of mu_t at a
+        time when the exponents split with t = gcd(q-1, e - e0) >= 16, else
+        in log order (``FieldCtx._blocks``).  Above TABLE_LIMIT this is
+        :meth:`eval_rep`, with neither.  Nothing is cached on the polynomial.
         """
         ctx = self.ctx
         if not ctx.ensure_tables():
@@ -997,8 +1005,7 @@ class SparsePoly:
                 acc = add(acc, exp[lc + lx * e % n1])
             return acc
         f.sweep = partial(ctx._log_sweep, c0, terms)
-        if cosets := ctx._cosets(self._terms, f.sweep):
-            f.cosets = cosets
+        f.blocks = ctx._blocks(f.sweep, self._terms)
         return f
 
     def eval(self, x: FieldElem) -> FieldElem:

@@ -2,19 +2,15 @@
 
 Maps are accepted either as :class:`SparsePoly` or as plain callables on
 integer reps, so composition closures verify without formal expansion.  A
-polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).  A form
-c0 * G(core(x)) + c*x with an affine core (F1, F6, F7, F12) is swept by the
-fibres x + K of the core's linear part, K its kernel, on any field: f is
-evaluated once per fibre and f(x + k) = f(x) + c*k gives the rest.  A
-split-shaped map x^r * h(x^t) on a tabled field is swept one coset of mu_t at
-a time, each coset's images a strided slice of the antilog table; other
-evaluators on a tabled field in log order, in blocks of table columns.  Every
-block source feeds one marking loop, and every image is still marked.
+polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).  A compiled
+evaluator f carries ``f.blocks``, a generator function whose ``blocks(f)``
+yields f's images in blocks that cover the field once; the compiler chose
+their source.  Every block feeds one marking loop, every image is still
+marked, and the sequential scan from 0 decides the report at any repeat.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import time
@@ -82,55 +78,19 @@ def _injective(blocks, order):
     return seen.count(1) == order
 
 
-def _log_blocks(fn, order):
-    """f(0), then f(g^i) for i < order - 1 from ``fn.sweep``, in blocks
-    growing from 256 to 4096 logs."""
-    yield (fn(0),)
-    i, block, n1 = 0, 256, order - 1
-    while i < n1:
-        count = min(block, n1 - i)
-        yield fn.sweep(i, count)
-        i += count
-        block = min(2 * block, 4096)
-
-
-def _fibre_blocks(fn, ctx):
-    """One block per fibre x + K of ``fn.fibres`` = (reps, shifts): f is
-    called at the rep x only, and f(x + k) = f(x) + c*k gives the rest."""
-    reps, shifts = fn.fibres
-    if ctx.p == 2:
-        for x in reps:
-            y = fn(x)
-            yield [y ^ s for s in shifts]
-    else:
-        add = ctx.add
-        for x in reps:
-            y = fn(x)
-            yield [add(y, s) for s in shifts]
-
-
 def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
     """Exhaustively test whether f is a bijection of the whole field.
 
-    Every image is computed and marked.  An evaluator with ``fibres`` is
-    swept fibre by fibre, on any field; else, on a tabled field, one with
-    ``cosets`` coset by coset after f(0), and one with a ``sweep`` in log
-    order.  The sequential scan runs from 0 when none applies or at the
-    first repeated image, so the witness and the evaluation count are
-    always the sequential scan's.
+    Every image is computed and marked: from ``f.blocks(f)`` when f carries
+    a block source, else by the sequential scan from 0.  The sequential scan
+    also runs at the first repeated image or when the blocks fall short, so
+    the witness and the evaluation count are always the sequential scan's.
     """
     fn = _as_rep_fn(f, ctx)
-    tabled = ctx.ensure_tables()
+    ctx.ensure_tables()
     start = time.perf_counter()
-    if hasattr(fn, "fibres"):
-        blocks = _fibre_blocks(fn, ctx)
-    elif tabled and hasattr(fn, "cosets"):
-        blocks = itertools.chain([(fn(0),)], fn.cosets())
-    elif tabled and hasattr(fn, "sweep"):
-        blocks = _log_blocks(fn, ctx.order)
-    else:
-        blocks = None
-    if blocks is not None and _injective(blocks, ctx.order):
+    blocks = getattr(fn, "blocks", None)
+    if blocks is not None and _injective(blocks(fn), ctx.order):
         witness, evals = None, ctx.order
     else:
         witness, evals = _sequential_scan(fn, ctx.order)
@@ -175,7 +135,7 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# multiplicative-coset (Zieve) splitting: f(x) = x^r * h(x^((q-1)/d))
+# multiplicative (Zieve) splitting: f(x) = x^r * h(x^((q-1)/d))
 # ---------------------------------------------------------------------------
 
 def zieve_split(f: SparsePoly, d: int) -> tuple[int, SparsePoly]:
@@ -226,7 +186,7 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     TABLE_LIMIT the subgroup is swept by index: point j is w^j with w = g^t,
     and every power y^e is the lookup ``mu[j * e % d]``.  A coefficient
     c != 1 multiplies through ``ctx._scaler(c)`` and h(y)^t is
-    ``ctx._power(t)``, both chosen once per sweep; h(y)^t lies in the
+    ``ctx._power(t)``, both chosen once per call; h(y)^t lies in the
     subgroup, so the image is ``mu[(j*r + index[h(y)^t]) % d]``.
     """
     ctx = f.ctx

@@ -69,35 +69,27 @@ def run_selftest(out) -> bool:
                  not vr.is_permutation and vr.witness is not None
                  and vr.witness[0] != vr.witness[1])
 
-    same = True
-    for fid, params in (("F3", {"m": 4, "c": 1}), ("F4", {"m": 4, "b": 7})):
-        fn = fam.evaluator(fid, params)
-        vr = replace(is_permutation(fn, make_field(2, 8)), elapsed_ms=0.0)
-        witness, evals = _sequential_scan(fn, 256)
-        same &= hasattr(fn, "sweep") and vr == VerifyReport(
-            "field", witness is None, witness, None, evals, 0.0)
-    ok &= _check(out, "sweep scan equals sequential scan GF(256)", same,
-                 f"F4 witness={vr.witness}")
-
-    same = True  # F8's core over GF(2^12) splits with t = 63: the coset sweep
-    for r, delta in ((11, 1), (5, 3), (3, 1)):  # gcd(3, 63) > 1: a repeat in a coset
-        fn = fam.evaluator("F8", {"m": 6, "r": r, "s": 3, "a": 1, "delta": delta})
-        vr = replace(is_permutation(fn, make_field(2, 12)), elapsed_ms=0.0)
-        witness, evals = _sequential_scan(fn, 4096)
-        same &= hasattr(fn, "cosets") and vr == VerifyReport(
-            "field", witness is None, witness, None, evals, 0.0)
-    ok &= _check(out, "coset sweep equals sequential scan GF(4096)", same,
-                 f"F8 witness={vr.witness}")
-
-    same = True  # F1's core x^16 + x + delta over GF(2^12): fibres of ker = GF(16)
-    for c in (1, 2):  # c = 2 lies outside GF(16): no permutation
-        fn = fam.evaluator("F1", {"m": 4, "delta": 5, "c": c})
-        vr = replace(is_permutation(fn, make_field(2, 12)), elapsed_ms=0.0)
-        witness, evals = _sequential_scan(fn, 4096)
-        same &= hasattr(fn, "fibres") and vr == VerifyReport(
-            "field", witness is None, witness, None, evals, 0.0)
-    ok &= _check(out, "fibre sweep equals sequential scan GF(4096)", same,
-                 f"F1 witness={vr.witness}")
+    scans = (  # (check, GF(2^k), cases of (fid, params, block source)), each
+        # report the sequential scan's; F4's D + 1 and 1 agree mod t = 85
+        ("sweep scan equals sequential scan GF(256)", 8,
+         [("F3", {"m": 4, "c": 1}, "log_order"), ("F4", {"m": 4, "b": 7}, "cosets")]),
+        # F8's core over GF(2^12) splits with t = 63; gcd(3, 63) > 1 repeats in a coset
+        ("coset sweep equals sequential scan GF(4096)", 12,
+         [("F8", {"m": 6, "r": r, "s": 3, "a": 1, "delta": delta}, "cosets")
+          for r, delta in ((11, 1), (5, 3), (3, 1))]),
+        # F1's core x^16 + x + delta: fibres of ker = GF(16); c = 2 lies outside it
+        ("fibre sweep equals sequential scan GF(4096)", 12,
+         [("F1", {"m": 4, "delta": 5, "c": c}, "fibres") for c in (1, 2)]),
+    )
+    for name, k, cases in scans:
+        ctx, same = make_field(2, k), True
+        for fid, params, source in cases:
+            fn = fam.evaluator(fid, params)
+            vr = replace(is_permutation(fn, ctx), elapsed_ms=0.0)
+            witness, evals = _sequential_scan(fn, ctx.order)
+            same &= fn.blocks.__name__ == source and vr == VerifyReport(
+                "field", witness is None, witness, None, evals, 0.0)
+        ok &= _check(out, name, same, f"{fid} witness={vr.witness}")
 
     ctx256 = make_field(2, 8)
     poly = fam.build("F3", {"m": 4, "c": 5})

@@ -24,6 +24,7 @@ from permpoly import (
     transform_pair,
 )
 from permpoly import families as fam
+from permpoly import oracle
 
 from helpers import (
     brute_is_permutation,
@@ -315,44 +316,58 @@ def log_sweeps(monkeypatch):
 
 
 def _assert_cosets(fn, ctx, calls):
-    """``fn.cosets()`` asks the columns once, for (0, d) with 16*d <= q-1,
-    and never per block; block j holds, in some order, the closure's images
-    at g^(j + d*R), R < (q-1)/d; and f(0) with every block is, as a
-    multiset, the images of the whole field."""
+    """``fn.blocks`` is the coset source, and ``fn.blocks(fn)`` asks the
+    columns once, for (0, d) with 16*d <= q-1, and never per block.  When f
+    repeats no image on the nonzero points and sends none to 0, it yields
+    (f(0),), then per coset j a block holding, in some order, the closure's
+    images at g^(j + d*R), R < (q-1)/d; all blocks are, as a multiset, the
+    images of the whole field.  Otherwise it yields no block, and
+    ``is_permutation`` gives the sequential scan's report.  Returns whether
+    blocks came."""
+    assert fn.blocks.__name__ == "cosets"
     del calls[:]
-    blocks = [list(b) for b in fn.cosets()]
-    d = len(blocks)
-    assert calls == [(0, d)] and 16 * d <= ctx.order - 1, calls
+    blocks = [list(b) for b in fn.blocks(fn)]
+    assert len(calls) == 1 and calls[0][0] == 0, calls
+    d = calls[0][1]
+    assert 16 * d <= ctx.order - 1, calls
     want = [fn(x) for x in log_order_points(ctx)]
-    for j, block in enumerate(blocks):
+    if 0 in want or len(set(want)) < len(want):
+        assert blocks == []
+        vr = is_permutation(fn, ctx)
+        assert (vr.witness, vr.evaluations) == oracle._sequential_scan(fn, ctx.order)
+        return False
+    assert blocks[0] == [fn(0)] and len(blocks) == d + 1
+    for j, block in enumerate(blocks[1:]):
         assert sorted(block) == sorted(want[j::d]), j
-    images = Counter([fn(0)] + [y for block in blocks for y in block])
+    images = Counter(y for block in blocks for y in block)
     assert images == Counter(fn(x) for x in range(ctx.order))
+    return True
 
 
-# split-shaped evaluators, t = gcd(q-1, e - e0) >= 16: the coset sweep; with
-# a = r + E*e0, gcd(a, t) = 1 gives each coset's images as one slice, and
-# gcd(a, t) > 1 as the exact column, each image gcd(a, t) times
+# split-shaped evaluators, t = gcd(q-1, e - e0) >= 16: the coset source;
+# with a = r + E*e0, gcd(a, t) = 1, no zero f(g^j) and distinct labels
+# log f(g^j) mod d for j < d give each coset's images as one slice (blocks
+# True); a repeat shown by the head gives no block at all (False)
 _PERIODIC = [
-    ("F3", {"m": 8, "c": 7}),  # t = 255
-    ("F4", {"m": 8, "b": 7}),  # t = 21845, d = 3
-    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}),  # a = 3, t = 255: gcd 3
-    ("F8", {"m": 8, "r": 7, "s": 3, "a": 1, "delta": 3}),
-    ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}),  # f(1) = 0: a coset of zeros
-    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}),  # GF(256), t = 17, d = 15
-    ("F10", {"m": 5, "r": 1, "s": 1, "a": 5, "b": 1}),  # GF(2^15), t = 31
-    ("F11", {"m": 5, "r": 1, "s": 1, "a": 3, "b": 1, "delta": 2}),
-    ("F9", {"m": 6, "r": 5, "s": 3, "a": 6, "delta": 7}),  # GF(2^12), t = 65, a = 5: gcd 5
+    ("F3", {"m": 8, "c": 7}, True),  # t = 255
+    ("F4", {"m": 8, "b": 7}, False),  # t = 21845, d = 3: two labels agree
+    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}, False),  # a = 3, t = 255: gcd 3
+    ("F8", {"m": 8, "r": 7, "s": 3, "a": 1, "delta": 3}, True),
+    ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}, False),  # f(1) = 0: a coset of zeros
+    ("F9", {"m": 4, "r": 4, "s": 3, "a": 6, "delta": 7}, False),  # GF(256), t = 17, d = 15
+    ("F10", {"m": 5, "r": 1, "s": 1, "a": 5, "b": 1}, True),  # GF(2^15), t = 31
+    ("F11", {"m": 5, "r": 1, "s": 1, "a": 3, "b": 1, "delta": 2}, True),
+    ("F9", {"m": 6, "r": 5, "s": 3, "a": 6, "delta": 7}, False),  # GF(2^12), t = 65, a = 5: gcd 5
 ]
 
 
-@pytest.mark.parametrize("fid,params", _PERIODIC,
+@pytest.mark.parametrize("fid,params,blocks", _PERIODIC,
                          ids=[f"{c[0]}-params{i}" for i, c in enumerate(_PERIODIC)])
-def test_period_sweep_matches_closure(fid, params, log_sweeps):
+def test_period_sweep_matches_closure(fid, params, blocks, log_sweeps):
     ctx = fam.family_ctx(fid, params)
     fn = fam.evaluator(fid, params, ctx=ctx)
     _assert_sweep_is_closure(fn, ctx)
-    _assert_cosets(fn, ctx, log_sweeps)
+    assert _assert_cosets(fn, ctx, log_sweeps) == blocks
 
 
 def _period_shapes(ctx):
@@ -374,22 +389,26 @@ def test_period_sweep_shapes(p, k, log_sweeps):
     # GF(3^5) has q-1 = 242 = 2 * 11^2: t = 22, d = 11, odd characteristic;
     # GF(5^4) has q-1 = 624: t = 48, d = 13.  Over GF(2^16) (t = 255) a = 17
     # (alpha-not-r) and a = 3 (two-terms, zeros) share a factor with t, as
-    # a = 3 does with t = 48 over GF(5^4)
+    # a = 3 does with t = 48 over GF(5^4); only the monomial (d = 1) is
+    # swept by a coset block, the others repeat an image by their head
     ctx = make_field(p, k)
     ctx.ensure_tables()
+    blocks = {}
     for name, f in _period_shapes(ctx):
         fn = f.rep_fn()
         if isinstance(f, fam.Form):
             assert [fn(x) for x in range(0, ctx.order, 97)] == \
                 [_form_ref(f, x) for x in range(0, ctx.order, 97)], name
         _assert_sweep_is_closure(fn, ctx)
-        _assert_cosets(fn, ctx, log_sweeps)
+        blocks[name] = _assert_cosets(fn, ctx, log_sweeps)
+    assert [name for name, b in blocks.items() if b] == ["monomial-form"]
 
 
 def test_column_sweep_kept(log_sweeps):
     # every evaluator sweeps by columns; F1, F2 and F6 are not split-shaped
     # (d = q-1, c != 0 or u set) and x^3 + 1 over GF(2^16) has t = 3, below
-    # 16, so they have no cosets, while a monomial is one coset (d = 1)
+    # 16, so they take no coset blocks (F1 and F6 take their fibres, the
+    # others log order), while a monomial is one coset (d = 1)
     ctx = make_field(2, 16)
     cases = [fam.evaluator("F1", {"m": 5, "delta": 1234, "c": 624}),
              fam.evaluator("F2", {"m": 5, "c": 844}),
@@ -400,7 +419,8 @@ def test_column_sweep_kept(log_sweeps):
         del log_sweeps[:]
         fn.sweep(5, 300)
         assert log_sweeps == [(5, 300)]
-    assert [hasattr(fn, "cosets") for fn in cases] == [False] * 4 + [True]
+    assert [fn.blocks.__name__ for fn in cases] == \
+        ["fibres", "log_order", "fibres", "log_order", "cosets"]
 
 
 @pytest.mark.parametrize("fid,params", [
@@ -485,6 +505,12 @@ def test_form_edge_cases(p, k):
     other = make_field(3 if p == 2 else 2, 3)
     with pytest.raises(CtxMismatch):
         fam.Form(root, u=SparsePoly(other, [(1, 2)]))
+    # c outside [0, q) and r < 0 are refused too: c = -1 compiled and read
+    # log[-1], a silently wrong evaluator, c = q failed inside rep_fn, and
+    # r = -1 divided by zero at compile, while expand() raised on each
+    for kw in ({"c": -1}, {"c": ctx.order}, {"c": ctx.order + 44}, {"r": -1}):
+        with pytest.raises(ValueError):
+            fam.Form(root, 3, **kw)
 
 
 # --------------------------------------------------------------------------
@@ -519,7 +545,8 @@ def test_fibres_identity(fid, params):
     params = {k: SparsePoly(ctx, v) if k in ("u", "g") else v for k, v in params.items()}
     form = _form_of(fid, params, ctx)
     fn = form.rep_fn()
-    reps, shifts = fn.fibres
+    assert fn.blocks.__name__ == "fibres"
+    reps, shifts = form._fibres()
     assert len(reps) * len(shifts) == ctx.order and len(set(shifts)) == len(shifts) >= 16
     lam = SparsePoly(ctx, [(c, e) for c, e in form.core.term_pairs() if e])
     rng = random.Random(len(reps))
@@ -540,8 +567,8 @@ def test_fibres_above_table_limit():
     sub = ctx.subfield_reps(6)
     params = {"m": 6, "delta": 5, "c": sub[5]}
     fn = fam.evaluator("F1", params, ctx=ctx)
-    assert not ctx.ensure_tables()
-    reps, shifts = fn.fibres
+    assert not ctx.ensure_tables() and fn.blocks.__name__ == "fibres"
+    reps, shifts = _form_of("F1", params, ctx)._fibres()
     assert len(reps) == 4096 and sorted(shifts) == sorted(raw_mul(ctx, sub[5], v) for v in sub)
     poly = fam.build("F1", params, ctx=ctx)
     rng = random.Random(18)
@@ -566,16 +593,19 @@ def kernel_splits(monkeypatch):
 def test_no_fibres_below_orbit_min(kernel_splits):
     # criterion 9's F1 m=3 (|K| = 8) and F7 q=3 (|K| = 3) have a largest
     # core exponent below 16, and r != 0 or a core that is not affine (F8)
-    # rules fibres out: none of these runs any linear algebra; x^16 + x^2 + 7
-    # over GF(2^12) passes those checks, and its kernel GF(8) is too small
+    # rules fibres out: none of these runs any linear algebra, and each takes
+    # its blocks from the sweep; x^16 + x^2 + 7 over GF(2^12) passes those
+    # checks, and its kernel GF(8) is too small
     ctx = make_field(2, 12)
     cases = [fam.evaluator("F1", {"m": 3, "delta": 5, "c": 1}),
              fam.evaluator("F7", {"q": 3, "case": "power", "i": 1, "delta": 7, "c": 1}),
              fam.evaluator("F8", {"m": 6, "r": 5, "s": 3, "a": 1, "delta": 3}),
              fam.Form(SparsePoly(ctx, [(1, 16), (1, 1)]), 3, r=1, c=1).rep_fn()]
-    assert not any(hasattr(fn, "fibres") for fn in cases) and kernel_splits == []
-    fn = fam.Form(SparsePoly(ctx, [(1, 16), (1, 2), (7, 0)]), 3, c=1).rep_fn()
-    assert not hasattr(fn, "fibres") and kernel_splits == [ctx]
+    assert [fn.blocks.__name__ for fn in cases] == \
+        ["log_order", "log_order", "cosets", "log_order"] and kernel_splits == []
+    form = fam.Form(SparsePoly(ctx, [(1, 16), (1, 2), (7, 0)]), 3, c=1)
+    assert form.rep_fn().blocks.__name__ == "log_order" and kernel_splits == [ctx]
+    assert form._fibres() is None
 
 
 def test_fibres_of_delta_family_maps():
@@ -583,9 +613,23 @@ def test_fibres_of_delta_family_maps():
     # map of the family has the same fibres, and each map is its own form
     ctx = make_field(5, 4)
     family, _ = transform_pair(SparsePoly(ctx, _U), 2, 2, "minus")
-    f0, f7 = family.map(0), family.map(7)
-    assert f0.fibres == f7.fibres
-    assert all(f7(x) == _form_ref(family.form(7), x) for x in f7.fibres[0][:20])
+    f7 = family.map(7)
+    assert family.map(0).blocks.__name__ == f7.blocks.__name__ == "fibres"
+    reps, shifts = family.form(7)._fibres()
+    assert family.form(0)._fibres() == (reps, shifts)
+    assert all(f7(x) == _form_ref(family.form(7), x) for x in reps[:20])
+
+
+def test_delta_family_refuses_delta_of_another_field():
+    # a FieldElem delta from GF(8) would be read by its rep in GF(16): rep 5
+    # is another element there (g^8), so it is refused, as transform_pair
+    # refuses such a c; a delta of the family's own field is its rep
+    ctx = make_field(2, 4)
+    family, _ = transform_pair(SparsePoly(ctx, [(1, 1)]), 1, 1, "minus")
+    for call in (family.form, family.map):
+        with pytest.raises(CtxMismatch):
+            call(make_field(2, 3).elem(5))
+    assert family.form(ctx.elem(5)) == family.form(5)
 
 
 @pytest.mark.parametrize("q,case", [(2, "sum"), (2, "power"),

@@ -1,7 +1,10 @@
 """Oracle tests: exhaustive verification, subset sweeps, and splitting."""
 
+import gc
+import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -403,37 +406,50 @@ def _same_as_sequential(f, ctx):
     return vr
 
 
-@pytest.mark.parametrize("fid,params,witness", [
-    ("F3", {"m": 4, "c": 1}, None),
-    ("F3", {"m": 8, "c": 7}, None),                   # array tables
-    ("F1", {"m": 5, "delta": 77, "c": 1131}, None),   # a Form on array tables
-    ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}, (0, 1)),  # f(0) collides
-    ("F4", {"m": 8, "b": 7}, (497, 532)),             # a collision across cosets
-    ("F4", {"m": 4, "b": 7}, (12, 18)),
+_SCANS = [  # (fid, params, block source, sequential witness)
+    ("F3", {"m": 4, "c": 1}, "log_order", None),
+    ("F3", {"m": 8, "c": 7}, "cosets", None),                   # array tables
+    ("F1", {"m": 5, "delta": 77, "c": 1131}, "fibres", None),   # a Form on array tables
+    ("F8", {"m": 8, "r": 7, "s": 3, "a": 2, "delta": 3}, "cosets", (0, 1)),  # f(0) collides
+    ("F4", {"m": 8, "b": 7}, "cosets", (497, 532)),             # two cosets go into one
+    ("F4", {"m": 4, "b": 7}, "cosets", (12, 18)),
     ("F12", {"p": 3, "k": 5, "step": 1, "sign": "minus", "g": ((1, 3),), "c": 2,
-             "delta": 5}, None),
-    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}, (161, 268)),  # one inside a coset
-])
-def test_sweep_scan_matches_sequential(fid, params, witness):
+             "delta": 5}, "log_order", None),
+    ("F5", {"m": 8, "r": 3, "i": 2, "b": 5}, "cosets", (161, 268)),  # one inside a coset
+]
+
+
+@pytest.mark.parametrize("fid,params,source,witness", _SCANS, ids=[
+    f"{c[0]}-params{i}-{'None' if c[3] is None else f'witness{i}'}" for i, c in enumerate(_SCANS)])
+def test_sweep_scan_matches_sequential(fid, params, source, witness):
     ctx = fam.family_ctx(fid, params)
     params = {k: SparsePoly(ctx, v) if k == "g" else v for k, v in params.items()}
     fn = fam.evaluator(fid, params, ctx=ctx)
-    assert hasattr(fn, "sweep")
+    assert fn.blocks.__name__ == source
     assert _same_as_sequential(fn, ctx).witness == witness
 
 
 def test_sweep_scan_collision_in_a_late_block():
     # x^3 on GF(2^16): g^i and g^(i + (q-1)/3) are the first pair to collide
-    # in log order, at i = 21845, so the sweep passes eight blocks first
+    # in log order, at i = 21845, so the log-order blocks after f(0), of
+    # 256, 512, ..., 4096 logs, pass eight blocks first
     ctx = make_field(2, 16)
     fn = SparsePoly(ctx, [(1, 3), (1, 0)]).rep_fn()
-    starts = []
+    assert fn.blocks.__name__ == "log_order"
+    sizes = []
 
     def spy(x):
         return fn(x)
-    spy.sweep = lambda i0, count: starts.append(i0) or fn.sweep(i0, count)
+
+    def counted(f):
+        for block in fn.blocks(f):
+            sizes.append(len(block))
+            yield block
+    spy.blocks = counted
     vr = _same_as_sequential(spy, ctx)
-    assert not vr.is_permutation and len(starts) == 9 and starts[-1] < 21845
+    assert not vr.is_permutation
+    assert sizes == [1, 256, 512, 1024, 2048, 4096, 4096, 4096, 4096, 4096]
+    assert sum(sizes[1:-1]) <= 21845 < sum(sizes[1:])
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 3), (3, 2), (2, 8)])
@@ -499,13 +515,69 @@ def test_coset_scan_matches_sequential_and_brute(p, k):
     kinds = set()
     for f, t, a in _split_shaped(ctx, random.Random(100 * p + k)):
         fn = f.rep_fn()
-        assert hasattr(fn, "cosets")
+        assert fn.blocks.__name__ == "cosets"
         vr = _same_as_sequential(fn, ctx)
         assert vr.is_permutation == brute_is_permutation(fn, ctx.order)
         zero = 0 in map(fn, range(1, ctx.order))  # a whole coset goes to 0
         kinds.add("permutation" if vr.is_permutation else "inside" if math.gcd(a, t) > 1
                   else "zero" if zero else "across")
     assert kinds >= {"permutation", "inside", "across"}
+
+
+def test_block_sources_hold_no_evaluator():
+    # each source takes f as its argument and closes over nothing that holds
+    # f: with the collector off, dropping the one reference frees the
+    # evaluator, so no compile leaves a reference cycle behind
+    ctx = make_field(2, 12)
+    cases = [(SparsePoly(ctx, [(1, 3), (1, 0)]), "log_order"),
+             (SparsePoly(ctx, [(1, 1366), (7, 1)]), "cosets"),  # x^(D+1) + 7x
+             (fam.Form(SparsePoly(ctx, [(1, 3), (1, 0)]), 2, c=1), "log_order"),
+             (fam.Form(SparsePoly(ctx, [(1, 1365), (1, 0)]), 2, r=1), "cosets"),
+             (fam.Form(SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)]), 257, c=1), "fibres")]
+    gc.disable()
+    try:
+        for f, source in cases:
+            fn = f.rep_fn()
+            assert fn.blocks.__name__ == source
+            ref = weakref.ref(fn)
+            del fn
+            assert ref() is None, source
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("k", [8, 10, 12, 16])
+def test_coset_labels_repeat_before_any_block(k, monkeypatch):
+    # F4-like x^(D+1) + b*x, D = (q-1)/3, has d = 3 cosets of mu_D and a = 1;
+    # with no zero among f(1), f(g), f(g^2), it fails to permute exactly when
+    # two of the labels log f(g^j) mod 3 agree.  The coset source then reads
+    # that head once and yields no block, so the sequential scan runs at once
+    # with its own report; F4 m=8 b=7 over GF(2^16) is such a map
+    ctx = make_field(2, k)
+    ctx.ensure_tables()
+    calls, inner = [], FieldCtx._log_sweep
+    monkeypatch.setattr(FieldCtx, "_log_sweep",
+                        lambda self, *args: calls.append(args[2:]) or inner(self, *args))
+    n1, rng = ctx.order - 1, random.Random(k)
+    bs = [7] if k == 16 else rng.sample(range(1, ctx.order), 60)
+    seen = 0
+    for b in bs:
+        fn = SparsePoly(ctx, [(1, n1 // 3 + 1), (b, 1)]).rep_fn()
+        head = [fn(ctx.pow(ctx.generator, j)) for j in range(3)]
+        verdict = brute_is_permutation(fn, ctx.order)
+        if 0 in head or verdict:
+            continue
+        seen += 1
+        del calls[:]
+        assert list(fn.blocks(fn)) == [] and calls == [(0, 3)], b
+        assert _same_as_sequential(fn, ctx).is_permutation is verdict is False
+    assert seen >= (1 if k == 16 else 10)
+    if k == 16:  # the registry's F4 m=8 b=7 is the map at b = 7
+        fn = fam.evaluator("F4", {"m": 8, "b": 7})
+        del calls[:]
+        assert list(fn.blocks(fn)) == [] and calls == [(0, 3)]
+        vr = _same_as_sequential(fn, ctx)
+        assert (vr.witness, vr.evaluations) == ((497, 532), 533)
 
 
 # --------------------------------------------------------------------------
@@ -538,7 +610,7 @@ def test_fibre_scan_matches_sequential(fid, params, verdict):
     ctx = fam.family_ctx(fid, params)
     params = {k: SparsePoly(ctx, v) if k == "u" else v for k, v in params.items()}
     fn = fam.evaluator(fid, params, ctx=ctx)
-    assert hasattr(fn, "fibres")
+    assert fn.blocks.__name__ == "fibres"
     assert _same_as_sequential(fn, ctx).is_permutation == verdict
 
 
@@ -558,11 +630,11 @@ def test_fibre_scan_f12_gf625(sign):
         for c in (ctx.sub(0, xc), 1, 0, rng.randrange(1, ctx.order)):
             delta = rng.randrange(ctx.order)
             if c and ctx.subfield_test(c, 2):
-                fn = transform_pair(g, c, 2, sign)[0].map(delta)
+                form = transform_pair(g, c, 2, sign)[0].form(delta)
             else:
-                core = SparsePoly(ctx, [(1, 25), (xc, 1), (delta, 0)])
-                fn = fam.Form(core, u=g, c=c).rep_fn()
-            assert len(fn.fibres[1]) == 25
+                form = fam.Form(SparsePoly(ctx, [(1, 25), (xc, 1), (delta, 0)]), u=g, c=c)
+            fn = form.rep_fn()
+            assert fn.blocks.__name__ == "fibres" and len(form._fibres()[1]) == 25
             verdicts.append(_same_as_sequential(fn, ctx).is_permutation)
     assert True in verdicts and False in verdicts
 
@@ -572,22 +644,24 @@ def test_fibre_scan_collision_in_a_late_fibre():
     # the map keeps f(x + k) = f(x) + k (c = 1), and its one collision shows
     # at the last fibre, after a call at every rep
     ctx = make_field(2, 12)
-    fn = fam.evaluator("F1", {"m": 4, "delta": 5, "c": 1}, ctx=ctx)
-    reps, shifts = fn.fibres
+    form = fam.Form(SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)]), 257, c=1)  # F1 m=4
+    fn = form.rep_fn()
+    assert fn.blocks.__name__ == "fibres"
+    reps, shifts = form._fibres()
     kernel, move = set(shifts), reps[-1] ^ reps[0]
     calls = []
 
     def spy(x):
         calls.append(x)
         return fn(x ^ move) if x ^ reps[-1] in kernel else fn(x)
-    spy.fibres = fn.fibres
+    spy.blocks = fn.blocks  # the fibres call the spy at their reps
     vr = _same_as_sequential(spy, ctx)
     assert not vr.is_permutation and calls[:len(reps)] == reps
     # fibres that fall short of the field are not taken for a bijection:
     # the sequential scan runs from 0 after them
     del calls[:]
     spy = lambda x: calls.append(x) or fn(x)  # noqa: E731
-    spy.fibres = (reps[:-1], shifts)
+    spy.blocks = lambda f: itertools.islice(fn.blocks(f), len(reps) - 1)
     vr = is_permutation(spy, ctx)
     assert (vr.is_permutation, vr.evaluations) == (True, ctx.order)
     assert calls == reps[:-1] + list(range(ctx.order))
@@ -602,6 +676,6 @@ def test_fibre_scan_needs_no_tables(monkeypatch):
     for c, verdict in ((1, True), (2, False)):
         core = SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)])
         fn = fam.Form(core, 257, c=c).rep_fn()
-        assert hasattr(fn, "fibres") and not hasattr(fn, "sweep")
+        assert fn.blocks.__name__ == "fibres" and not hasattr(fn, "sweep")
         assert _same_as_sequential(fn, ctx).is_permutation == verdict
     assert ctx._exp is None
