@@ -345,11 +345,16 @@ def _build_parser():
 
 def _collect_params(args, leftovers) -> dict[str, str]:
     raw: dict[str, str] = {}
+
+    def put(name, value):  # in any of the three spellings, once
+        if name in raw:
+            raise UsageError(f"parameter {name!r} given more than once")
+        raw[name] = value
     for item in getattr(args, "param", []):
         name, eq, value = item.partition("=")
         if not eq or not name:
             raise UsageError(f"--param expects NAME=VALUE, got {item!r}")
-        raw[name] = value
+        put(name, value)
     i = 0
     while i < len(leftovers):
         tok = leftovers[i]
@@ -357,12 +362,12 @@ def _collect_params(args, leftovers) -> dict[str, str]:
             raise UsageError(f"unexpected argument {tok!r}")
         name, eq, value = tok[2:].partition("=")
         if eq:
-            raw[name] = value
+            put(name, value)
             i += 1
             continue
         if i + 1 >= len(leftovers):
             raise UsageError(f"flag --{name} is missing a value")
-        raw[name] = leftovers[i + 1]
+        put(name, leftovers[i + 1])
         i += 2
     return raw
 

@@ -259,13 +259,14 @@ class Form:
         the core's sweep, then exp[log c0 + r*i + E*log G(w)] per value, plus
         the column exp[log c + i].  Above TABLE_LIMIT there is no sweep.
 
-        ``f.blocks(f)`` gives all of f's images in blocks.  With r = 0 and an
-        affine core whose linear part has a kernel K of at least 16 elements,
-        on every field, these are the fibres x + K: f(x + k) = f(x) + c*k for
-        k in K (``_fibres``).  Else, on a tabled field, they come from the
-        sweep (``FieldCtx._blocks``): one coset of mu_t at a time when ``u``
-        is None, c = 0 (so f = c0 * x^r * core^E) and the core's exponents
-        split with t = gcd(q-1, e - e0) >= 16, otherwise in log order.
+        ``f.blocks(f)`` gives f's images in blocks, up to a repeat.  With r = 0
+        and an affine core whose linear part has a kernel K of at least 16
+        elements, on every field, these are the fibres x + K, as f(x + k) =
+        f(x) + c*k for k in K (``_fibres``, marked by ``FieldCtx._fresh``).
+        Else, on a tabled field, they come from the sweep (``FieldCtx._blocks``):
+        one coset of mu_t at a time when ``u`` is None, c = 0 (so f = c0 *
+        x^r * core^E) and the core's exponents split with t = gcd(q-1, e - e0)
+        >= 16, otherwise in log order.
         """
         core, ctx = self.core, self.core.ctx
         core_fn = core.rep_fn()
@@ -295,7 +296,7 @@ class Form:
                 for x in reps:
                     y = f(x)
                     yield [y ^ s for s in shifts] if ctx.p == 2 else [add(y, s) for s in shifts]
-            f.blocks = fibres
+            f.blocks = ctx._fresh(fibres)
         if not ctx.ensure_tables():
             return f
         exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1

@@ -650,11 +650,29 @@ class FieldCtx:
             cols.append(repeat(c0, count))
         return list(reduce(partial(map, operator.xor if self.p == 2 else self.add), cols))
 
+    def _fresh(self, source):
+        """The block source ``source`` held to the contract of ``_blocks``:
+        each block is yielded once its images are marked in a bytearray(q),
+        and the first to repeat an image or leave the field ends the blocks."""
+        def marked(f):
+            seen = bytearray(self.order)
+            for block in source(f):
+                try:
+                    for y in block:
+                        if seen[y]:
+                            return
+                        seen[y] = 1
+                except IndexError:  # an image past the field
+                    return
+                yield block
+        marked.__name__ = source.__name__
+        return marked
+
     def _blocks(self, columns, terms=None, r=0, E=1):
         """The block source of an evaluator f on this tabled field: a
-        generator function ``blocks(f)`` whose blocks hold f's images over
-        the whole field once, f(0) first, with ``columns(i0, count)`` =
-        [f(g^i) for i0 <= i < i0 + count].
+        generator function ``blocks(f)`` whose blocks hold f's images, f(0)
+        first, in the field and each once, up to a repeat they withhold, with
+        ``columns(i0, count)`` = [f(g^i) for i0 <= i < i0 + count].
 
         ``cosets`` when f = c0 * x^r * k(x)^E, k the polynomial of the (e, c)
         ``terms``, and t = gcd(q-1, e - e0 for every e) >= _ORBIT_MIN (16),
@@ -665,12 +683,14 @@ class FieldCtx:
         an image when gcd(a, t) > 1, when a head value is 0 (its coset goes
         to 0) or when two labels P mod d agree (two cosets go into one): then
         it yields no block, and the sequential scan finds the repeat.  Else
-        each coset's images are the slice exp[P:P + q-1:d], in another order.
+        each coset's images are the slice exp[P:P + q-1:d], in another order,
+        disjoint by their labels, so nothing is marked.  Their count q rests
+        on f(0) = 0, in no slice: a != 0 mod t forces r > 0 or e0 > 0.
 
         Otherwise ``log_order``: the columns in blocks growing from 256 to
-        4096 logs.  Neither closes over f, which holds it: such a reference
-        cycle per compile, and its garbage collection, tripled the cost of
-        ``SparsePoly.rep_fn``.  Needs tables.
+        4096 logs, marked by ``_fresh``.  Neither closes over f, which holds
+        it: such a reference cycle per compile, and its garbage collection,
+        tripled the cost of ``SparsePoly.rep_fn``.  Needs tables.
         """
         exp, log, n1 = self._exp, self._log, self.order - 1
         e0 = terms[0][0] if terms else 0
@@ -684,7 +704,7 @@ class FieldCtx:
                     yield columns(i, count)
                     i += count
                     block = min(2 * block, 4096)
-            return log_order
+            return self._fresh(log_order)
         d, a = n1 // t, (r + E * e0) % n1
 
         def cosets(f):
@@ -983,9 +1003,9 @@ class SparsePoly:
         index; the exponent-0 term is kept apart and is the value at 0.
         Characteristic 2 accumulates by XOR.  ``f.sweep(i0, count)`` gives
         f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``),
-        and ``f.blocks(f)`` gives all of f's images, one coset of mu_t at a
-        time when the exponents split with t = gcd(q-1, e - e0) >= 16, else
-        in log order (``FieldCtx._blocks``).  Above TABLE_LIMIT this is
+        and ``f.blocks(f)`` gives f's images up to a repeat, one coset of mu_t
+        at a time when the exponents split with t = gcd(q-1, e - e0) >= 16,
+        else in log order (``FieldCtx._blocks``).  Above TABLE_LIMIT this is
         :meth:`eval_rep`, with neither.  Nothing is cached on the polynomial.
         """
         ctx = self.ctx

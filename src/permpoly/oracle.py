@@ -3,10 +3,10 @@
 Maps are accepted either as :class:`SparsePoly` or as plain callables on
 integer reps, so composition closures verify without formal expansion.  A
 polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).  A compiled
-evaluator f carries ``f.blocks``, a generator function whose ``blocks(f)``
-yields f's images in blocks that cover the field once; the compiler chose
-their source.  Every block feeds one marking loop, every image is still
-marked, and the sequential scan from 0 decides the report at any repeat.
+evaluator f may carry ``f.blocks``, whose ``blocks(f)`` yields f's images in
+blocks that lie in the field and share no image, withholding the first that
+would not: f is a bijection exactly when they hold q images.  Otherwise the
+sequential scan from 0 gives the report.
 """
 
 from __future__ import annotations
@@ -62,35 +62,19 @@ def _sequential_scan(fn, order):
     return None, order
 
 
-def _injective(blocks, order):
-    """Whether the blocks of images hold ``order`` distinct reps, marked in
-    one bytearray; False at the first image already marked, past the field,
-    or when the blocks run out short of the field."""
-    seen = bytearray(order)
-    try:
-        for block in blocks:
-            for y in block:
-                if seen[y]:
-                    return False
-                seen[y] = 1
-    except IndexError:  # an image past the field, which the sequential scan reports
-        return False
-    return seen.count(1) == order
-
-
 def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
     """Exhaustively test whether f is a bijection of the whole field.
 
-    Every image is computed and marked: from ``f.blocks(f)`` when f carries
-    a block source, else by the sequential scan from 0.  The sequential scan
-    also runs at the first repeated image or when the blocks fall short, so
-    the witness and the evaluation count are always the sequential scan's.
+    When f carries a block source, its blocks are counted: q images, which
+    its contract makes distinct, are a bijection.  Otherwise, or when they
+    fall short, the sequential scan from 0 runs, so the witness and the
+    evaluation count are always the sequential scan's.
     """
     fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
     start = time.perf_counter()
     blocks = getattr(fn, "blocks", None)
-    if blocks is not None and _injective(blocks(fn), ctx.order):
+    if blocks is not None and sum(map(len, blocks(fn))) == ctx.order:
         witness, evals = None, ctx.order
     else:
         witness, evals = _sequential_scan(fn, ctx.order)

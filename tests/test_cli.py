@@ -100,6 +100,19 @@ def test_verify_unknown_family_and_param(capsys):
     assert "bogus" in err
 
 
+@pytest.mark.parametrize("spelling", [
+    ("--param", "c=1", "--param", "c=2"),
+    ("--c", "1", "--c", "2"),
+    ("--c=1", "--c=2"),
+])
+def test_verify_repeated_param_exit3(capsys, spelling):
+    # a parameter named twice is refused, whichever spelling names it
+    code, out, err = run_cli(capsys, "verify", "--family", "F3", "--param", "m=4", *spelling)
+    assert code == 3
+    assert out == ""
+    assert err == "permpoly: parameter 'c' given more than once\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--family", "F6", "--q", "2147483647", "--case", "power", "--i", "1",
      "--delta", "0", "--c", "1"),

@@ -321,7 +321,8 @@ def _assert_cosets(fn, ctx, calls):
     repeats no image on the nonzero points and sends none to 0, it yields
     (f(0),), then per coset j a block holding, in some order, the closure's
     images at g^(j + d*R), R < (q-1)/d; all blocks are, as a multiset, the
-    images of the whole field.  Otherwise it yields no block, and
+    images of the whole field, and f(0) = 0, in no slice, as the count of q
+    images in ``is_permutation`` needs.  Otherwise it yields no block, and
     ``is_permutation`` gives the sequential scan's report.  Returns whether
     blocks came."""
     assert fn.blocks.__name__ == "cosets"
@@ -336,7 +337,7 @@ def _assert_cosets(fn, ctx, calls):
         vr = is_permutation(fn, ctx)
         assert (vr.witness, vr.evaluations) == oracle._sequential_scan(fn, ctx.order)
         return False
-    assert blocks[0] == [fn(0)] and len(blocks) == d + 1
+    assert blocks[0] == [fn(0)] == [0] and len(blocks) == d + 1
     for j, block in enumerate(blocks[1:]):
         assert sorted(block) == sorted(want[j::d]), j
     images = Counter(y for block in blocks for y in block)
