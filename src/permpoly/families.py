@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -83,7 +82,6 @@ class ParamSpec:
     minimum: int | None = None
     choices: tuple[str, ...] = ()
     optional: bool = False
-    doc: str = ""
 
 
 @dataclass(frozen=True)
@@ -288,7 +286,7 @@ class Form:
             return ctx.add(v, ctx.mul(c, x)) if c else v
         f0 = f(0)  # once per compile: each scan starts at 0
 
-        add = operator.xor if ctx.p == 2 else ctx.add
+        add = ctx._sum
         if split := self._fibres():
             reps, shifts = split
 
@@ -658,10 +656,7 @@ class DeltaFamily:
         ``form(delta).expand()`` is its literal polynomial (may be large).
         """
         ctx = self.ctx
-        if isinstance(delta, FieldElem):
-            if delta.ctx is not ctx:
-                raise CtxMismatch("delta from a different context")
-            delta = delta.rep
+        delta = ctx._rep(delta)
         xc = 1 if self.sign == "plus" else ctx.neg(1)
         return Form(SparsePoly(ctx, [(1, self._qk), (xc, 1), (delta, 0)]), u=self.g, c=self.c)
 
@@ -679,10 +674,7 @@ def transform_pair(g: SparsePoly, c, step: int, sign: str = "minus",
     f_delta permutes the field for every delta exactly when h does.
     """
     ctx = g.ctx
-    if isinstance(c, FieldElem):
-        if c.ctx is not ctx:
-            raise CtxMismatch("constant from a different context")
-        c = c.rep
+    c = ctx._rep(c)
     if sign not in ("minus", "plus"):
         raise ValueError(f"sign must be 'minus' or 'plus', got {sign!r}")
     e = base_degree
@@ -726,12 +718,12 @@ def _f12_form(ctx, p):
 # the registry
 # ---------------------------------------------------------------------------
 
-def _int(name, minimum=1, doc=""):
-    return ParamSpec(name, "int", minimum=minimum, doc=doc)
+def _int(name, minimum=1):
+    return ParamSpec(name, "int", minimum=minimum)
 
 
-def _elem(name, nonzero=False, doc=""):
-    return ParamSpec(name, "element", nonzero=nonzero, doc=doc)
+def _elem(name, nonzero=False):
+    return ParamSpec(name, "element", nonzero=nonzero)
 
 
 REGISTRY: dict[str, FamilySpec] = {}

@@ -214,10 +214,19 @@ class FieldCtx:
             rep = rep * self.p + (d % self.p)
         return rep
 
+    def _rep(self, x) -> int:
+        """The rep of x, an element of this field or an int in [0, q):
+        CtxMismatch for an element of another field, ValueError outside."""
+        if isinstance(x, FieldElem):
+            if x.ctx is not self:
+                raise CtxMismatch("element from a different field context")
+            return x.rep
+        if not 0 <= x < self.order:
+            raise ValueError(f"rep {x} out of range for GF({self.p}^{self.k})")
+        return x
+
     def elem(self, rep: int) -> "FieldElem":
-        if not 0 <= rep < self.order:
-            raise ValueError(f"rep {rep} out of range for GF({self.p}^{self.k})")
-        return FieldElem(self, rep)
+        return FieldElem(self, self._rep(rep))
 
     @property
     def zero(self) -> "FieldElem":
@@ -357,6 +366,12 @@ class FieldCtx:
         return result
 
     # -- public arithmetic -------------------------------------------------
+
+    @property
+    def _sum(self):
+        """The sum a compiled loop binds: XOR in characteristic 2, else
+        ``add``, looked up on each read so that a patched ``add`` is seen."""
+        return operator.xor if self.p == 2 else self.add
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -535,7 +550,7 @@ class FieldCtx:
 
     def _span(self, basis):
         """Every GF(p)-combination of ``basis``, as a list of reps."""
-        add = operator.xor if self.p == 2 else self.add
+        add = self._sum
         out = [0]
         for b in basis:
             out = [add(x, y) for y in [0, b] + [self.mul(a, b) for a in range(2, self.p)]
@@ -648,7 +663,7 @@ class FieldCtx:
         cols = [self._column(lc + i0 * e, e, count) for lc, e in terms]
         if c0 or not cols:
             cols.append(repeat(c0, count))
-        return list(reduce(partial(map, operator.xor if self.p == 2 else self.add), cols))
+        return list(reduce(partial(map, self._sum), cols))
 
     def _fresh(self, source):
         """The block source ``source`` held to the contract of ``_blocks``:
@@ -694,7 +709,7 @@ class FieldCtx:
         """
         exp, log, n1 = self._exp, self._log, self.order - 1
         e0 = terms[0][0] if terms else 0
-        t = 0 if terms is None else math.gcd(n1, *(e - e0 for e, _ in terms))
+        t = 0 if terms is None else self._split_step(terms)
         if t < _ORBIT_MIN:
             def log_order(f):
                 yield (f(0),)
@@ -714,6 +729,13 @@ class FieldCtx:
                 for y in head:
                     yield exp[log[y]:log[y] + n1:d]
         return cosets
+
+    def _split_step(self, terms):
+        """t = gcd(q-1, e - e0 for the exponents e of the (e, c) ``terms``),
+        e0 the first: the largest t with f = x^e0 * h(x^t) (Zieve's split),
+        q-1 when there are no terms."""
+        e0 = terms[0][0] if terms else 0
+        return math.gcd(self.order - 1, *(e - e0 for e, _ in terms))
 
     def artin_schreier_table(self) -> dict:
         """Map y*y + y -> least such y, built once; used by even-degree solvers."""
@@ -747,16 +769,18 @@ class FieldCtx:
 
 
 @lru_cache(maxsize=None)
-def _make_field_cached(p, k, modulus, size_limit):
+def _modulus(p, k, modulus):
+    """The modulus of GF(p^k), checked: ``modulus`` reduced mod p, or the
+    least monic irreducible when it is None."""
     if p < 2:  # the size loop below stops only for p >= 2
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
     order = 1
-    for _ in range(k):  # stops within log2(size_limit) steps; no huge p^k
+    for _ in range(k):  # stops within log2(DEFAULT_SIZE_LIMIT) steps; no huge p^k
         order *= p
-        if order > size_limit:
-            raise SizeLimitExceeded(f"{p}^{k} exceeds limit {size_limit}")
+        if order > DEFAULT_SIZE_LIMIT:
+            raise SizeLimitExceeded(f"{p}^{k} exceeds limit {DEFAULT_SIZE_LIMIT}")
     if prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     if modulus is not None:
@@ -765,42 +789,40 @@ def _make_field_cached(p, k, modulus, size_limit):
             raise ValueError(f"modulus must be monic of degree {k}")
         if not is_irreducible(list(mod), p):
             raise ReducibleModulus(f"modulus {list(mod)} is reducible over GF({p})")
-    else:
-        mod = None
-        for n in range(order):
-            digits = []
-            t = n
-            for _ in range(k):
-                t, d = divmod(t, p)
-                digits.append(d)
-            cand = digits + [1]
-            if is_irreducible(cand, p):
-                mod = tuple(cand)
-                break
-        if mod is None:  # cannot happen: irreducibles exist for every degree
-            raise ReducibleModulus(f"no irreducible of degree {k} over GF({p})")
+        return mod
+    for n in range(order):  # n's base-p digits are the low coefficients
+        cand = [n // p ** i % p for i in range(k)] + [1]
+        if is_irreducible(cand, p):
+            return tuple(cand)
+    # cannot happen: irreducibles exist for every degree
+    raise ReducibleModulus(f"no irreducible of degree {k} over GF({p})")
+
+
+@lru_cache(maxsize=None)
+def _field(p, k, mod):
+    """The one context of GF(p^k) mod ``mod``, a checked modulus."""
     ctx = FieldCtx(p, k, mod, 1)
     # least-rep element of full multiplicative order
-    n1 = order - 1
+    n1 = ctx.order - 1
     gen = 1
     if n1 > 1:
         factors = prime_factors(n1)
-        for rep in range(2, order):
+        for rep in range(2, ctx.order):
             if all(ctx._pow_raw(rep, n1 // ell) != 1 for ell in factors):
                 gen = rep
                 break
     return FieldCtx(p, k, mod, gen)
 
 
-def make_field(p: int, k: int, modulus=None, *, size_limit: int = DEFAULT_SIZE_LIMIT) -> FieldCtx:
+def make_field(p: int, k: int, modulus=None) -> FieldCtx:
     """Build (or fetch the cached) GF(p^k) context.
 
     When ``modulus`` is omitted the lexicographically least monic irreducible
-    is selected, so repeated calls with equal arguments return the identical
-    context object and element reps are stable.
+    is selected.  Calls that name the same field, p, k and modulus, the
+    default one given or not, return the identical context object, so
+    element reps are stable.  Fields above DEFAULT_SIZE_LIMIT are refused.
     """
-    mod = tuple(modulus) if modulus is not None else None
-    return _make_field_cached(p, k, mod, size_limit)
+    return _field(p, k, _modulus(p, k, None if modulus is None else tuple(modulus)))
 
 
 # ---------------------------------------------------------------------------
@@ -820,54 +842,27 @@ class FieldElem:
         self.ctx = ctx
         self.rep = rep
 
-    def _rep_of(self, other):
-        if isinstance(other, FieldElem):
-            if other.ctx is not self.ctx:
-                raise CtxMismatch("elements from different field contexts")
-            return other.rep
-        if isinstance(other, int) and 0 <= other < self.ctx.p:
-            return other
-        return None
+    def _binary(name, reflected=False):
+        """The operator ``ctx.<name>(self, other)``, or reflected; other is an
+        element of the same field or an int in [0, p), a prime-field constant."""
+        def op(self, other):
+            if isinstance(other, FieldElem):
+                r = self.ctx._rep(other)
+            elif isinstance(other, int) and 0 <= other < self.ctx.p:
+                r = other
+            else:
+                return NotImplemented
+            a, b = (r, self.rep) if reflected else (self.rep, r)
+            return FieldElem(self.ctx, getattr(self.ctx, name)(a, b))
+        return op
 
-    def __add__(self, other):
-        r = self._rep_of(other)
-        if r is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.add(self.rep, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._rep_of(other)
-        if r is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.sub(self.rep, r))
-
-    def __rsub__(self, other):
-        r = self._rep_of(other)
-        if r is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.sub(r, self.rep))
-
-    def __mul__(self, other):
-        r = self._rep_of(other)
-        if r is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.mul(self.rep, r))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        r = self._rep_of(other)
-        if r is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.div(self.rep, r))
-
-    def __rtruediv__(self, other):
-        r = self._rep_of(other)
-        if r is None:
-            return NotImplemented
-        return FieldElem(self.ctx, self.ctx.div(r, self.rep))
+    __add__ = __radd__ = _binary("add")
+    __sub__ = _binary("sub")
+    __rsub__ = _binary("sub", reflected=True)
+    __mul__ = __rmul__ = _binary("mul")
+    __truediv__ = _binary("div")
+    __rtruediv__ = _binary("div", reflected=True)
+    del _binary
 
     def __pow__(self, e: int):
         return FieldElem(self.ctx, self.ctx.pow(self.rep, e))
@@ -930,12 +925,7 @@ class SparsePoly:
         self.ctx = ctx
         acc: dict[int, int] = {}
         for coeff, exp in terms:
-            if isinstance(coeff, FieldElem):
-                if coeff.ctx is not ctx:
-                    raise CtxMismatch("coefficient from a different context")
-                coeff = coeff.rep
-            elif not 0 <= coeff < ctx.order:
-                ctx.elem(coeff)  # raises the out-of-range ValueError
+            coeff = ctx._rep(coeff)
             if exp < 0:
                 raise ValueError("negative exponent")
             if coeff:
@@ -1012,7 +1002,7 @@ class SparsePoly:
         if not ctx.ensure_tables():
             return self.eval_rep
         exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
-        add = operator.xor if ctx.p == 2 else ctx.add
+        add = ctx._sum
         c0 = self.eval_rep(0)
         terms = [(log[c], e % n1) for e, c in self._terms if e]
 
@@ -1029,9 +1019,7 @@ class SparsePoly:
         return f
 
     def eval(self, x: FieldElem) -> FieldElem:
-        if x.ctx is not self.ctx:
-            raise CtxMismatch("evaluation point from a different context")
-        return FieldElem(self.ctx, self.eval_rep(x.rep))
+        return FieldElem(self.ctx, self.eval_rep(self.ctx._rep(x)))
 
     __call__ = eval
 
@@ -1052,17 +1040,17 @@ class SparsePoly:
         return SparsePoly._collect(self.ctx, acc)
 
     def __add__(self, other):
-        return self._combine(other, operator.xor if self.ctx.p == 2 else self.ctx.add)
+        return self._combine(other, self.ctx._sum)
 
     def __sub__(self, other):
-        return self._combine(other, operator.xor if self.ctx.p == 2 else self.ctx.sub)
+        return self._combine(other, self.ctx.sub)
 
     def __mul__(self, other):
         other = self._other(other)
         ctx = self.ctx
         if len(self._terms) * len(other._terms) > _EXPANSION_CAP:
             raise ValueError("polynomial product too large to expand")
-        mul, add = ctx.mul, operator.xor if ctx.p == 2 else ctx.add
+        mul, add = ctx.mul, ctx._sum
         acc: dict[int, int] = {}
         get = acc.get
         for e1, c1 in self._terms:
@@ -1072,9 +1060,8 @@ class SparsePoly:
         return SparsePoly._collect(ctx, acc)
 
     def scale(self, c) -> "SparsePoly":
-        if isinstance(c, FieldElem):
-            c = c.rep
         ctx = self.ctx
+        c = ctx._rep(c)
         return SparsePoly(ctx, [(ctx.mul(c, cf), e) for e, cf in self._terms])
 
     def shift_x(self, r: int) -> "SparsePoly":
@@ -1129,7 +1116,7 @@ class SparsePoly:
         """
         if n < 1:
             raise ValueError("modulus must be positive")
-        add = operator.xor if self.ctx.p == 2 else self.ctx.add
+        add = self.ctx._sum
         acc: dict[int, int] = {}
         for e, c in self._terms:
             if e:

@@ -12,7 +12,6 @@ sequential scan from 0 gives the report.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -92,7 +91,7 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     """
     fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
-    reps = [s.rep if isinstance(s, FieldElem) else s for s in subset]
+    reps = [ctx._rep(s) if isinstance(s, FieldElem) else s for s in subset]
     member = set(reps)
     if len(member) != len(reps) or reps and not 0 <= min(reps) <= max(reps) < ctx.order:
         raise BadSubset(f"subset reps must be distinct and in [0, {ctx.order})")
@@ -145,14 +144,9 @@ def zieve_split(f: SparsePoly, d: int) -> tuple[int, SparsePoly]:
 
 def natural_divisor(f: SparsePoly) -> int:
     """Largest-step split divisor: d = (q-1)/gcd(q-1, exponent differences)."""
-    terms = f._terms
-    if not terms:
+    if not f._terms:
         raise NotFactorable("zero polynomial has no split")
-    n1 = t = f.ctx.order - 1
-    e0 = terms[0][0]
-    for e, _ in terms:
-        t = math.gcd(t, e - e0)
-    return n1 // t if t else 1
+    return (f.ctx.order - 1) // f.ctx._split_step(f._terms)
 
 
 def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
@@ -198,7 +192,7 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
             return exp[(log[y] * r + log[v] * t) % n1] if v else 0
     else:
         index = {y: j for j, y in enumerate(mu)}
-        power, add = ctx._power(t), operator.xor if ctx.p == 2 else ctx.add
+        power, add = ctx._power(t), ctx._sum
         terms = [(e, None if c == 1 else ctx._scaler(c)) for c, e in h.term_pairs()]
 
         def on_circle(y):  # h(y)^t lies in mu_d unless h(y) = 0, an escape

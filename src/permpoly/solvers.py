@@ -35,8 +35,7 @@ class RootReport:
 def _shared_ctx(*elems) -> FieldCtx:
     ctx = elems[0].ctx
     for e in elems[1:]:
-        if e.ctx is not ctx:
-            raise CtxMismatch("solver arguments from different contexts")
+        ctx._rep(e)  # CtxMismatch for an element of another field
     return ctx
 
 

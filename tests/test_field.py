@@ -1,6 +1,7 @@
 """Field-layer tests: contexts, arithmetic, structure maps, sparse polynomials."""
 
 import math
+import operator
 import random
 import sys
 import threading
@@ -19,7 +20,15 @@ from permpoly import (
     SparsePoly,
     make_field,
 )
-from permpoly.field import LIST_TABLE_LIMIT, FieldCtx, _apply, _residue_split, is_irreducible
+from permpoly.field import (
+    DEFAULT_SIZE_LIMIT,
+    LIST_TABLE_LIMIT,
+    FieldCtx,
+    FieldElem,
+    _apply,
+    _residue_split,
+    is_irreducible,
+)
 
 from helpers import log_order_points, naive_eval, raw_add, raw_eval, raw_mul, raw_pow, swept
 
@@ -61,9 +70,7 @@ def test_size_limit():
         make_field(2, 10 ** 12)
     with pytest.raises(ValueError):  # the degree is checked before the size
         make_field(2 ** 61 - 1, 0)
-    make_field(2, 5, size_limit=32)  # boundary is inclusive
-    with pytest.raises(SizeLimitExceeded):
-        make_field(2, 5, size_limit=31)
+    assert make_field(2, 24).order == DEFAULT_SIZE_LIMIT  # the boundary is inclusive
 
 
 def test_supplied_modulus_validated():
@@ -130,6 +137,12 @@ def test_generator_has_full_order():
 
 def test_contexts_are_cached_and_shared():
     assert make_field(2, 6) is make_field(2, 6)
+    # one context per field: the default modulus x^4 + x + 1 named or not,
+    # its coefficients reduced mod p or not
+    ctx = make_field(2, 4)
+    assert ctx is make_field(2, 4, modulus=(1, 1, 0, 0, 1)) is make_field(2, 4, [3, 1, 2, 0, 1])
+    x = SparsePoly.x(ctx)
+    assert x + SparsePoly.x(make_field(2, 4, modulus=(1, 1, 0, 0, 1))) == SparsePoly(ctx)
 
 
 # --------------------------------------------------------------------------
@@ -164,6 +177,40 @@ def test_ctx_mismatch():
     b = make_field(2, 4).gen
     with pytest.raises(CtxMismatch):
         _ = a + b
+
+
+@pytest.mark.parametrize("name, op, method, reflected", [
+    ("__add__", operator.add, "add", False),
+    ("__radd__", operator.add, "add", True),
+    ("__sub__", operator.sub, "sub", False),
+    ("__rsub__", operator.sub, "sub", True),
+    ("__mul__", operator.mul, "mul", False),
+    ("__rmul__", operator.mul, "mul", True),
+    ("__truediv__", operator.truediv, "div", False),
+    ("__rtruediv__", operator.truediv, "div", True),
+])
+def test_elem_operators_are_the_ctx_methods(name, op, method, reflected):
+    ctx = make_field(3, 3)
+    fn = getattr(ctx, method)
+
+    def outcome(call):
+        try:
+            return call()
+        except DivisionByZero:
+            return DivisionByZero
+
+    for a in range(ctx.order):
+        e = ctx.elem(a)
+        for r in range(ctx.p):  # an int in [0, p) on the side the name says
+            if reflected:
+                got, want = outcome(lambda: op(r, e)), outcome(lambda: fn(r, a))
+            else:
+                got, want = outcome(lambda: op(e, r)), outcome(lambda: fn(a, r))
+            assert got == (want if want is DivisionByZero else FieldElem(ctx, want)), (a, r)
+    with pytest.raises(CtxMismatch):
+        getattr(ctx.gen, name)(make_field(3, 2).gen)
+    with pytest.raises(TypeError):
+        op(ctx.p, ctx.gen) if reflected else op(ctx.gen, ctx.p)
 
 
 def test_field_axioms_sampled_odd_char():
@@ -410,6 +457,18 @@ def test_eval_ctx_mismatch():
     p = SparsePoly(make_field(2, 3), [(1, 1)])
     with pytest.raises(CtxMismatch):
         p.eval(make_field(2, 4).gen)
+
+
+def test_scale_checks_its_constant():
+    # an element of another field used to scale by its rep (g^1*x), and 300
+    # on GF(16) raised a bare IndexError
+    ctx = make_field(2, 4)
+    x = SparsePoly.x(ctx)
+    assert x.scale(ctx.gen) == x.scale(ctx.generator) == SparsePoly(ctx, [(ctx.generator, 1)])
+    with pytest.raises(CtxMismatch):
+        x.scale(make_field(2, 3).gen)
+    with pytest.raises(ValueError):
+        x.scale(300)
 
 
 def test_normalization_invariants():

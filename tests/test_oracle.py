@@ -137,6 +137,17 @@ def test_subset_accepts_field_elems():
     assert permutes_subset(lambda y: ctx.pow(y, 2), mu, ctx).is_permutation
 
 
+def test_subset_elems_of_another_field_rejected():
+    # mu_5 of GF(16) mod x^4 + x^3 + 1, checked against the default GF(16),
+    # used to be read as reps of the latter and to report an escape (8, 12)
+    ctx = make_field(2, 4)
+    mu = make_field(2, 4, modulus=(1, 0, 0, 1, 1)).subgroup(5)
+    calls = []
+    with pytest.raises(CtxMismatch):
+        permutes_subset(lambda y: calls.append(y) or ctx.pow(y, 2), mu, ctx)
+    assert calls == []  # raised before any evaluation
+
+
 def test_reduced_map_on_cubic_circle_matches_full_verdict():
     # direct subgroup sweep of y^r * (y^(2^m) + a*y + b)^(s*(2^(3m)-1)) against
     # the full-field verdict of the F10-shaped product, m = 1
