@@ -260,7 +260,8 @@ class Form:
         ``f.blocks(f)`` gives f's images in blocks, up to a repeat.  With r = 0
         and an affine core whose linear part has a kernel K of at least 16
         elements, on every field, these are the fibres x + K, as f(x + k) =
-        f(x) + c*k for k in K (``_fibres``, marked by ``FieldCtx._fresh``).
+        f(x) + c*k for k in K (``_fibres``): f's values at the reps come from
+        spans, with no call of f, and their labels mod c*K certify them.
         Else, on a tabled field, they come from the sweep (``FieldCtx._blocks``):
         one coset of mu_t at a time when ``u`` is None, c = 0 (so f = c0 *
         x^r * core^E) and the core's exponents split with t = gcd(q-1, e - e0)
@@ -272,59 +273,82 @@ class Form:
         E, r, c0, c = self.E, self.r, self.c0, self.c
         qpows = [self.q ** j for j in range(1, self.n)]
 
-        f0 = None
-
-        def f(x):  # the steps of ``expand``, each no-op skipped
-            if x == 0 and f0 is not None:
-                return f0
-            w = core_fn(x)
+        def point(w, x=1):  # c0 * x^r * G(w): the steps of ``expand``, each no-op skipped
             if u is not None:
                 w = u(w)
                 w = reduce(ctx.add, [ctx.pow(w, e) for e in qpows], w)
             v = ctx.pow(w, E) if E != 1 else w
-            v = ctx.mul(ctx.mul(c0, ctx.pow(x, r)), v) if r or c0 != 1 else v
+            return ctx.mul(ctx.mul(c0, ctx.pow(x, r)), v) if r or c0 != 1 else v
+
+        f0 = None
+
+        def f(x):
+            if x == 0 and f0 is not None:
+                return f0
+            v = point(core_fn(x), x)
             return ctx.add(v, ctx.mul(c, x)) if c else v
         f0 = f(0)  # once per compile: each scan starts at 0
 
-        add = ctx._sum
+        add, tabled = ctx._sum, ctx.ensure_tables()
+        if tabled:
+            exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
+            lc0, lc = log[c0], log[c]
+            lq = [e % n1 for e in qpows]
+
+            def outer(ws, i0=0):  # c0 * x^r * G(w) at x = g^i, i0 <= i
+                if u is not None:
+                    ws = base = list(map(u, ws))
+                    for e in lq:
+                        ws = list(map(add, ws, [exp[log[w] * e % n1] if w else 0 for w in base]))
+                return [exp[(a + log[w] * E) % n1] if w else 0
+                        for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
+
+            def columns(i0, count):  # holds no f (``FieldCtx._blocks``)
+                vs = outer(core_fn.sweep(i0, count), i0)
+                return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
+            f.sweep = columns
+        else:
+            def outer(ws):  # r = 0: only the fibres map a list
+                return list(map(point, ws))
+
         if split := self._fibres():
-            reps, shifts = split
+            lam, kernel, complement = split
+            k0, p = core_fn(0), ctx.p
 
-            def fibres(f):  # f at the reps only, f(x + k) = f(x) + c*k the rest
-                for x in reps:
-                    y = f(x)
-                    yield [y ^ s for s in shifts] if ctx.p == 2 else [add(y, s) for s in shifts]
-            f.blocks = ctx._fresh(fibres)
-        if not ctx.ensure_tables():
-            return f
-        exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
-        lc0, lc = log[c0], log[c]
-        lq = [e % n1 for e in qpows]
-
-        def columns(i0, count):  # holds no f (``FieldCtx._blocks``)
-            ws = core_fn.sweep(i0, count)
-            if u is not None:
-                ws = base = list(map(u, ws))
-                for e in lq:
-                    ws = list(map(add, ws, [exp[log[w] * e % n1] if w else 0 for w in base]))
-            vs = [exp[(a + log[w] * E) % n1] if w else 0
-                  for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
-            return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
-        f.sweep = columns
-        if not split:
+            def fibres(f):  # calls no f: its values at the reps from spans
+                if not c:
+                    return
+                cinv = ctx.inv(c)
+                mu = ctx._linear([lam(ctx.mul(cinv, p ** i)) for i in range(ctx.k)])
+                cores = ctx._span(list(map(lam, complement)), k0)
+                scaled = ctx._span([ctx.mul(c, b) for b in complement])
+                shifts = ctx._span([ctx.mul(c, v) for v in kernel])
+                seen, lo, hi = set(), 0, 64
+                while lo < len(cores):
+                    ys = list(map(add, outer(cores[lo:hi]), scaled[lo:hi]))
+                    seen.update(map(mu, ys))  # mu(f(x)) = mu(f(x')) iff the fibres meet
+                    if len(seen) < lo + len(ys):
+                        return
+                    for s in shifts:
+                        yield [y ^ s for y in ys] if p == 2 else [add(y, s) for y in ys]
+                    lo, hi = hi, 2 * hi
+            f.blocks = fibres
+        elif tabled:
             f.blocks = ctx._blocks(columns, core._terms if u is None and not c else None, r, E)
         return f
 
     def _fibres(self):
-        """(reps, shifts) of the fibre blocks, or None.
+        """(lam, kernel, complement) of the fibre blocks, or None.
 
         With r = 0 and every nonconstant core exponent a power of p, core =
         k0 + lam with lam GF(p)-linear, so f(x + k) = f(x) + c*k for every k
-        in K = ker lam, whatever u, n, E and c0 are.  The reps span a
-        complement of K, so the fibres x + K, x a rep, cover the field once,
-        and the fibre of x has the images f(x) + s, s among the shifts c*K.
-        None when |K| < _ORBIT_MIN; a largest exponent below it (|K| is at
-        most the degree of lam) rules that out before any linear algebra.
+        in K = ker lam, whatever u, n, E and c0 are.  ``lam`` is that map on
+        reps (``FieldCtx._linear``); ``kernel`` is a basis of K and
+        ``complement`` digit basis vectors p^i spanning a complement of K.
+        Their span gives the reps, one per fibre x + K, and the fibre of x
+        has the images f(x) + s, s among the shifts c*K.  None when |K| <
+        _ORBIT_MIN; a largest exponent below it (|K| is at most the degree
+        of lam) rules that out before any linear algebra.
         """
         ctx = self.core.ctx
         p = ctx.p
@@ -333,10 +357,11 @@ class Form:
                 p ** round(math.log(e, p)) != e for e, _ in rest):
             return None
         lam = SparsePoly._raw(ctx, rest).eval_rep
-        kernel, complement = ctx._kernel_split([lam(p ** i) for i in range(ctx.k)])
+        images = [lam(p ** i) for i in range(ctx.k)]
+        kernel, complement = ctx._kernel_split(images)
         if p ** len(kernel) < _ORBIT_MIN:
             return None
-        return ctx._span(complement), ctx._span([ctx.mul(self.c, v) for v in kernel])
+        return ctx._linear(images), kernel, complement
 
 
 # ---------------------------------------------------------------------------

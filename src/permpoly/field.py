@@ -216,14 +216,19 @@ class FieldCtx:
 
     def _rep(self, x) -> int:
         """The rep of x, an element of this field or an int in [0, q):
-        CtxMismatch for an element of another field, ValueError outside."""
+        CtxMismatch for an element of another field, ValueError for
+        anything else, a float or an int outside."""
         if isinstance(x, FieldElem):
             if x.ctx is not self:
                 raise CtxMismatch("element from a different field context")
             return x.rep
-        if not 0 <= x < self.order:
-            raise ValueError(f"rep {x} out of range for GF({self.p}^{self.k})")
-        return x
+        try:
+            rep = operator.index(x)
+        except TypeError:
+            rep = -1
+        if not 0 <= rep < self.order:
+            raise ValueError(f"rep {x!r} out of range for GF({self.p}^{self.k})")
+        return rep
 
     def elem(self, rep: int) -> "FieldElem":
         return FieldElem(self, self._rep(rep))
@@ -548,14 +553,33 @@ class FieldCtx:
             complement.append(p ** i)
         return kernel, complement
 
-    def _span(self, basis):
-        """Every GF(p)-combination of ``basis``, as a list of reps."""
+    def _span(self, basis, origin=0):
+        """origin plus every GF(p)-combination of ``basis``, as a list of
+        reps: entry n takes the digits of n in base p as the coefficients,
+        so the list is linear in the basis, entry by entry."""
         add = self._sum
-        out = [0]
+        out = [origin]
         for b in basis:
-            out = [add(x, y) for y in [0, b] + [self.mul(a, b) for a in range(2, self.p)]
-                   for x in out]
+            out += [add(x, y) for y in [b] + [self.mul(a, b) for a in range(2, self.p)]
+                    for x in out]
         return out
+
+    def _linear(self, images):
+        """The GF(p)-linear map sending the rep p^i to images[i], on reps:
+        through the byte tables of ``_linear_tables`` in characteristic 2,
+        else digit by digit from each image's multiples."""
+        if self.p == 2:
+            return partial(_apply, _linear_tables(images))
+        p, add, tabs = self.p, self._sum, [self._span([v]) for v in images]
+
+        def linear(a):
+            acc = 0
+            for t in tabs:
+                a, d = divmod(a, p)
+                if d:
+                    acc = add(acc, t[d])
+            return acc
+        return linear
 
     def subgroup(self, d: int) -> list["FieldElem"]:
         return [FieldElem(self, r) for r in self.subgroup_reps(d)]
@@ -665,24 +689,6 @@ class FieldCtx:
             cols.append(repeat(c0, count))
         return list(reduce(partial(map, self._sum), cols))
 
-    def _fresh(self, source):
-        """The block source ``source`` held to the contract of ``_blocks``:
-        each block is yielded once its images are marked in a bytearray(q),
-        and the first to repeat an image or leave the field ends the blocks."""
-        def marked(f):
-            seen = bytearray(self.order)
-            for block in source(f):
-                try:
-                    for y in block:
-                        if seen[y]:
-                            return
-                        seen[y] = 1
-                except IndexError:  # an image past the field
-                    return
-                yield block
-        marked.__name__ = source.__name__
-        return marked
-
     def _blocks(self, columns, terms=None, r=0, E=1):
         """The block source of an evaluator f on this tabled field: a
         generator function ``blocks(f)`` whose blocks hold f's images, f(0)
@@ -702,24 +708,31 @@ class FieldCtx:
         disjoint by their labels, so nothing is marked.  Their count q rests
         on f(0) = 0, in no slice: a != 0 mod t forces r > 0 or e0 > 0.
 
-        Otherwise ``log_order``: the columns in blocks growing from 256 to
-        4096 logs, marked by ``_fresh``.  Neither closes over f, which holds
-        it: such a reference cycle per compile, and its garbage collection,
-        tripled the cost of ``SparsePoly.rep_fn``.  Needs tables.
+        Otherwise ``log_order``: f(0), then the columns in blocks growing
+        from 256 to 4096 logs, each yielded once its images are marked in a
+        bytearray(q); the first to repeat an image or leave the field ends
+        the blocks.  Neither closes over f, which holds it: such a reference
+        cycle per compile, and its garbage collection, tripled the cost of
+        ``SparsePoly.rep_fn``.  Needs tables.
         """
         exp, log, n1 = self._exp, self._log, self.order - 1
         e0 = terms[0][0] if terms else 0
         t = 0 if terms is None else self._split_step(terms)
         if t < _ORBIT_MIN:
             def log_order(f):
-                yield (f(0),)
-                i, block = 0, 256
-                while i < n1:
-                    count = min(block, n1 - i)
-                    yield columns(i, count)
-                    i += count
-                    block = min(2 * block, 4096)
-            return self._fresh(log_order)
+                seen, block, i, size = bytearray(self.order), (f(0),), 0, 256
+                while block:
+                    try:
+                        for y in block:
+                            if seen[y]:
+                                return
+                            seen[y] = 1
+                    except IndexError:  # an image past the field
+                        return
+                    yield block
+                    block = columns(i, min(size, n1 - i)) if i < n1 else None
+                    i, size = i + size, min(2 * size, 4096)
+            return log_order
         d, a = n1 // t, (r + E * e0) % n1
 
         def cosets(f):

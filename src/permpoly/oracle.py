@@ -5,8 +5,10 @@ integer reps, so composition closures verify without formal expansion.  A
 polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).  A compiled
 evaluator f may carry ``f.blocks``, whose ``blocks(f)`` yields f's images in
 blocks that lie in the field and share no image, withholding the first that
-would not: f is a bijection exactly when they hold q images.  Otherwise the
-sequential scan from 0 gives the report.
+would not: f is a bijection exactly when they hold q images.  Each source
+certifies its own blocks: the fibres of an affine core and the cosets of a
+split by labels that tell their images apart, the log-order blocks by
+marking every image.  Otherwise the sequential scan from 0 gives the report.
 """
 
 from __future__ import annotations

@@ -131,6 +131,15 @@ def swept(fn, n1, blocks=(1, 7, 300, 4096)):
         i += b
 
 
+def fibres_of(form):
+    """(reps, shifts) of a form with fibres: the span of the complement
+    ``Form._fibres()`` gives, one rep per fibre x + K in the order the
+    fibre blocks take them, and c*K."""
+    ctx = form.core.ctx
+    _, kernel, complement = form._fibres()
+    return ctx._span(complement), ctx._span([ctx.mul(form.c, v) for v in kernel])
+
+
 def brute_is_permutation(fn, order):
     """Set-cardinality bijection test, independent of the oracle module."""
     return len({fn(x) for x in range(order)}) == order

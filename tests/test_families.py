@@ -28,6 +28,7 @@ from permpoly import oracle
 
 from helpers import (
     brute_is_permutation,
+    fibres_of,
     log_order_points,
     naive_f4_report,
     raw_add,
@@ -547,7 +548,7 @@ def test_fibres_identity(fid, params):
     form = _form_of(fid, params, ctx)
     fn = form.rep_fn()
     assert fn.blocks.__name__ == "fibres"
-    reps, shifts = form._fibres()
+    reps, shifts = fibres_of(form)
     assert len(reps) * len(shifts) == ctx.order and len(set(shifts)) == len(shifts) >= 16
     lam = SparsePoly(ctx, [(c, e) for c, e in form.core.term_pairs() if e])
     rng = random.Random(len(reps))
@@ -569,7 +570,7 @@ def test_fibres_above_table_limit():
     params = {"m": 6, "delta": 5, "c": sub[5]}
     fn = fam.evaluator("F1", params, ctx=ctx)
     assert not ctx.ensure_tables() and fn.blocks.__name__ == "fibres"
-    reps, shifts = _form_of("F1", params, ctx)._fibres()
+    reps, shifts = fibres_of(_form_of("F1", params, ctx))
     assert len(reps) == 4096 and sorted(shifts) == sorted(raw_mul(ctx, sub[5], v) for v in sub)
     poly = fam.build("F1", params, ctx=ctx)
     rng = random.Random(18)
@@ -616,8 +617,8 @@ def test_fibres_of_delta_family_maps():
     family, _ = transform_pair(SparsePoly(ctx, _U), 2, 2, "minus")
     f7 = family.map(7)
     assert family.map(0).blocks.__name__ == f7.blocks.__name__ == "fibres"
-    reps, shifts = family.form(7)._fibres()
-    assert family.form(0)._fibres() == (reps, shifts)
+    reps, shifts = fibres_of(family.form(7))
+    assert fibres_of(family.form(0)) == (reps, shifts)
     assert all(f7(x) == _form_ref(family.form(7), x) for x in reps[:20])
 
 

@@ -713,6 +713,18 @@ def test_coefficient_out_of_range_rejected():
         SparsePoly(make_field(2, 18), [(1 << 18, 1)])
 
 
+def test_non_int_reps_rejected():
+    # a rep is an int: elem(2.0) gave the element GF(2^4)#2.0, a float
+    # coefficient raised a bare TypeError over GF(2^4) (int ^ float) and
+    # made the term (1, 1.5) over GF(9), whose repr crashed
+    with pytest.raises(ValueError, match="out of range"):
+        make_field(2, 4).elem(2.0)
+    for p, k in ((2, 4), (3, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            SparsePoly(make_field(p, k), [(1.5, 1)])
+    assert make_field(2, 4).elem(True).rep == 1  # an int by operator.index
+
+
 # --------------------------------------------------------------------------
 # tables and concurrency
 # --------------------------------------------------------------------------

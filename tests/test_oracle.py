@@ -5,6 +5,7 @@ import gc
 import itertools
 import math
 import random
+import unittest.mock
 import weakref
 
 import pytest
@@ -28,7 +29,7 @@ from permpoly import (
 from permpoly import families as fam
 from permpoly import oracle
 
-from helpers import brute_is_permutation, naive_split_map
+from helpers import brute_is_permutation, fibres_of, naive_split_map
 
 
 def test_identity_and_frobenius_are_permutations():
@@ -616,6 +617,31 @@ def test_coset_labels_repeat_before_any_block(k, monkeypatch):
 # fibre sweep scan against the sequential scan
 # --------------------------------------------------------------------------
 
+def _numbering(ctx, images):
+    """A stand-in for ``FieldCtx._linear`` whose map gives each value it
+    reads a new label, so that no two labels agree."""
+    labels = itertools.count()
+    return lambda y: next(labels)
+
+
+def _assert_span_values(fn, form):
+    """The fibre blocks of fn, with labels that never agree, hold f's values
+    at the reps in order, one chunk of reps at a time, then each value plus
+    a shift: chunk by chunk, one block per shift of c*K, the shift 0 first.
+    So the values the source builds from spans are f's, whether or not the
+    labels of f repeat."""
+    ctx = form.core.ctx
+    reps, shifts = fibres_of(form)
+    with unittest.mock.patch.object(FieldCtx, "_linear", _numbering):
+        blocks = list(fn.blocks(fn))
+    heads = blocks[::len(shifts)]
+    assert shifts[0] == 0 and len(blocks) == len(heads) * len(shifts)
+    assert [y for head in heads for y in head] == [fn(x) for x in reps]
+    for j, head in enumerate(heads):
+        assert blocks[j * len(shifts):(j + 1) * len(shifts)] == \
+            [[ctx.add(y, s) for y in head] for s in shifts]
+
+
 _U3 = ((3, 0), (1, 1), (7, 2))
 _U4 = ((5, 0), (1, 1), (77, 2), (1234, 3))
 
@@ -643,6 +669,8 @@ def test_fibre_scan_matches_sequential(fid, params, verdict):
     params = {k: SparsePoly(ctx, v) if k == "u" else v for k, v in params.items()}
     fn = fam.evaluator(fid, params, ctx=ctx)
     assert fn.blocks.__name__ == "fibres"
+    spec = fam.family(fid)
+    _assert_span_values(fn, spec.form(ctx, fam._validate(spec, ctx, params)))
     assert _same_as_sequential(fn, ctx).is_permutation == verdict
 
 
@@ -650,8 +678,9 @@ def test_fibre_scan_matches_sequential(fid, params, verdict):
 def test_fibre_scan_f12_gf625(sign):
     # f(x) = g(x^25 -/+ x + delta) + c*x over GF(5^4), step 2, |K| = 25:
     # DeltaFamily maps for c in GF(25)*, forms for c = 0 (f is constant on
-    # each fibre) and for c drawn from the whole field; g = x with
-    # c = -/+1 is x^25 + delta, a permutation, and random g mostly are not
+    # each fibre, and the fibres yield no block) and for c drawn from the
+    # whole field; g = x with c = -/+1 is x^25 + delta, a permutation, and
+    # random g mostly are not
     ctx = make_field(5, 4)
     rng = random.Random(625 + len(sign))
     xc = 1 if sign == "plus" else ctx.neg(1)
@@ -666,48 +695,74 @@ def test_fibre_scan_f12_gf625(sign):
             else:
                 form = fam.Form(SparsePoly(ctx, [(1, 25), (xc, 1), (delta, 0)]), u=g, c=c)
             fn = form.rep_fn()
-            assert fn.blocks.__name__ == "fibres" and len(form._fibres()[1]) == 25
+            assert fn.blocks.__name__ == "fibres" and len(fibres_of(form)[1]) == 25
+            if c:
+                _assert_span_values(fn, form)
+            else:
+                assert list(fn.blocks(fn)) == []
             verdicts.append(_same_as_sequential(fn, ctx).is_permutation)
     assert True in verdicts and False in verdicts
 
 
-def test_fibre_scan_collision_in_a_late_fibre():
-    # F1 m=4 (a permutation) with its last fibre sent where its first goes:
-    # the map keeps f(x + k) = f(x) + k (c = 1), and its one collision shows
-    # at the last fibre, after a call at every rep
+def test_fibre_labels_stop_before_any_block():
+    # F1 m=4 with c = 0 sends each fibre to one image, so the fibres stop at
+    # once; with c = 2 outside GF(16), the labels of reps 2 and 20, in the
+    # first chunk of 64 reps, agree: neither yields a block, and the
+    # sequential scan gives the report
     ctx = make_field(2, 12)
-    form = fam.Form(SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)]), 257, c=1)  # F1 m=4
-    fn = form.rep_fn()
-    assert fn.blocks.__name__ == "fibres"
-    reps, shifts = form._fibres()
-    kernel, move = set(shifts), reps[-1] ^ reps[0]
-    calls = []
+    core = SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)])
+    for fn in (fam.Form(core, 257).rep_fn(), fam.evaluator("F1", {"m": 4, "delta": 5, "c": 2})):
+        assert fn.blocks.__name__ == "fibres" and list(fn.blocks(fn)) == []
+        assert not _same_as_sequential(fn, ctx).is_permutation
 
-    def spy(x):
-        calls.append(x)
-        return fn(x ^ move) if x ^ reps[-1] in kernel else fn(x)
-    spy.blocks = fn.blocks  # the fibres call the spy at their reps
-    vr = _same_as_sequential(spy, ctx)
-    assert not vr.is_permutation and calls[:len(reps)] == reps
+
+def test_fibre_scan_collision_in_a_late_fibre():
+    # f(x) = x + a*[x^16 + x = 0] over GF(2^12): a form with c = 1 and
+    # u(w) = a + a*w^(q-1), which is a at w = 0 and 0 elsewhere.  It sends
+    # K = GF(16), the fibre of the first rep 0, onto a + K, the fibre of a,
+    # and every other fibre onto itself.  With a the last of the 256 reps,
+    # the labels of the first and the last fibre are the one pair that
+    # agrees: the fibres yield the chunks of reps 0..63 and 64..127 and
+    # withhold the last one, reps 128..255
+    ctx = make_field(2, 12)
+    core = SparsePoly(ctx, [(1, 16), (1, 1)])
+    reps, shifts = fibres_of(fam.Form(core, c=1))
+    a = reps[-1]
+    form = fam.Form(core, u=SparsePoly(ctx, [(a, 0), (a, ctx.order - 1)]), c=1)
+    fn = form.rep_fn()
+    assert fn.blocks.__name__ == "fibres" and fibres_of(form) == (reps, shifts)
+    assert [fn(x) for x in reps] == [a] + reps[1:]
+    blocks = list(fn.blocks(fn))
+    assert len(blocks) == 2 * len(shifts) and sum(map(len, blocks)) == 128 * 16
+    _assert_span_values(fn, form)
+    assert not _same_as_sequential(fn, ctx).is_permutation
     # fibres that fall short of the field are not taken for a bijection:
-    # the sequential scan runs from 0 after them
-    del calls[:]
+    # the sequential scan runs from 0 after them, and the fibres call no f
+    fn = fam.evaluator("F1", {"m": 4, "delta": 5, "c": 1})
+    count = len(list(fn.blocks(fn)))
+    calls = []
     spy = lambda x: calls.append(x) or fn(x)  # noqa: E731
-    spy.blocks = lambda f: itertools.islice(fn.blocks(f), len(reps) - 1)
+    spy.blocks = lambda f: itertools.islice(fn.blocks(f), count - 1)
     vr = is_permutation(spy, ctx)
     assert (vr.is_permutation, vr.evaluations) == (True, ctx.order)
-    assert calls == reps[:-1] + list(range(ctx.order))
+    assert calls == list(range(ctx.order))
 
 
 def test_fibre_scan_needs_no_tables(monkeypatch):
-    # F1 m=4 with the tables of GF(2^12) off: the untabled evaluator carries
-    # fibres, and the scan takes them, with the sequential scan's report
-    base = make_field(2, 12)
-    ctx = FieldCtx(2, 12, base.modulus, base.generator)
+    # F1 m=4 over GF(2^12), and x^25 + x + 3 + c*x over GF(5^4), with their
+    # tables off: the untabled evaluators carry fibres, whose values come
+    # from spans through ctx arithmetic and whose labels from digits in odd
+    # characteristic, and the scan takes them, with the sequential scan's
+    # report; c = -1 leaves x^25 + 3, and with c = 3, x^25 - x has the kernel mu_24
     monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
-    for c, verdict in ((1, True), (2, False)):
-        core = SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)])
-        fn = fam.Form(core, 257, c=c).rep_fn()
-        assert fn.blocks.__name__ == "fibres" and not hasattr(fn, "sweep")
-        assert _same_as_sequential(fn, ctx).is_permutation == verdict
-    assert ctx._exp is None
+    for (p, k), terms, E, cs in (((2, 12), [(1, 16), (1, 1), (5, 0)], 257, (1, 2)),
+                                 ((5, 4), [(1, 25), (1, 1), (3, 0)], 1, (4, 3))):
+        base = make_field(p, k)
+        ctx = FieldCtx(p, k, base.modulus, base.generator)
+        for c, verdict in zip(cs, (True, False)):
+            form = fam.Form(SparsePoly(ctx, terms), E, c=c)
+            fn = form.rep_fn()
+            assert fn.blocks.__name__ == "fibres" and not hasattr(fn, "sweep")
+            _assert_span_values(fn, form)
+            assert _same_as_sequential(fn, ctx).is_permutation == verdict
+        assert ctx._exp is None
