@@ -257,15 +257,16 @@ class Form:
         the core's sweep, then exp[log c0 + r*i + E*log G(w)] per value, plus
         the column exp[log c + i].  Above TABLE_LIMIT there is no sweep.
 
-        ``f.blocks(f)`` gives f's images in blocks, up to a repeat.  With r = 0
-        and an affine core whose linear part has a kernel K of at least 16
-        elements, on every field, these are the fibres x + K, as f(x + k) =
-        f(x) + c*k for k in K (``_fibres``): f's values at the reps come from
-        spans, with no call of f, and their labels mod c*K certify them.
-        Else, on a tabled field, they come from the sweep (``FieldCtx._blocks``):
-        one coset of mu_t at a time when ``u`` is None, c = 0 (so f = c0 *
-        x^r * core^E) and the core's exponents split with t = gcd(q-1, e - e0)
-        >= 16, otherwise in log order.
+        ``f.bijective(f, q)`` is True exactly when f is a bijection of the
+        field, of order q.  With r = 0 and an affine core whose linear part
+        has a kernel K of at least 16 elements, on every field, the source is
+        ``fibres``: f(x + k) = f(x) + c*k for k in K, so f maps the fibres
+        x + K onto cosets of c*K, and it is a bijection exactly when c != 0
+        and f's values at the reps, taken from spans with no call of f, have
+        distinct labels mod c*K (``_fibres``).  Else, on a tabled field, the
+        source reads the sweep (``FieldCtx._blocks``): ``cosets`` when ``u``
+        is None, c = 0 (so f = c0 * x^r * core^E) and the core's exponents
+        split with t = gcd(q-1, e - e0) >= 16, otherwise ``log_order``.
         """
         core, ctx = self.core, self.core.ctx
         core_fn = core.rep_fn()
@@ -312,43 +313,39 @@ class Form:
                 return list(map(point, ws))
 
         if split := self._fibres():
-            lam, kernel, complement = split
+            lam, complement = split
             k0, p = core_fn(0), ctx.p
 
-            def fibres(f):  # calls no f: its values at the reps from spans
-                if not c:
-                    return
+            def fibres(f, q):  # calls no f: its values at the reps from spans
+                if not c or q != ctx.order:
+                    return False
                 cinv = ctx.inv(c)
                 mu = ctx._linear([lam(ctx.mul(cinv, p ** i)) for i in range(ctx.k)])
                 cores = ctx._span(list(map(lam, complement)), k0)
                 scaled = ctx._span([ctx.mul(c, b) for b in complement])
-                shifts = ctx._span([ctx.mul(c, v) for v in kernel])
                 seen, lo, hi = set(), 0, 64
-                while lo < len(cores):
-                    ys = list(map(add, outer(cores[lo:hi]), scaled[lo:hi]))
-                    seen.update(map(mu, ys))  # mu(f(x)) = mu(f(x')) iff the fibres meet
-                    if len(seen) < lo + len(ys):
-                        return
-                    for s in shifts:
-                        yield [y ^ s for y in ys] if p == 2 else [add(y, s) for y in ys]
+                while lo < len(cores):  # mu(f(x)) = mu(f(x')) iff the fibres meet
+                    seen.update(map(mu, map(add, outer(cores[lo:hi]), scaled[lo:hi])))
+                    if len(seen) < min(hi, len(cores)):
+                        return False
                     lo, hi = hi, 2 * hi
-            f.blocks = fibres
+                return True
+            f.bijective = fibres
         elif tabled:
-            f.blocks = ctx._blocks(columns, core._terms if u is None and not c else None, r, E)
+            f.bijective = ctx._blocks(columns, core._terms if u is None and not c else None, r, E)
         return f
 
     def _fibres(self):
-        """(lam, kernel, complement) of the fibre blocks, or None.
+        """(lam, complement) of the fibres, or None.
 
         With r = 0 and every nonconstant core exponent a power of p, core =
         k0 + lam with lam GF(p)-linear, so f(x + k) = f(x) + c*k for every k
         in K = ker lam, whatever u, n, E and c0 are.  ``lam`` is that map on
-        reps (``FieldCtx._linear``); ``kernel`` is a basis of K and
-        ``complement`` digit basis vectors p^i spanning a complement of K.
-        Their span gives the reps, one per fibre x + K, and the fibre of x
-        has the images f(x) + s, s among the shifts c*K.  None when |K| <
-        _ORBIT_MIN; a largest exponent below it (|K| is at most the degree
-        of lam) rules that out before any linear algebra.
+        reps (``FieldCtx._linear``) and ``complement`` digit basis vectors
+        p^i spanning a complement of K, whose span gives the reps, one per
+        fibre x + K.  None when |K| < _ORBIT_MIN; a largest exponent below it
+        (|K| is at most the degree of lam) rules that out before any linear
+        algebra.
         """
         ctx = self.core.ctx
         p = ctx.p
@@ -358,10 +355,10 @@ class Form:
             return None
         lam = SparsePoly._raw(ctx, rest).eval_rep
         images = [lam(p ** i) for i in range(ctx.k)]
-        kernel, complement = ctx._kernel_split(images)
-        if p ** len(kernel) < _ORBIT_MIN:
+        complement = ctx._kernel_split(images)[1]
+        if p ** (ctx.k - len(complement)) < _ORBIT_MIN:
             return None
-        return ctx._linear(images), kernel, complement
+        return ctx._linear(images), complement
 
 
 # ---------------------------------------------------------------------------
@@ -951,12 +948,10 @@ def enumerate_instances(fid: str, fixed: dict, *, cap: int = DEFAULT_ENUM_CAP):
                 f"{fid}: parameter '{ps.name}' must be fixed for enumeration")
         sweep.append(ps)
     domains = [range(1 if ps.nonzero else 0, ctx.order) for ps in sweep]
-    total = 1
-    for dom in domains:
-        total *= len(dom)
-        if total > cap:
-            raise EnumerationTooLarge(f"{fid}: enumeration of {total}+ assignments "
-                                      f"exceeds cap {cap}")
+    total = math.prod(map(len, domains))  # 1 when nothing is swept
+    if total > cap:
+        raise EnumerationTooLarge(f"{fid}: enumeration of {total} assignments "
+                                  f"exceeds cap {cap}")
     names = [ps.name for ps in sweep]
     for reps in itertools.product(*domains):  # no sweep: one empty assignment
         params = {**fixed, **dict(zip(names, reps))}

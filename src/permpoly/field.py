@@ -40,7 +40,7 @@ TABLE_LIMIT = 1 << 16  # log/antilog tables are built lazily up to this order
 # list time over GF(2^8..2^12), 0.86-1.30x over GF(2^13), GF(2^14) as other
 # load on the cache varied, and 0.59-0.70x over GF(2^15), GF(2^16), GF(3^10).
 LIST_TABLE_LIMIT = 1 << 14
-# A block source that derives a whole orbit of points from one computed
+# A block source that answers for a whole orbit of points from one computed
 # value (the cosets' t-th roots of unity, the fibres' kernel of a linear
 # core) is taken only when the group acting has at least this many elements:
 # below it the set-up outweighs the points it saves.
@@ -690,57 +690,54 @@ class FieldCtx:
         return list(reduce(partial(map, self._sum), cols))
 
     def _blocks(self, columns, terms=None, r=0, E=1):
-        """The block source of an evaluator f on this tabled field: a
-        generator function ``blocks(f)`` whose blocks hold f's images, f(0)
-        first, in the field and each once, up to a repeat they withhold, with
-        ``columns(i0, count)`` = [f(g^i) for i0 <= i < i0 + count].
+        """The block source of an evaluator f on this tabled field: a function
+        ``bijective(f, q)``, True exactly when q is the field's order and f's
+        q images are distinct and in [0, q), with ``columns(i0, count)`` =
+        [f(g^i) for i0 <= i < i0 + count].
 
         ``cosets`` when f = c0 * x^r * k(x)^E, k the polynomial of the (e, c)
         ``terms``, and t = gcd(q-1, e - e0 for every e) >= _ORBIT_MIN (16),
         e0 the first exponent.  Then log f(g^i) = a*i + lam[i mod d], d =
         (q-1)/t and a = r + E*e0 (Zieve's split), so the coset g^j * mu_t
         goes into g^P * mu_t, P = log f(g^j).  ``cosets`` reads the head
-        ``columns(0, d)`` once, at most a sixteenth of the field.  f repeats
-        an image when gcd(a, t) > 1, when a head value is 0 (its coset goes
-        to 0) or when two labels P mod d agree (two cosets go into one): then
-        it yields no block, and the sequential scan finds the repeat.  Else
-        each coset's images are the slice exp[P:P + q-1:d], in another order,
-        disjoint by their labels, so nothing is marked.  Their count q rests
-        on f(0) = 0, in no slice: a != 0 mod t forces r > 0 or e0 > 0.
+        ``columns(0, d)`` once, at most a sixteenth of the field, and answers
+        by it alone: f repeats an image exactly when gcd(a, t) > 1, when a
+        head value is 0 (its coset goes to 0) or when two labels P mod d
+        agree (two cosets go into one).  f(0) = 0 goes to no coset, as a !=
+        0 mod t forces r > 0 or e0 > 0.
 
         Otherwise ``log_order``: f(0), then the columns in blocks growing
-        from 256 to 4096 logs, each yielded once its images are marked in a
-        bytearray(q); the first to repeat an image or leave the field ends
-        the blocks.  Neither closes over f, which holds it: such a reference
-        cycle per compile, and its garbage collection, tripled the cost of
-        ``SparsePoly.rep_fn``.  Needs tables.
+        from 256 to 4096 logs, each marked in a bytearray(q); False at the
+        first image that repeats or leaves the field.  Neither closes over f,
+        which holds it: such a reference cycle per compile, and its garbage
+        collection, tripled the cost of ``SparsePoly.rep_fn``.  Needs tables.
         """
-        exp, log, n1 = self._exp, self._log, self.order - 1
+        log, n1 = self._log, self.order - 1
         e0 = terms[0][0] if terms else 0
         t = 0 if terms is None else self._split_step(terms)
         if t < _ORBIT_MIN:
-            def log_order(f):
-                seen, block, i, size = bytearray(self.order), (f(0),), 0, 256
+            def log_order(f, q):
+                if q != self.order:
+                    return False
+                seen, block, i, size = bytearray(q), (f(0),), 0, 256
                 while block:
                     try:
                         for y in block:
                             if seen[y]:
-                                return
+                                return False
                             seen[y] = 1
                     except IndexError:  # an image past the field
-                        return
-                    yield block
+                        return False
                     block = columns(i, min(size, n1 - i)) if i < n1 else None
                     i, size = i + size, min(2 * size, 4096)
+                return True
             return log_order
         d, a = n1 // t, (r + E * e0) % n1
 
-        def cosets(f):
+        def cosets(f, q):
             head = columns(0, d)
-            if math.gcd(a, t) == 1 and all(head) and len({log[y] % d for y in head}) == d:
-                yield (f(0),)
-                for y in head:
-                    yield exp[log[y]:log[y] + n1:d]
+            return q == self.order and math.gcd(a, t) == 1 and all(head) and \
+                len({log[y] % d for y in head}) == d
         return cosets
 
     def _split_step(self, terms):
@@ -1006,10 +1003,11 @@ class SparsePoly:
         index; the exponent-0 term is kept apart and is the value at 0.
         Characteristic 2 accumulates by XOR.  ``f.sweep(i0, count)`` gives
         f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``),
-        and ``f.blocks(f)`` gives f's images up to a repeat, one coset of mu_t
-        at a time when the exponents split with t = gcd(q-1, e - e0) >= 16,
-        else in log order (``FieldCtx._blocks``).  Above TABLE_LIMIT this is
-        :meth:`eval_rep`, with neither.  Nothing is cached on the polynomial.
+        and ``f.bijective(f, q)`` is True exactly when f is a bijection, read
+        from the head of its cosets of mu_t when the exponents split with t =
+        gcd(q-1, e - e0) >= 16, else from its images in log order
+        (``FieldCtx._blocks``).  Above TABLE_LIMIT this is :meth:`eval_rep`,
+        with neither.  Nothing is cached on the polynomial.
         """
         ctx = self.ctx
         if not ctx.ensure_tables():
@@ -1028,7 +1026,7 @@ class SparsePoly:
                 acc = add(acc, exp[lc + lx * e % n1])
             return acc
         f.sweep = partial(ctx._log_sweep, c0, terms)
-        f.blocks = ctx._blocks(f.sweep, self._terms)
+        f.bijective = ctx._blocks(f.sweep, self._terms)
         return f
 
     def eval(self, x: FieldElem) -> FieldElem:

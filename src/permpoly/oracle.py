@@ -3,12 +3,12 @@
 Maps are accepted either as :class:`SparsePoly` or as plain callables on
 integer reps, so composition closures verify without formal expansion.  A
 polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).  A compiled
-evaluator f may carry ``f.blocks``, whose ``blocks(f)`` yields f's images in
-blocks that lie in the field and share no image, withholding the first that
-would not: f is a bijection exactly when they hold q images.  Each source
-certifies its own blocks: the fibres of an affine core and the cosets of a
-split by labels that tell their images apart, the log-order blocks by
-marking every image.  Otherwise the sequential scan from 0 gives the report.
+evaluator f may carry a block source ``f.bijective``: ``bijective(f, q)`` is
+True exactly when q is the order of f's field and f's q images are distinct
+and in [0, q).  The fibres of an affine core and the cosets of a split answer
+by labels that tell the images of their blocks apart (Akbary-Ghioca-Wang,
+Zieve), the log order by marking every image.  When it answers False, or f
+has none, the sequential scan from 0 gives the report.
 """
 
 from __future__ import annotations
@@ -66,16 +66,15 @@ def _sequential_scan(fn, order):
 def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
     """Exhaustively test whether f is a bijection of the whole field.
 
-    When f carries a block source, its blocks are counted: q images, which
-    its contract makes distinct, are a bijection.  Otherwise, or when they
-    fall short, the sequential scan from 0 runs, so the witness and the
-    evaluation count are always the sequential scan's.
+    When f carries a block source that answers True, f is a bijection, with
+    q evaluations.  Otherwise the sequential scan from 0 runs, so the
+    witness and the evaluation count are always the sequential scan's.
     """
     fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
     start = time.perf_counter()
-    blocks = getattr(fn, "blocks", None)
-    if blocks is not None and sum(map(len, blocks(fn))) == ctx.order:
+    bijective = getattr(fn, "bijective", None)
+    if bijective is not None and bijective(fn, ctx.order):
         witness, evals = None, ctx.order
     else:
         witness, evals = _sequential_scan(fn, ctx.order)

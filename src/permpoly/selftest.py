@@ -87,8 +87,9 @@ def run_selftest(out) -> bool:
             fn = fam.evaluator(fid, params)
             vr = replace(is_permutation(fn, ctx), elapsed_ms=0.0)
             witness, evals = _sequential_scan(fn, ctx.order)
-            same &= fn.blocks.__name__ == source and vr == VerifyReport(
-                "field", witness is None, witness, None, evals, 0.0)
+            same &= fn.bijective.__name__ == source
+            same &= fn.bijective(fn, ctx.order) is (witness is None)
+            same &= vr == VerifyReport("field", witness is None, witness, None, evals, 0.0)
         ok &= _check(out, name, same, f"{fid} witness={vr.witness}")
 
     ctx256 = make_field(2, 8)

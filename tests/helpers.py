@@ -134,9 +134,11 @@ def swept(fn, n1, blocks=(1, 7, 300, 4096)):
 def fibres_of(form):
     """(reps, shifts) of a form with fibres: the span of the complement
     ``Form._fibres()`` gives, one rep per fibre x + K in the order the
-    fibre blocks take them, and c*K."""
+    fibres source labels them, and c*K, K the kernel of the core's linear
+    part lam."""
     ctx = form.core.ctx
-    _, kernel, complement = form._fibres()
+    lam, complement = form._fibres()
+    kernel = ctx._kernel_split([lam(ctx.p ** i) for i in range(ctx.k)])[0]
     return ctx._span(complement), ctx._span([ctx.mul(form.c, v) for v in kernel])
 
 

@@ -212,6 +212,10 @@ def test_enumerate_cap_exit3(capsys):
                            "--r", "4", "--s", "3", "--cap", "100")
     assert code == 3
     assert "cap" in err
+    # nothing swept: the one all-fixed assignment counts 1 against the cap
+    code, out, err = run_cli(capsys, "enumerate", "--family", "F4", "--m", "1",
+                             "--b", "1", "--cap", "0")
+    assert code == 3 and "cap" in err and out == ""
 
 
 # --------------------------------------------------------------------------

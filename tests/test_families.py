@@ -4,7 +4,6 @@ exactly against repaired predicates)."""
 
 import hashlib
 import random
-from collections import Counter
 
 import pytest
 
@@ -202,6 +201,10 @@ def test_enumerate_f11_anchor_set():
 def test_enumerate_cap_and_unfixed_int():
     with pytest.raises(EnumerationTooLarge):
         list(fam.enumerate_instances("F11", {"m": 2, "r": 4, "s": 3}, cap=1000))
+    # nothing swept: the one all-fixed assignment counts 1 against the cap
+    with pytest.raises(EnumerationTooLarge):
+        list(fam.enumerate_instances("F4", {"m": 1, "b": 1}, cap=0))
+    assert len(list(fam.enumerate_instances("F4", {"m": 1, "b": 1}, cap=1))) == 1
     with pytest.raises(SchemaMismatch):
         list(fam.enumerate_instances("F5", {"m": 3, "r": 4}))  # i not fixed
 
@@ -317,39 +320,28 @@ def log_sweeps(monkeypatch):
 
 
 def _assert_cosets(fn, ctx, calls):
-    """``fn.blocks`` is the coset source, and ``fn.blocks(fn)`` asks the
-    columns once, for (0, d) with 16*d <= q-1, and never per block.  When f
-    repeats no image on the nonzero points and sends none to 0, it yields
-    (f(0),), then per coset j a block holding, in some order, the closure's
-    images at g^(j + d*R), R < (q-1)/d; all blocks are, as a multiset, the
-    images of the whole field, and f(0) = 0, in no slice, as the count of q
-    images in ``is_permutation`` needs.  Otherwise it yields no block, and
-    ``is_permutation`` gives the sequential scan's report.  Returns whether
-    blocks came."""
-    assert fn.blocks.__name__ == "cosets"
+    """``fn.bijective`` is the coset source, and ``fn.bijective(fn, q)`` asks
+    the columns once, for the head (0, d) with d dividing q-1 and 16*d <=
+    q-1.  Its answer is whether f permutes the field, counted by brute force,
+    and ``is_permutation`` gives the sequential scan's report.  Returns the
+    answer."""
+    assert fn.bijective.__name__ == "cosets"
     del calls[:]
-    blocks = [list(b) for b in fn.blocks(fn)]
+    answer = fn.bijective(fn, ctx.order)
     assert len(calls) == 1 and calls[0][0] == 0, calls
     d = calls[0][1]
-    assert 16 * d <= ctx.order - 1, calls
-    want = [fn(x) for x in log_order_points(ctx)]
-    if 0 in want or len(set(want)) < len(want):
-        assert blocks == []
-        vr = is_permutation(fn, ctx)
-        assert (vr.witness, vr.evaluations) == oracle._sequential_scan(fn, ctx.order)
-        return False
-    assert blocks[0] == [fn(0)] == [0] and len(blocks) == d + 1
-    for j, block in enumerate(blocks[1:]):
-        assert sorted(block) == sorted(want[j::d]), j
-    images = Counter(y for block in blocks for y in block)
-    assert images == Counter(fn(x) for x in range(ctx.order))
-    return True
+    assert (ctx.order - 1) % d == 0 and 16 * d <= ctx.order - 1, calls
+    assert answer is brute_is_permutation(fn, ctx.order)
+    vr = is_permutation(fn, ctx)
+    assert (vr.is_permutation, vr.witness, vr.evaluations) == \
+        (answer, *oracle._sequential_scan(fn, ctx.order))
+    return answer
 
 
 # split-shaped evaluators, t = gcd(q-1, e - e0) >= 16: the coset source;
 # with a = r + E*e0, gcd(a, t) = 1, no zero f(g^j) and distinct labels
-# log f(g^j) mod d for j < d give each coset's images as one slice (blocks
-# True); a repeat shown by the head gives no block at all (False)
+# log f(g^j) mod d for j < d make f a bijection (True); a repeat shown by
+# the head makes it none (False)
 _PERIODIC = [
     ("F3", {"m": 8, "c": 7}, True),  # t = 255
     ("F4", {"m": 8, "b": 7}, False),  # t = 21845, d = 3: two labels agree
@@ -363,13 +355,13 @@ _PERIODIC = [
 ]
 
 
-@pytest.mark.parametrize("fid,params,blocks", _PERIODIC,
+@pytest.mark.parametrize("fid,params,bijective", _PERIODIC,
                          ids=[f"{c[0]}-params{i}" for i, c in enumerate(_PERIODIC)])
-def test_period_sweep_matches_closure(fid, params, blocks, log_sweeps):
+def test_period_sweep_matches_closure(fid, params, bijective, log_sweeps):
     ctx = fam.family_ctx(fid, params)
     fn = fam.evaluator(fid, params, ctx=ctx)
     _assert_sweep_is_closure(fn, ctx)
-    assert _assert_cosets(fn, ctx, log_sweeps) == blocks
+    assert _assert_cosets(fn, ctx, log_sweeps) is bijective
 
 
 def _period_shapes(ctx):
@@ -391,25 +383,25 @@ def test_period_sweep_shapes(p, k, log_sweeps):
     # GF(3^5) has q-1 = 242 = 2 * 11^2: t = 22, d = 11, odd characteristic;
     # GF(5^4) has q-1 = 624: t = 48, d = 13.  Over GF(2^16) (t = 255) a = 17
     # (alpha-not-r) and a = 3 (two-terms, zeros) share a factor with t, as
-    # a = 3 does with t = 48 over GF(5^4); only the monomial (d = 1) is
-    # swept by a coset block, the others repeat an image by their head
+    # a = 3 does with t = 48 over GF(5^4); only the monomial (d = 1) is a
+    # bijection, the others repeat an image by their head
     ctx = make_field(p, k)
     ctx.ensure_tables()
-    blocks = {}
+    answers = {}
     for name, f in _period_shapes(ctx):
         fn = f.rep_fn()
         if isinstance(f, fam.Form):
             assert [fn(x) for x in range(0, ctx.order, 97)] == \
                 [_form_ref(f, x) for x in range(0, ctx.order, 97)], name
         _assert_sweep_is_closure(fn, ctx)
-        blocks[name] = _assert_cosets(fn, ctx, log_sweeps)
-    assert [name for name, b in blocks.items() if b] == ["monomial-form"]
+        answers[name] = _assert_cosets(fn, ctx, log_sweeps)
+    assert [name for name, b in answers.items() if b] == ["monomial-form"]
 
 
 def test_column_sweep_kept(log_sweeps):
     # every evaluator sweeps by columns; F1, F2 and F6 are not split-shaped
     # (d = q-1, c != 0 or u set) and x^3 + 1 over GF(2^16) has t = 3, below
-    # 16, so they take no coset blocks (F1 and F6 take their fibres, the
+    # 16, so they take no coset source (F1 and F6 take their fibres, the
     # others log order), while a monomial is one coset (d = 1)
     ctx = make_field(2, 16)
     cases = [fam.evaluator("F1", {"m": 5, "delta": 1234, "c": 624}),
@@ -421,7 +413,7 @@ def test_column_sweep_kept(log_sweeps):
         del log_sweeps[:]
         fn.sweep(5, 300)
         assert log_sweeps == [(5, 300)]
-    assert [fn.blocks.__name__ for fn in cases] == \
+    assert [fn.bijective.__name__ for fn in cases] == \
         ["fibres", "log_order", "fibres", "log_order", "cosets"]
 
 
@@ -547,7 +539,7 @@ def test_fibres_identity(fid, params):
     params = {k: SparsePoly(ctx, v) if k in ("u", "g") else v for k, v in params.items()}
     form = _form_of(fid, params, ctx)
     fn = form.rep_fn()
-    assert fn.blocks.__name__ == "fibres"
+    assert fn.bijective.__name__ == "fibres"
     reps, shifts = fibres_of(form)
     assert len(reps) * len(shifts) == ctx.order and len(set(shifts)) == len(shifts) >= 16
     lam = SparsePoly(ctx, [(c, e) for c, e in form.core.term_pairs() if e])
@@ -569,7 +561,7 @@ def test_fibres_above_table_limit():
     sub = ctx.subfield_reps(6)
     params = {"m": 6, "delta": 5, "c": sub[5]}
     fn = fam.evaluator("F1", params, ctx=ctx)
-    assert not ctx.ensure_tables() and fn.blocks.__name__ == "fibres"
+    assert not ctx.ensure_tables() and fn.bijective.__name__ == "fibres"
     reps, shifts = fibres_of(_form_of("F1", params, ctx))
     assert len(reps) == 4096 and sorted(shifts) == sorted(raw_mul(ctx, sub[5], v) for v in sub)
     poly = fam.build("F1", params, ctx=ctx)
@@ -596,17 +588,17 @@ def test_no_fibres_below_orbit_min(kernel_splits):
     # criterion 9's F1 m=3 (|K| = 8) and F7 q=3 (|K| = 3) have a largest
     # core exponent below 16, and r != 0 or a core that is not affine (F8)
     # rules fibres out: none of these runs any linear algebra, and each takes
-    # its blocks from the sweep; x^16 + x^2 + 7 over GF(2^12) passes those
+    # its source from the sweep; x^16 + x^2 + 7 over GF(2^12) passes those
     # checks, and its kernel GF(8) is too small
     ctx = make_field(2, 12)
     cases = [fam.evaluator("F1", {"m": 3, "delta": 5, "c": 1}),
              fam.evaluator("F7", {"q": 3, "case": "power", "i": 1, "delta": 7, "c": 1}),
              fam.evaluator("F8", {"m": 6, "r": 5, "s": 3, "a": 1, "delta": 3}),
              fam.Form(SparsePoly(ctx, [(1, 16), (1, 1)]), 3, r=1, c=1).rep_fn()]
-    assert [fn.blocks.__name__ for fn in cases] == \
+    assert [fn.bijective.__name__ for fn in cases] == \
         ["log_order", "log_order", "cosets", "log_order"] and kernel_splits == []
     form = fam.Form(SparsePoly(ctx, [(1, 16), (1, 2), (7, 0)]), 3, c=1)
-    assert form.rep_fn().blocks.__name__ == "log_order" and kernel_splits == [ctx]
+    assert form.rep_fn().bijective.__name__ == "log_order" and kernel_splits == [ctx]
     assert form._fibres() is None
 
 
@@ -616,7 +608,7 @@ def test_fibres_of_delta_family_maps():
     ctx = make_field(5, 4)
     family, _ = transform_pair(SparsePoly(ctx, _U), 2, 2, "minus")
     f7 = family.map(7)
-    assert family.map(0).blocks.__name__ == f7.blocks.__name__ == "fibres"
+    assert family.map(0).bijective.__name__ == f7.bijective.__name__ == "fibres"
     reps, shifts = fibres_of(family.form(7))
     assert fibres_of(family.form(0)) == (reps, shifts)
     assert all(f7(x) == _form_ref(family.form(7), x) for x in reps[:20])

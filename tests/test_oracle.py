@@ -1,6 +1,5 @@
 """Oracle tests: exhaustive verification, subset sweeps, and splitting."""
 
-import functools
 import gc
 import itertools
 import math
@@ -410,31 +409,17 @@ def test_split_back_ends_agree(p, k, circle_spy, monkeypatch):
 # --------------------------------------------------------------------------
 
 def _same_as_sequential(f, ctx):
-    """is_permutation's report equals the sequential scan's, elapsed_ms aside.
-
-    When the evaluator carries a block source, the blocks is_permutation
-    counted, read once as it reads them, keep their contract: distinct
-    images in [0, q), q of them exactly when the sequential scan finds no
-    witness, and then the images of the whole field."""
+    """is_permutation's report equals the sequential scan's, elapsed_ms aside,
+    and the evaluator's block source, when it carries one, called once
+    answers True exactly when the sequential scan finds no witness."""
     fn = f.rep_fn() if isinstance(f, (SparsePoly, fam.Form)) else f
-    blocks, images = getattr(fn, "blocks", None), []
-    probe = functools.partial(fn)  # fn, its blocks recorded as they are read
-    if blocks is not None:
-        def recorded(f):
-            for block in blocks(f):
-                images.extend(block)
-                yield block
-        probe.blocks = recorded
-    vr = is_permutation(probe, ctx)
+    vr = is_permutation(fn, ctx)
     witness, evals = oracle._sequential_scan(fn, ctx.order)
     assert (vr.target, vr.is_permutation, vr.witness, vr.escape, vr.evaluations) == \
         ("field", witness is None, witness, None, evals)
-    if blocks is not None:
-        q = ctx.order
-        assert len(set(images)) == len(images) and all(0 <= y < q for y in images)
-        assert (len(images) == q) == (witness is None)
-        if witness is None:
-            assert sorted(images) == sorted(map(fn, range(q)))
+    source = getattr(fn, "bijective", None)
+    if source is not None:
+        assert source(fn, ctx.order) is (witness is None)
     return vr
 
 
@@ -457,32 +442,32 @@ def test_sweep_scan_matches_sequential(fid, params, source, witness):
     ctx = fam.family_ctx(fid, params)
     params = {k: SparsePoly(ctx, v) if k == "g" else v for k, v in params.items()}
     fn = fam.evaluator(fid, params, ctx=ctx)
-    assert fn.blocks.__name__ == source
+    assert fn.bijective.__name__ == source
     assert _same_as_sequential(fn, ctx).witness == witness
 
 
-def test_sweep_scan_collision_in_a_late_block():
+def _column_calls(monkeypatch):
+    """The (i0, count) of each ``FieldCtx._log_sweep`` call made after setup."""
+    calls, inner = [], FieldCtx._log_sweep
+    monkeypatch.setattr(FieldCtx, "_log_sweep",
+                        lambda self, *args: calls.append(args[2:]) or inner(self, *args))
+    return calls
+
+
+def test_sweep_scan_collision_in_a_late_block(monkeypatch):
     # x^3 on GF(2^16): g^i and g^(i + (q-1)/3) are the first pair to collide
-    # in log order, at i = 21845, so the log-order blocks after f(0), of
-    # 256, 512, ..., 4096 logs, pass eight blocks first and withhold the
-    # ninth, which holds log 21845
+    # in log order, at i = 21845, so the log-order source, after f(0), marks
+    # column blocks of 256, 512, ..., 4096 logs, passes eight of them and
+    # answers False in the ninth, which holds log 21845
     ctx = make_field(2, 16)
+    calls = _column_calls(monkeypatch)
     fn = SparsePoly(ctx, [(1, 3), (1, 0)]).rep_fn()
-    assert fn.blocks.__name__ == "log_order"
-    sizes = []
-
-    def spy(x):
-        return fn(x)
-
-    def counted(f):
-        for block in fn.blocks(f):
-            sizes.append(len(block))
-            yield block
-    spy.blocks = counted
-    vr = _same_as_sequential(spy, ctx)
-    assert not vr.is_permutation
-    assert sizes == [1, 256, 512, 1024, 2048, 4096, 4096, 4096, 4096]
-    assert sum(sizes[1:]) <= 21845 < sum(sizes[1:]) + 4096
+    assert fn.bijective.__name__ == "log_order"
+    assert fn.bijective(fn, ctx.order) is False
+    sizes = [256, 512, 1024, 2048, 4096, 4096, 4096, 4096, 4096]
+    assert calls == list(zip(itertools.accumulate([0] + sizes[:-1]), sizes))
+    assert calls[-1][0] <= 21845 < sum(calls[-1])
+    assert not _same_as_sequential(fn, ctx).is_permutation
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 3), (3, 2), (2, 8)])
@@ -548,7 +533,7 @@ def test_coset_scan_matches_sequential_and_brute(p, k):
     kinds = set()
     for f, t, a in _split_shaped(ctx, random.Random(100 * p + k)):
         fn = f.rep_fn()
-        assert fn.blocks.__name__ == "cosets"
+        assert fn.bijective.__name__ == "cosets"
         vr = _same_as_sequential(fn, ctx)
         assert vr.is_permutation == brute_is_permutation(fn, ctx.order)
         zero = 0 in map(fn, range(1, ctx.order))  # a whole coset goes to 0
@@ -571,7 +556,7 @@ def test_block_sources_hold_no_evaluator():
     try:
         for f, source in cases:
             fn = f.rep_fn()
-            assert fn.blocks.__name__ == source
+            assert fn.bijective.__name__ == source
             ref = weakref.ref(fn)
             del fn
             assert ref() is None, source
@@ -584,13 +569,11 @@ def test_coset_labels_repeat_before_any_block(k, monkeypatch):
     # F4-like x^(D+1) + b*x, D = (q-1)/3, has d = 3 cosets of mu_D and a = 1;
     # with no zero among f(1), f(g), f(g^2), it fails to permute exactly when
     # two of the labels log f(g^j) mod 3 agree.  The coset source then reads
-    # that head once and yields no block, so the sequential scan runs at once
+    # that head once and answers False, so the sequential scan runs at once
     # with its own report; F4 m=8 b=7 over GF(2^16) is such a map
     ctx = make_field(2, k)
     ctx.ensure_tables()
-    calls, inner = [], FieldCtx._log_sweep
-    monkeypatch.setattr(FieldCtx, "_log_sweep",
-                        lambda self, *args: calls.append(args[2:]) or inner(self, *args))
+    calls = _column_calls(monkeypatch)
     n1, rng = ctx.order - 1, random.Random(k)
     bs = [7] if k == 16 else rng.sample(range(1, ctx.order), 60)
     seen = 0
@@ -602,13 +585,13 @@ def test_coset_labels_repeat_before_any_block(k, monkeypatch):
             continue
         seen += 1
         del calls[:]
-        assert list(fn.blocks(fn)) == [] and calls == [(0, 3)], b
+        assert fn.bijective(fn, ctx.order) is False and calls == [(0, 3)], b
         assert _same_as_sequential(fn, ctx).is_permutation is verdict is False
     assert seen >= (1 if k == 16 else 10)
     if k == 16:  # the registry's F4 m=8 b=7 is the map at b = 7
         fn = fam.evaluator("F4", {"m": 8, "b": 7})
         del calls[:]
-        assert list(fn.blocks(fn)) == [] and calls == [(0, 3)]
+        assert fn.bijective(fn, ctx.order) is False and calls == [(0, 3)]
         vr = _same_as_sequential(fn, ctx)
         assert (vr.witness, vr.evaluations) == ((497, 532), 533)
 
@@ -617,29 +600,27 @@ def test_coset_labels_repeat_before_any_block(k, monkeypatch):
 # fibre sweep scan against the sequential scan
 # --------------------------------------------------------------------------
 
-def _numbering(ctx, images):
-    """A stand-in for ``FieldCtx._linear`` whose map gives each value it
-    reads a new label, so that no two labels agree."""
-    labels = itertools.count()
-    return lambda y: next(labels)
+def _fibre_labels(fn, ctx, numbered=False):
+    """(answer, values) of fn's fibres source: its answer on ctx, and the
+    values it labelled, in order, through a stand-in for ``FieldCtx._linear``.
+    The labels are the real ones mod c*K, or with ``numbered`` a new number
+    per value, so that no two agree."""
+    values, inner, numbers = [], FieldCtx._linear, itertools.count()
+
+    def linear(field, images):
+        mu = (lambda y: next(numbers)) if numbered else inner(field, images)
+        return lambda y: values.append(y) or mu(y)
+    with unittest.mock.patch.object(FieldCtx, "_linear", linear):
+        answer = fn.bijective(fn, ctx.order)
+    return answer, values
 
 
 def _assert_span_values(fn, form):
-    """The fibre blocks of fn, with labels that never agree, hold f's values
-    at the reps in order, one chunk of reps at a time, then each value plus
-    a shift: chunk by chunk, one block per shift of c*K, the shift 0 first.
-    So the values the source builds from spans are f's, whether or not the
-    labels of f repeat."""
-    ctx = form.core.ctx
-    reps, shifts = fibres_of(form)
-    with unittest.mock.patch.object(FieldCtx, "_linear", _numbering):
-        blocks = list(fn.blocks(fn))
-    heads = blocks[::len(shifts)]
-    assert shifts[0] == 0 and len(blocks) == len(heads) * len(shifts)
-    assert [y for head in heads for y in head] == [fn(x) for x in reps]
-    for j, head in enumerate(heads):
-        assert blocks[j * len(shifts):(j + 1) * len(shifts)] == \
-            [[ctx.add(y, s) for y in head] for s in shifts]
+    """The fibres source of fn, with labels that never agree, labels f's
+    values at the reps, in order, and answers True.  So the values it builds
+    from spans are f's, whether or not the labels of f repeat."""
+    reps = fibres_of(form)[0]
+    assert _fibre_labels(fn, form.core.ctx, numbered=True) == (True, [fn(x) for x in reps])
 
 
 _U3 = ((3, 0), (1, 1), (7, 2))
@@ -668,7 +649,7 @@ def test_fibre_scan_matches_sequential(fid, params, verdict):
     ctx = fam.family_ctx(fid, params)
     params = {k: SparsePoly(ctx, v) if k == "u" else v for k, v in params.items()}
     fn = fam.evaluator(fid, params, ctx=ctx)
-    assert fn.blocks.__name__ == "fibres"
+    assert fn.bijective.__name__ == "fibres"
     spec = fam.family(fid)
     _assert_span_values(fn, spec.form(ctx, fam._validate(spec, ctx, params)))
     assert _same_as_sequential(fn, ctx).is_permutation == verdict
@@ -678,7 +659,7 @@ def test_fibre_scan_matches_sequential(fid, params, verdict):
 def test_fibre_scan_f12_gf625(sign):
     # f(x) = g(x^25 -/+ x + delta) + c*x over GF(5^4), step 2, |K| = 25:
     # DeltaFamily maps for c in GF(25)*, forms for c = 0 (f is constant on
-    # each fibre, and the fibres yield no block) and for c drawn from the
+    # each fibre, and the fibres answer False at once) and for c drawn from the
     # whole field; g = x with c = -/+1 is x^25 + delta, a permutation, and
     # random g mostly are not
     ctx = make_field(5, 4)
@@ -695,24 +676,27 @@ def test_fibre_scan_f12_gf625(sign):
             else:
                 form = fam.Form(SparsePoly(ctx, [(1, 25), (xc, 1), (delta, 0)]), u=g, c=c)
             fn = form.rep_fn()
-            assert fn.blocks.__name__ == "fibres" and len(fibres_of(form)[1]) == 25
+            assert fn.bijective.__name__ == "fibres" and len(fibres_of(form)[1]) == 25
             if c:
                 _assert_span_values(fn, form)
             else:
-                assert list(fn.blocks(fn)) == []
+                assert _fibre_labels(fn, ctx) == (False, [])
             verdicts.append(_same_as_sequential(fn, ctx).is_permutation)
     assert True in verdicts and False in verdicts
 
 
 def test_fibre_labels_stop_before_any_block():
-    # F1 m=4 with c = 0 sends each fibre to one image, so the fibres stop at
-    # once; with c = 2 outside GF(16), the labels of reps 2 and 20, in the
-    # first chunk of 64 reps, agree: neither yields a block, and the
-    # sequential scan gives the report
+    # F1 m=4 with c = 0 sends each fibre to one image, so the fibres answer
+    # False before labelling any value; with c = 2 outside GF(16), the labels
+    # of reps 2 and 20, in the first chunk of 64 reps, agree, and they answer
+    # False after that chunk; the sequential scan then gives the report
     ctx = make_field(2, 12)
     core = SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)])
-    for fn in (fam.Form(core, 257).rep_fn(), fam.evaluator("F1", {"m": 4, "delta": 5, "c": 2})):
-        assert fn.blocks.__name__ == "fibres" and list(fn.blocks(fn)) == []
+    reps = fibres_of(fam.Form(core, 257, c=1))[0]
+    for fn, labelled in ((fam.Form(core, 257).rep_fn(), 0),
+                         (fam.evaluator("F1", {"m": 4, "delta": 5, "c": 2}), 64)):
+        assert fn.bijective.__name__ == "fibres"
+        assert _fibre_labels(fn, ctx) == (False, [fn(x) for x in reps[:labelled]])
         assert not _same_as_sequential(fn, ctx).is_permutation
 
 
@@ -722,27 +706,26 @@ def test_fibre_scan_collision_in_a_late_fibre():
     # K = GF(16), the fibre of the first rep 0, onto a + K, the fibre of a,
     # and every other fibre onto itself.  With a the last of the 256 reps,
     # the labels of the first and the last fibre are the one pair that
-    # agrees: the fibres yield the chunks of reps 0..63 and 64..127 and
-    # withhold the last one, reps 128..255
+    # agrees: the fibres label the chunks of reps 0..63, 64..127 and
+    # 128..255, and answer False in the last
     ctx = make_field(2, 12)
     core = SparsePoly(ctx, [(1, 16), (1, 1)])
     reps, shifts = fibres_of(fam.Form(core, c=1))
     a = reps[-1]
     form = fam.Form(core, u=SparsePoly(ctx, [(a, 0), (a, ctx.order - 1)]), c=1)
     fn = form.rep_fn()
-    assert fn.blocks.__name__ == "fibres" and fibres_of(form) == (reps, shifts)
+    assert fn.bijective.__name__ == "fibres" and fibres_of(form) == (reps, shifts)
     assert [fn(x) for x in reps] == [a] + reps[1:]
-    blocks = list(fn.blocks(fn))
-    assert len(blocks) == 2 * len(shifts) and sum(map(len, blocks)) == 128 * 16
+    assert _fibre_labels(fn, ctx) == (False, [fn(x) for x in reps])
     _assert_span_values(fn, form)
     assert not _same_as_sequential(fn, ctx).is_permutation
-    # fibres that fall short of the field are not taken for a bijection:
-    # the sequential scan runs from 0 after them, and the fibres call no f
+    # a source that answers False on a bijection proves nothing: the
+    # sequential scan runs from 0 and gives its own report; the fibres call no f
     fn = fam.evaluator("F1", {"m": 4, "delta": 5, "c": 1})
-    count = len(list(fn.blocks(fn)))
     calls = []
     spy = lambda x: calls.append(x) or fn(x)  # noqa: E731
-    spy.blocks = lambda f: itertools.islice(fn.blocks(f), count - 1)
+    assert fn.bijective(spy, ctx.order) is True and calls == []
+    spy.bijective = lambda f, q: False
     vr = is_permutation(spy, ctx)
     assert (vr.is_permutation, vr.evaluations) == (True, ctx.order)
     assert calls == list(range(ctx.order))
@@ -762,7 +745,7 @@ def test_fibre_scan_needs_no_tables(monkeypatch):
         for c, verdict in zip(cs, (True, False)):
             form = fam.Form(SparsePoly(ctx, terms), E, c=c)
             fn = form.rep_fn()
-            assert fn.blocks.__name__ == "fibres" and not hasattr(fn, "sweep")
+            assert fn.bijective.__name__ == "fibres" and not hasattr(fn, "sweep")
             _assert_span_values(fn, form)
             assert _same_as_sequential(fn, ctx).is_permutation == verdict
         assert ctx._exp is None
