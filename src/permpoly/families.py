@@ -254,8 +254,8 @@ class Form:
         ``f(x)`` takes w = core(x) and gives c0 * x^r * G(w) + c*x through
         ``ctx`` arithmetic, on every field.  On a tabled field
         ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count: w from
-        the core's sweep, then exp[log c0 + r*i + E*log G(w)] per value, plus
-        the column exp[log c + i].  Above TABLE_LIMIT there is no sweep.
+        the core's sweep, then exp[log c0 + r*i + E*log G(w)] per value, and
+        ``_add_columns`` adds the column exp[log c + i].  Untabled, no sweep.
 
         ``f.bijective(f, q)`` is True exactly when f is a bijection of the
         field, of order q.  With r = 0 and an affine core whose linear part
@@ -306,7 +306,7 @@ class Form:
 
             def columns(i0, count):  # holds no f (``FieldCtx._blocks``)
                 vs = outer(core_fn.sweep(i0, count), i0)
-                return list(map(add, vs, ctx._column(lc + i0, 1, count))) if c else vs
+                return ctx._add_columns([vs, ctx._column(lc + i0, 1, count)]) if c else vs
             f.sweep = columns
         else:
             def outer(ws):  # r = 0: only the fibres map a list

@@ -657,15 +657,15 @@ class FieldCtx:
 
     def _column(self, off, step, count):
         """[exp[(off + j*step) % (q-1)] for j < count] as strided slices of the
-        doubled antilog table; needs tables.  A long stride is split into the
-        m residue classes j = rho mod m of ``_residue_split``, whose stride
-        m*step is short, and slices downwards when it is negative."""
+        doubled antilog table, of its type; needs tables.  A long stride is
+        split into the m residue classes j = rho mod m of ``_residue_split``,
+        whose stride m*step is short, and slices downwards when negative."""
         exp, n1 = self._exp, self.order - 1
         m, s = _residue_split(n1, step % n1)
 
         def run(a, k):  # k values from a, stride s
             if not s:
-                return [exp[a % n1]] * k
+                return exp[a % n1:a % n1 + 1] * k
             out = exp[0:0]
             while k > 0:
                 a = a % n1 + (n1 if s < 0 else 0)
@@ -676,18 +676,28 @@ class FieldCtx:
 
         if m == 1:
             return run(off, count)
-        out = [0] * count
+        out = exp[:1] * count
         for rho in range(min(m, count)):
             out[rho::m] = run(off + rho * step, len(range(rho, count, m)))
         return out
 
+    def _add_columns(self, cols):
+        """The sum of equal-length columns, as a list: on the array('I') tables
+        of characteristic 2 one XOR of their words packed into ints (XOR is
+        bitwise, so no word carries); else a fold by ``_sum``, faster on lists."""
+        if self.p != 2 or isinstance(self._exp, list):
+            return list(reduce(partial(map, self._sum), cols))
+        words = [col if isinstance(col, array) else array("I", col) for col in cols]
+        acc = reduce(operator.xor, [int.from_bytes(w, "little") for w in words])
+        return array("I", acc.to_bytes(len(words[0]) * words[0].itemsize, "little")).tolist()
+
     def _log_sweep(self, c0, terms, i0, count):
         """c0 + sum(c*x^e) at g^i, i0 <= i < i0 + count, for the terms given
-        as (log c, e mod (q-1)): a ``_column`` each, summed by map."""
+        as (log c, e mod (q-1)): ``_add_columns`` of a ``_column`` each and c0."""
         cols = [self._column(lc + i0 * e, e, count) for lc, e in terms]
         if c0 or not cols:
             cols.append(repeat(c0, count))
-        return list(reduce(partial(map, self._sum), cols))
+        return self._add_columns(cols)
 
     def _blocks(self, columns, terms=None, r=0, E=1):
         """The block source of an evaluator f on this tabled field: a function

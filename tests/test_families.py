@@ -280,6 +280,7 @@ def test_expansion_matches_closure(fid, params, terms, digest):
 # array tables (GF(2^15), GF(2^16)), and F12 over GF(3^5)
 _SWEEPS = [(fid, params) for fid, params, _, _ in _EXPANSIONS] + [
     ("F1", {"m": 5, "delta": 1234, "c": 624}),
+    # a form with u and c != 0 on GF(2^15): its c*x column joins the packed sum
     ("F6", {"q": 32, "case": "sum", "u": _U, "delta": 99, "c": 1130}),
     ("F3", {"m": 8, "c": 7}),
     ("F4", {"m": 8, "b": 7}),
@@ -301,7 +302,7 @@ def _assert_sweep_is_closure(ev, ctx):
     blocks, across the wrap at q-1 and from a start past it."""
     want = [ev(x) for x in log_order_points(ctx)]
     n1 = len(want)
-    assert swept(ev, n1) == want
+    assert type(ev.sweep(0, 3)) is list and swept(ev, n1) == want
     assert ev.sweep(n1 - 2, 5) == [want[i % n1] for i in range(n1 - 2, n1 + 3)]
     assert ev.sweep(2 * n1 + 1, 3) == [want[i % n1] for i in range(1, 4)]
     assert ev.sweep(n1 + 300, 600) == [want[i % n1] for i in range(300, 900)]

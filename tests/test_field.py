@@ -544,8 +544,9 @@ def test_log_column_matches_comprehension(p, k):
     ctx.ensure_tables()
     exp, n1 = ctx._exp, ctx.order - 1
     rng = random.Random(n1)
-    # n1 // 3 splits into three classes of stride 0 where 3 divides q-1
-    steps = {0, 1, n1 - 1, n1, 2 * n1 + 1, n1 // 2, n1 // 3, n1 // 3 + 1}
+    # n1 // 3 and n1 // 7 split into three or seven classes of stride 0 where
+    # 3 or 7 divides q-1 (GF(2^16) and GF(2^15), array tables)
+    steps = {0, 1, n1 - 1, n1, 2 * n1 + 1, n1 // 2, n1 // 3, n1 // 3 + 1, n1 // 7}
     steps |= {rng.randrange(1, max(2, n1 // 64)) for _ in range(3)}  # short
     steps |= {rng.randrange(n1 // 4, max(n1 // 4 + 1, 3 * n1 // 4)) for _ in range(6)}
     split = False
@@ -556,8 +557,43 @@ def test_log_column_matches_comprehension(p, k):
         for off in (0, 2, n1 - 1, n1, 3 * n1 + 2, rng.randrange(10 * n1)):
             for count in sorted({0, 1, max(1, m - 1), m + 1, 300, n1 + 3}):
                 want = [exp[(off + j * step) % n1] for j in range(count)]
-                assert list(ctx._column(off, step, count)) == want, (step, off, count)
+                col = ctx._column(off, step, count)  # of the table's type
+                assert type(col) is type(exp) and list(col) == want, (step, off, count)
     assert split == (n1 >= 7)
+
+
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(1, 17)] + [(3, 4), (5, 2)])
+def test_log_sweep_matches_points(p, k):
+    # c0 + sum(c*x^e) at g^i point by point through ctx arithmetic, against
+    # the column sweep: packed words on the array('I') tables of GF(2^15) and
+    # GF(2^16), the fold by map on list tables and in odd characteristic;
+    # strides 0, 1 and -1, and strides split into residue classes slicing
+    # upwards and downwards; counts 0, 1, odd and past q-1, from starts that
+    # wrap
+    ctx = make_field(p, k)
+    ctx.ensure_tables()
+    n1, g = ctx.order - 1, ctx.generator
+    splits = {}
+    for e in range(n1 // 64 + 1, n1):
+        m, s = _residue_split(n1, e)
+        if m > 1:
+            splits.setdefault(s < 0, e)
+        if len(splits) == 2:
+            break
+    assert len(splits) == 2 or n1 < 7
+    rng = random.Random(ctx.order)
+    terms = [(rng.randrange(n1), e % n1) for e in (0, 1, n1 - 1, *splits.values())]
+    points = log_order_points(ctx)
+    values = [0] * n1
+    for lc, e in terms:
+        c = ctx.pow(g, lc)
+        values = [ctx.add(v, ctx.mul(c, ctx.pow(x, e))) for v, x in zip(values, points)]
+    for c0 in (0, ctx.pow(g, rng.randrange(n1))):
+        for i0, count in ((0, 0), (5, 1), (n1 - 1, 7), (2 * n1 + 1, n1 + 3)):
+            want = [ctx.add(c0, values[(i0 + j) % n1]) for j in range(count)]
+            got = ctx._log_sweep(c0, terms, i0, count)
+            assert type(got) is list and got == want, (c0, i0, count)
+        assert ctx._log_sweep(c0, [], 3, 5) == [c0] * 5
 
 
 def test_poly_ring_ops_and_frobenius_power():
