@@ -323,6 +323,39 @@ class FieldCtx:
             return reg[acc]
         return power
 
+    @lru_cache(maxsize=16)  # bounded: one entry per field and split met
+    def _coset_log(self, t):
+        """z -> log_g(z) mod d on z != 0, d = (q^2-1)/t, when this field is
+        GF(q^2) of characteristic 2 and t = q - 1, else None.  Then z^t =
+        w^(log_g(z) mod d), w = g^t: the index of z^t in ``subgroup_reps(d)``.
+
+        z^t depends only on the coset z*GF(q)*, one of d = q + 1.  z's
+        coordinates over GF(q) in the basis {1, x}, b = (z + z^q)/(x + x^q)
+        and a = z + x*b, are GF(2)-linear in z, so byte tables give them.
+        The coset is labelled t when b = 0, t + 1 when a = 0, else (log a -
+        log b) mod t, logs in GF(q)* = mu_t.  gcd(t, d) = 1, so each coset
+        holds one point w^j of mu_d, and its label is sent to t*j mod d.
+        """
+        q = t + 1
+        if self.p != 2 or q * q != self.order:
+            return None
+        d = q + 1
+        c = self._pow_raw(2 ^ self._pow_raw(2, q), self.order - 2)  # 1/(x + x^q)
+        bs = [self._mul_raw(z ^ self._pow_raw(z, q), c) for z in (1 << i for i in range(self.k))]
+        ta = _linear_tables([(1 << i) ^ self._mul_raw(2, b) for i, b in enumerate(bs)])
+        tb = _linear_tables(bs)
+        lq = {v: i for i, v in enumerate(self.subgroup_reps(t))}
+        index = list(range(d))  # the labels themselves, until mu_d is labelled
+
+        def coset_log(z):
+            a, b = _apply(ta, z), _apply(tb, z)
+            return index[t if not b else t + 1 if not a else (lq[a] - lq[b]) % t]
+        labels = [coset_log(w) for w in self.subgroup_reps(d)]
+        assert len(set(labels)) == d
+        for j, label in enumerate(labels):
+            index[label] = t * j % d
+        return coset_log
+
     def _comb(self, tab, b):
         """a*b mod m from tab = _multiples(a): a 4-bit comb over b, then a byte fold."""
         acc = s = 0

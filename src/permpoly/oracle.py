@@ -164,9 +164,12 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     folding it mod d, so a point costs no field multiplication.  Above
     TABLE_LIMIT the subgroup is swept by index: point j is w^j with w = g^t,
     and every power y^e is the lookup ``mu[j * e % d]``.  A coefficient
-    c != 1 multiplies through ``ctx._scaler(c)`` and h(y)^t is
-    ``ctx._power(t)``, both chosen once per call; h(y)^t lies in the
-    subgroup, so the image is ``mu[(j*r + index[h(y)^t]) % d]``.
+    c != 1 multiplies through ``ctx._scaler(c)``, chosen once per call.
+    h(y)^t lies in the subgroup, so the image is ``mu[(j*r + i) % d]``, i
+    the index of h(y)^t: ``ctx._coset_log(t)`` reads it from the coset
+    h(y)*GF(q)* over GF(q^2) of characteristic 2 with t = q - 1 (F5, F8),
+    and every other t (F9's q + 1, odd k, odd p) looks up the planned power
+    ``ctx._power(t)``.
     """
     ctx = f.ctx
     terms = f._terms
@@ -192,8 +195,13 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
             v = hf(y)
             return exp[(log[y] * r + log[v] * t) % n1] if v else 0
     else:
-        index = {y: j for j, y in enumerate(mu)}
-        power, add = ctx._power(t), ctx._sum
+        index, add = {y: j for j, y in enumerate(mu)}, ctx._sum
+        log_d = ctx._coset_log(t)
+        if log_d is None:
+            power = ctx._power(t)
+
+            def log_d(z):
+                return index[power(z)]
         terms = [(e, None if c == 1 else ctx._scaler(c)) for c, e in h.term_pairs()]
 
         def on_circle(y):  # h(y)^t lies in mu_d unless h(y) = 0, an escape
@@ -202,7 +210,7 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
             for e, scale in terms:
                 v = mu[j * e % d]
                 acc = add(acc, v if scale is None else scale(v))
-            return mu[(j * r + index[power(acc)]) % d] if acc else 0
+            return mu[(j * r + log_d(acc)) % d] if acc else 0
 
     sub = permutes_subset(on_circle, mu, ctx)
     verdict = coprime and sub.is_permutation

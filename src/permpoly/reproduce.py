@@ -23,7 +23,7 @@ from . import families as fam
 from . import solvers
 from .errors import HypothesisUnmet
 from .field import SparsePoly, make_field
-from .oracle import is_permutation, zieve_verdict
+from .oracle import _sequential_scan, is_permutation, zieve_verdict
 
 SEED = 0x5EED
 
@@ -57,13 +57,26 @@ class RunState:
     disagreements: int = 0
     details: list = dc_field(default_factory=list)
 
-    def record(self, label: str, poly: SparsePoly, verdict: bool):
+    def record(self, label: str, poly: SparsePoly, fn, verdict: bool):
+        """Check the split of ``poly`` against the scan of its evaluator fn.
+
+        A True verdict of a certified block source, ``cosets`` (Zieve's
+        criterion, as the split is) or ``fibres``, is no scan: the sequential
+        scan gives the reference then, and both the split and the verdict
+        must equal it.
+        """
         self.instances += 1
+        source = getattr(getattr(fn, "bijective", None), "__name__", None)
+        reference = verdict
+        if verdict and source in ("cosets", "fibres"):
+            reference = _sequential_scan(fn, poly.ctx.order)[0] is None
         split_verdict, info = zieve_verdict(poly)
-        if split_verdict != verdict:
+        if split_verdict != reference or verdict != reference:
             self.disagreements += 1
             if len(self.details) < 5:
-                self.details.append(f"{label}: split={split_verdict} oracle={verdict} ({info})")
+                scan = "" if verdict == reference else f" sequential={reference}"
+                self.details.append(
+                    f"{label}: split={split_verdict} oracle={verdict}{scan} ({info})")
 
 
 def _result(cid, family, description, passed, counts, details, start):
@@ -87,11 +100,11 @@ def _scan_each(state, fid, ctx, instances, note, form=None):
     verified, details = 0, []
     for params in instances:
         shape = form(params) if form else None
-        vr = is_permutation(shape.rep_fn() if shape else
-                            fam.evaluator(fid, params, ctx=ctx), ctx)
+        fn = shape.rep_fn() if shape else fam.evaluator(fid, params, ctx=ctx)
+        vr = is_permutation(fn, ctx)
         if state.split:
             poly = shape.expand() if shape else fam.build(fid, params, ctx=ctx)
-            state.record(f"{fid} {params}", poly, vr.is_permutation)
+            state.record(f"{fid} {params}", poly, fn, vr.is_permutation)
         verified += vr.is_permutation
         line = note(params, vr)
         if line:

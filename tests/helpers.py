@@ -80,13 +80,20 @@ def raw_eval(ctx, poly, x):
 def naive_split_map(ctx, r, h, t, d):
     """The split's subgroup map y -> y^r * h(y)^t, point by point over ``raw_pow``.
 
-    Exponents are folded mod d, which is exact on the order-d subgroup; every
-    power is computed from y itself, with no index arithmetic.
+    Exponents are folded mod d, which is exact on the order-d subgroup, and
+    the coefficients of each folded exponent summed by ``raw_add`` first, so
+    a large expansion costs one power per nonzero sum; every power is
+    computed from y itself, with no index arithmetic.
     """
+    sums = {}
+    for c, e in h.term_pairs():
+        sums[e % d] = raw_add(ctx, sums.get(e % d, 0), c)
+    terms = [(e, c) for e, c in sums.items() if c]
+
     def fn(y):
         acc = 0
-        for c, e in h.term_pairs():
-            acc = raw_add(ctx, acc, raw_mul(ctx, c, raw_pow(ctx, y, e % d)))
+        for e, c in terms:
+            acc = raw_add(ctx, acc, raw_mul(ctx, c, raw_pow(ctx, y, e)))
         return raw_mul(ctx, raw_pow(ctx, y, r % d), raw_pow(ctx, acc, t))
     return fn
 

@@ -23,12 +23,13 @@ for F9 and the registry-shape polynomial for F11), so every mathematical claim
 that is actually true stays machine-checked.
 """
 
+import math
 import re
 
 import pytest
 
+from permpoly import FieldCtx, is_permutation
 from permpoly import families as fam
-from permpoly import is_permutation
 from permpoly import reproduce
 from permpoly.reproduce import run_all
 
@@ -240,6 +241,48 @@ def test_split_runs_only_for_criterion_12(monkeypatch):
     reproduce.criterion_4(state)
     assert len(calls) == state.instances == 7
     assert state.disagreements == 0
+
+
+def test_criterion_12_catches_a_lying_coset_source(monkeypatch):
+    # criterion 12 takes the sequential scan as the reference for a True
+    # verdict of a certified source, so a coset source that skips its label
+    # check is caught.  That check decides none of the 13 coset scans of
+    # criteria 4 and 6 (each is a bijection or fails by a zero head value),
+    # so the tally is run over F5 x^25 + b*x^4 for every b of GF(64), where
+    # two labels agree for most b
+    ctx = fam.family_ctx("F5", {"m": 3})
+    instances = [{"m": 3, "r": 4, "i": 3, "b": b} for b in range(1, 64)]
+
+    def tally():
+        state = reproduce.RunState(split=True)
+        verified = reproduce._scan_each(state, "F5", ctx, instances, lambda p, vr: None)[0]
+        return state, verified
+
+    state, verified = tally()
+    assert (state.instances, state.disagreements, state.details) == (63, 0, [])
+    counts = {cid: reproduce.CRITERIA[cid](reproduce.RunState(split=True)).counts
+              for cid in (4, 6)}
+    orig = FieldCtx._blocks
+
+    def blocks(self, columns, terms=None, r=0, E=1):
+        source = orig(self, columns, terms, r, E)
+        if source.__name__ != "cosets":
+            return source
+        n1 = self.order - 1
+        t = self._split_step(terms)
+        a, d = (r + E * terms[0][0]) % n1, n1 // t
+
+        def cosets(f, q):  # the label check skipped
+            return q == self.order and math.gcd(a, t) == 1 and all(columns(0, d))
+        return cosets
+
+    monkeypatch.setattr(FieldCtx, "_blocks", blocks)
+    lying, lied = tally()
+    assert lied > verified
+    assert lying.disagreements == lied - verified
+    assert all("split=False oracle=True sequential=False" in line for line in lying.details)
+    for cid in (4, 6):  # reproduce's own coset scans keep their counts
+        assert reproduce.CRITERIA[cid](reproduce.RunState(split=True)).counts == counts[cid]
 
 
 def test_expansions_built_only_for_criterion_12(monkeypatch):

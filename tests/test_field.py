@@ -1000,6 +1000,42 @@ def test_char2_power_plan(k):
     assert ctx._exp is None
 
 
+@pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 16, 18, 20])
+def test_coset_log_is_index_of_power(k):
+    # over GF(q^2), t = q - 1: log_g(z) mod d from z's coset of GF(q)* is the
+    # index of z^t in mu_d, for every z != 0 up to k = 12 and on samples
+    # above, which include the cosets GF(q)* (b = 0) and x*GF(q)* (a = 0)
+    base = make_field(2, k)
+    ctx = FieldCtx(2, k, base.modulus, base.generator)
+    q = 1 << k // 2
+    t, d = q - 1, q + 1
+    log_d = ctx._coset_log(t)
+    index = {y: j for j, y in enumerate(ctx.subgroup_reps(d))}
+    power = ctx._power(t)
+    if k <= 12:
+        zs = range(1, ctx.order)
+    else:
+        rng = random.Random(500 + k)
+        sub = ctx.subgroup_reps(t)[:64]
+        zs = sub + [raw_mul(ctx, 2, v) for v in sub] + [ctx.order - 1, ctx.generator] + \
+            [rng.randrange(1, ctx.order) for _ in range(2000)]
+    assert [log_d(z) for z in zs] == [index[power(z)] for z in zs]
+    assert ctx._exp is None
+
+
+def test_coset_log_declines_other_splits():
+    # only t = 2^(k/2) - 1 in characteristic 2 takes coset labels; every
+    # other split exponent, and every odd k, keeps the planned power
+    for k in range(1, 15):
+        base = make_field(2, k)
+        ctx = FieldCtx(2, k, base.modulus, base.generator)
+        n1 = ctx.order - 1
+        taken = [t for t in range(1, n1 + 1) if n1 % t == 0 and ctx._coset_log(t)]
+        assert taken == ([(1 << k // 2) - 1] if k % 2 == 0 else []), k
+    assert make_field(3, 4)._coset_log(8) is None
+    assert make_field(5, 2)._coset_log(4) is None
+
+
 @pytest.mark.parametrize("p,k", [(2, 9), (3, 5), (2, 18), (3, 11)])
 def test_scaler_and_power(p, k):
     # z -> c*z and z -> z^t on a tabled field, on a fresh untabled context of

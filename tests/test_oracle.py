@@ -303,37 +303,59 @@ def test_split_of_nonzero_constant_term(p, k):
         False, {"d": None, "r": None, "t": None, "coprime": False, "subgroup": False})
 
 
-def test_split_sweep_f8_above_table_limit(circle_spy):
-    params = {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 10}
-    ctx = fam.family_ctx("F8", params)
-    assert ctx.order == 1 << 18
-    f = fam.build("F8", params, ctx=ctx)
+@pytest.fixture
+def power_spy(monkeypatch):
+    """The exponent t of every ``FieldCtx._power(t)`` plan made."""
+    calls = []
+    orig = FieldCtx._power
+
+    def spy(ctx, t):
+        calls.append(t)
+        return orig(ctx, t)
+
+    monkeypatch.setattr(FieldCtx, "_power", spy)
+    return calls
+
+
+def _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, power_spy):
+    """zieve_verdict's byte-table sweep of ``fid`` over GF(q^2), above the
+    table limit, against the per-point reference at every point of mu_d, and
+    the rule that indexed h(y)^t: coset labels for F5 and F8 (t = q - 1, d =
+    q + 1), a planned power for F9 (t = q + 1, d = q - 1)."""
+    ctx = fam.family_ctx(fid, params)
+    q = 1 << ctx.k // 2
+    assert ctx.order == q * q and not ctx.ensure_tables()
+    f = fam.build(fid, params, ctx=ctx)
+    circle_spy.clear()
+    power_spy.clear()
     split, info = zieve_verdict(f)
-    assert split
-    assert info["d"] == 513
-    r, h = zieve_split(f, 513)
+    assert split is verdict
+    t, d = (q + 1, q - 1) if fid == "F9" else (q - 1, q + 1)
+    assert (info["d"], info["t"]) == (d, t)
+    assert power_spy == ([t] if fid == "F9" else [])
+    assert (ctx._coset_log(t) is None) is (fid == "F9")
+    r, h = zieve_split(f, d)
     (fn, mu), = circle_spy
-    naive = naive_split_map(ctx, r, h, info["t"], 513)
+    naive = naive_split_map(ctx, r, h, t, d)
     assert [fn(y) for y in mu] == [naive(y) for y in mu]
+
+
+def test_split_sweep_f8_above_table_limit(circle_spy, power_spy):
+    # GF(2^18): F8 with d = 513 by coset labels, F9 with d = 511 by the power
+    for fid, params in [("F8", {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 10}),
+                        ("F9", {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 1})]:
+        _assert_sweep_above_table_limit(fid, params, True, circle_spy, power_spy)
 
 
 @pytest.mark.parametrize("fid, params, verdict", [
     ("F8", {"m": 10, "r": 13, "s": 3, "a": 7, "delta": 2}, True),
     ("F5", {"m": 10, "r": 7, "i": 3, "b": 5}, False),
+    ("F9", {"m": 9, "r": 5, "s": 1, "a": 1, "delta": 1}, True),
 ])
-def test_split_sweep_gf2_20_shapes(fid, params, verdict, circle_spy):
-    # the byte-table sweep over GF(2^20), d = 1025, against the per-point
-    # reference at every point of the subgroup
-    ctx = fam.family_ctx(fid, params)
-    assert ctx.order == 1 << 20
-    f = fam.build(fid, params, ctx=ctx)
-    split, info = zieve_verdict(f)
-    assert split is verdict
-    assert (info["d"], info["t"]) == (1025, 1023)
-    r, h = zieve_split(f, 1025)
-    (fn, mu), = circle_spy
-    naive = naive_split_map(ctx, r, h, 1023, 1025)
-    assert [fn(y) for y in mu] == [naive(y) for y in mu]
+def test_split_sweep_gf2_20_shapes(fid, params, verdict, circle_spy, power_spy):
+    # F8 and F5 over GF(2^20), d = 1025 by coset labels, and the other side,
+    # F9 over GF(2^18) with t = q + 1, by the planned power
+    _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, power_spy)
 
 
 def test_split_sweep_odd_char_above_table_limit(circle_spy):
