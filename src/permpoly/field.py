@@ -265,10 +265,6 @@ class FieldCtx:
         """Byte tables of z -> c*z (p = 2), from the images c*x^i mod m."""
         return _linear_tables([self._mul_raw(c, 1 << i) for i in range(self.k)])
 
-    def _frobenius_tables(self, s):
-        """Byte tables of z -> z^(2^s) (p = 2), from the images x^(i*2^s) mod m."""
-        return _linear_tables([self._pow_raw(1 << i, 1 << s) for i in range(self.k)])
-
     def _scaler(self, c):
         """z -> c*z for a fixed c: through the byte tables of the map on an
         untabled field of characteristic 2, else ``mul``."""
@@ -276,85 +272,44 @@ class FieldCtx:
             return partial(_apply, self._scale_tables(c))
         return partial(self.mul, c)
 
-    def _power(self, t):
-        """z -> z^t for a fixed t, planned once for many z.
-
-        On an untabled field of characteristic 2 a run of L ones in t's
-        binary digits is z^(2^L - 1), by Itoh and Tsujii's chain
-        a(2n) = a(n)^(2^n) * a(n), a(n+1) = a(n)^2 * z; one product joins
-        each pair of runs.  A step (src, tabs, other) appends
-        reg[src]^(2^s) * reg[other] to the registers (reg[0] = z), the
-        2^s-th power through byte tables.  Otherwise, or for t < 1, this is ``pow``.
-        """
-        if t < 1 or self.p != 2 or self._exp is not None:
-            return partial(self.pow, e=t)
-        steps, runs, frob = [], {1: 0}, lru_cache(maxsize=None)(self._frobenius_tables)
-
-        def step(src, s, other=None):
-            steps.append((src, frob(s), other))
-            return len(steps)
-
-        def run(length):  # the register of z^(2^length - 1)
-            if length not in runs:
-                a, n = 0, 1
-                for bit in bin(length)[3:]:
-                    a, n = step(a, n, a), 2 * n
-                    if bit == "1":
-                        a, n = step(a, 1, 0), n + 1
-                runs[length] = a
-            return runs[length]
-
-        acc, shift = None, 0
-        for ones in bin(t)[2:].split("0"):  # one zero digit between parts
-            if ones:
-                a = run(len(ones))
-                acc = a if acc is None else step(acc, shift + len(ones), a)
-                shift = 0
-            shift += 1
-        if shift > 1:
-            acc = step(acc, shift - 1)
-        mul = self._mul_raw
-
-        def power(z):
-            reg = [z]
-            for src, tabs, other in steps:
-                v = _apply(tabs, reg[src])
-                reg.append(v if other is None else mul(v, reg[other]))
-            return reg[acc]
-        return power
-
     @lru_cache(maxsize=16)  # bounded: one entry per field and split met
-    def _coset_log(self, t):
-        """z -> log_g(z) mod d on z != 0, d = (q^2-1)/t, when this field is
-        GF(q^2) of characteristic 2 and t = q - 1, else None.  Then z^t =
-        w^(log_g(z) mod d), w = g^t: the index of z^t in ``subgroup_reps(d)``.
+    def _subgroup_index(self, d):
+        """(mu, index, log_d) for the order-d subgroup, built once: mu is
+        ``subgroup_reps(d)``, index its inverse, and log_d(z) the index in mu
+        of z^t, t = (q-1)/d, for z != 0.  Callers must not mutate mu or index.
 
-        z^t depends only on the coset z*GF(q)*, one of d = q + 1.  z's
-        coordinates over GF(q) in the basis {1, x}, b = (z + z^q)/(x + x^q)
-        and a = z + x*b, are GF(2)-linear in z, so byte tables give them.
-        The coset is labelled t when b = 0, t + 1 when a = 0, else (log a -
-        log b) mod t, logs in GF(q)* = mu_t.  gcd(t, d) = 1, so each coset
-        holds one point w^j of mu_d, and its label is sent to t*j mod d.
+        Over GF(q^2) of characteristic 2 with d = q + 1, z^t depends only on
+        the coset z*GF(q)*.  z's coordinates over GF(q) in the basis {1, x},
+        b = (z + z^q)/(x + x^q) and a = z + x*b, are GF(2)-linear in z, so
+        byte tables give them.  The coset is labelled t when b = 0, t + 1
+        when a = 0, else (log a - log b) mod t, logs in GF(q)* = mu_t.
+        gcd(t, d) = 1, so each coset holds one point w^j of mu, and its
+        label is sent to t*j mod d.  Otherwise log_d is index[pow(z, t)],
+        ``pow`` looked up on each call.
         """
+        mu = self.subgroup_reps(d)
+        index = {y: j for j, y in enumerate(mu)}
+        t = (self.order - 1) // d
         q = t + 1
         if self.p != 2 or q * q != self.order:
-            return None
-        d = q + 1
+            def log_d(z):
+                return index[self.pow(z, t)]
+            return mu, index, log_d
         c = self._pow_raw(2 ^ self._pow_raw(2, q), self.order - 2)  # 1/(x + x^q)
         bs = [self._mul_raw(z ^ self._pow_raw(z, q), c) for z in (1 << i for i in range(self.k))]
         ta = _linear_tables([(1 << i) ^ self._mul_raw(2, b) for i, b in enumerate(bs)])
         tb = _linear_tables(bs)
         lq = {v: i for i, v in enumerate(self.subgroup_reps(t))}
-        index = list(range(d))  # the labels themselves, until mu_d is labelled
+        by_label = list(range(d))  # the labels themselves, until mu is labelled
 
         def coset_log(z):
             a, b = _apply(ta, z), _apply(tb, z)
-            return index[t if not b else t + 1 if not a else (lq[a] - lq[b]) % t]
-        labels = [coset_log(w) for w in self.subgroup_reps(d)]
+            return by_label[t if not b else t + 1 if not a else (lq[a] - lq[b]) % t]
+        labels = [coset_log(w) for w in mu]
         assert len(set(labels)) == d
         for j, label in enumerate(labels):
-            index[label] = t * j % d
-        return coset_log
+            by_label[label] = t * j % d
+        return mu, index, coset_log
 
     def _comb(self, tab, b):
         """a*b mod m from tab = _multiples(a): a 4-bit comb over b, then a byte fold."""

@@ -154,9 +154,10 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     """Permutation verdict through the two split conditions.
 
     Returns (verdict, details) where verdict is True iff gcd(r, (q-1)/d) == 1
-    and y^r * h(y)^((q-1)/d) permutes the order-d subgroup.  The split is
-    taken of f - f(0), which is a bijection exactly when f is; a constant f
-    is no bijection, and its details carry no split.  The divisor and the
+    and y^r * h(y)^((q-1)/d) permutes the order-d subgroup.  A given d that
+    does not divide q - 1 raises :class:`NotADivisor`, for any f.  The split
+    is taken of f - f(0), which is a bijection exactly when f is; a constant
+    f is no bijection, and its details carry no split.  The divisor and the
     split read the polynomial's own term tuple, not copies of it.
 
     With log tables, a point y of the subgroup maps to
@@ -166,12 +167,15 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     and every power y^e is the lookup ``mu[j * e % d]``.  A coefficient
     c != 1 multiplies through ``ctx._scaler(c)``, chosen once per call.
     h(y)^t lies in the subgroup, so the image is ``mu[(j*r + i) % d]``, i
-    the index of h(y)^t: ``ctx._coset_log(t)`` reads it from the coset
-    h(y)*GF(q)* over GF(q^2) of characteristic 2 with t = q - 1 (F5, F8),
-    and every other t (F9's q + 1, odd k, odd p) looks up the planned power
-    ``ctx._power(t)``.
+    the index of h(y)^t.  The subgroup, its index and the rule for i come
+    from ``ctx._subgroup_index(d)``, built once per field and d: coset
+    labels over GF(q^2) of characteristic 2 with d = q + 1 (F5, F8), and
+    ``ctx.pow`` for every other d (F9's d = q - 1, odd k, odd p).
     """
     ctx = f.ctx
+    n1 = ctx.order - 1
+    if d is not None and (d < 1 or n1 % d):
+        raise NotADivisor(f"{d} does not divide {n1}")
     terms = f._terms
     if terms and terms[0][0] == 0:
         terms = terms[1:]
@@ -182,11 +186,10 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     if d is None:
         d = natural_divisor(f)
     r, h = zieve_split(f, d)
-    n1 = ctx.order - 1
     t = n1 // d
     coprime = math.gcd(r, t) == 1
     tabled = ctx.ensure_tables()
-    mu = ctx.subgroup_reps(d)
+    mu, index, log_d = ctx._subgroup_index(d)
     h = h.reduce_exponents(d)
     if tabled:
         exp, log, hf = ctx._exp, ctx._log, h.rep_fn()
@@ -195,13 +198,7 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
             v = hf(y)
             return exp[(log[y] * r + log[v] * t) % n1] if v else 0
     else:
-        index, add = {y: j for j, y in enumerate(mu)}, ctx._sum
-        log_d = ctx._coset_log(t)
-        if log_d is None:
-            power = ctx._power(t)
-
-            def log_d(z):
-                return index[power(z)]
+        add = ctx._sum
         terms = [(e, None if c == 1 else ctx._scaler(c)) for c, e in h.term_pairs()]
 
         def on_circle(y):  # h(y)^t lies in mu_d unless h(y) = 0, an escape

@@ -969,8 +969,7 @@ def test_char2_byte_tables_concurrent_first_use():
 
 @pytest.mark.parametrize("k", [9, 16, 17, 18, 20, 24])
 def test_char2_linear_map_tables(k):
-    # z -> c*z and z -> z^(2^s) as byte tables; the last table is partial
-    # when 8 does not divide k
+    # z -> c*z as byte tables; the last table is partial when 8 does not divide k
     ctx = make_field(2, k)
     rng = random.Random(200 + k)
     edge = [0, 1, ctx.order - 1, ctx.generator]
@@ -979,67 +978,85 @@ def test_char2_linear_map_tables(k):
         tabs = ctx._scale_tables(c)
         assert len(tabs) == -(-k // 8)
         assert all(_apply(tabs, z) == raw_mul(ctx, c, z) for z in zs), c
-    for s in range(k + 1):
-        tabs = ctx._frobenius_tables(s)
-        assert all(_apply(tabs, z) == raw_pow(ctx, z, 1 << s) for z in zs), s
 
 
-@pytest.mark.parametrize("k", [9, 16, 17, 18, 20, 24])
-def test_char2_power_plan(k):
-    # every split exponent t = (q-1)/d with d <= 5000, and a few shapes of t;
-    # a fresh context has no log tables, so _power plans at k = 9 and 16 too
-    base = make_field(2, k)
-    ctx = FieldCtx(2, k, base.modulus, base.generator)
+def _assert_subgroup_index(ctx, d, zs):
+    """``ctx._subgroup_index(d)`` against ``subgroup_reps`` and ``raw_pow``:
+    mu_d, its index, and log_d(z) = the index of z^t in mu_d, t = (q-1)/d,
+    for z != 0 in zs.  log_d calls no ``pow`` (the coset rule) exactly when
+    p = 2, k is even and d = 2^(k/2) + 1, and otherwise one per z."""
+    t = (ctx.order - 1) // d
+    mu, index, log_d = ctx._subgroup_index(d)
+    assert mu == ctx.subgroup_reps(d) and index == {y: j for j, y in enumerate(mu)}
+    pows, orig = [], FieldCtx.pow
+
+    def spy(self, a, e):
+        pows.append(e)
+        return orig(self, a, e)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FieldCtx, "pow", spy)
+        logs = [log_d(z) for z in zs]
+    assert logs == [index[raw_pow(ctx, z, t)] for z in zs], (ctx.p, ctx.k, d)
+    coset = ctx.p == 2 and ctx.k % 2 == 0 and d == (1 << ctx.k // 2) + 1
+    assert pows == ([] if coset else [t] * len(zs)), (ctx.p, ctx.k, d)
+    return coset
+
+
+def _fresh(p, k):
+    """A new context of GF(p^k), with no log tables yet."""
+    base = make_field(p, k)
+    return FieldCtx(p, k, base.modulus, base.generator)
+
+
+@pytest.mark.parametrize("k", range(9, 25))
+def test_subgroup_index_every_split(k):
+    # every split divisor d <= 5000 on a fresh context, which has no log
+    # tables at k = 9 and 16 either
+    ctx = _fresh(2, k)
     n1 = ctx.order - 1
     rng = random.Random(300 + k)
-    zs = [0, 1, n1, ctx.generator] + [rng.randrange(ctx.order) for _ in range(3)]
-    ts = {n1 // d for d in range(1, 5001) if n1 % d == 0} | {1, 2, 0b1011101, n1}
-    for t in sorted(ts):
-        power = ctx._power(t)
-        assert [power(z) for z in zs] == [raw_pow(ctx, z, t) for z in zs], t
+    zs = [1, n1, ctx.generator] + [rng.randrange(1, ctx.order) for _ in range(3)]
+    taken = [d for d in range(1, 5001) if n1 % d == 0 and _assert_subgroup_index(ctx, d, zs)]
+    assert taken == ([(1 << k // 2) + 1] if k % 2 == 0 else [])
     assert ctx._exp is None
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8, 10, 12, 16, 18, 20])
 def test_coset_log_is_index_of_power(k):
-    # over GF(q^2), t = q - 1: log_g(z) mod d from z's coset of GF(q)* is the
+    # over GF(q^2), d = q + 1: log_g(z) mod d from z's coset of GF(q)* is the
     # index of z^t in mu_d, for every z != 0 up to k = 12 and on samples
     # above, which include the cosets GF(q)* (b = 0) and x*GF(q)* (a = 0)
-    base = make_field(2, k)
-    ctx = FieldCtx(2, k, base.modulus, base.generator)
+    ctx = _fresh(2, k)
     q = 1 << k // 2
-    t, d = q - 1, q + 1
-    log_d = ctx._coset_log(t)
-    index = {y: j for j, y in enumerate(ctx.subgroup_reps(d))}
-    power = ctx._power(t)
     if k <= 12:
         zs = range(1, ctx.order)
     else:
         rng = random.Random(500 + k)
-        sub = ctx.subgroup_reps(t)[:64]
+        sub = ctx.subgroup_reps(q - 1)[:64]
         zs = sub + [raw_mul(ctx, 2, v) for v in sub] + [ctx.order - 1, ctx.generator] + \
             [rng.randrange(1, ctx.order) for _ in range(2000)]
-    assert [log_d(z) for z in zs] == [index[power(z)] for z in zs]
+    assert _assert_subgroup_index(ctx, q + 1, list(zs))
     assert ctx._exp is None
 
 
 def test_coset_log_declines_other_splits():
-    # only t = 2^(k/2) - 1 in characteristic 2 takes coset labels; every
-    # other split exponent, and every odd k, keeps the planned power
+    # only d = 2^(k/2) + 1 in characteristic 2 takes coset labels; every
+    # other split divisor, every odd k and odd p index z^t by pow
     for k in range(1, 15):
-        base = make_field(2, k)
-        ctx = FieldCtx(2, k, base.modulus, base.generator)
+        ctx = _fresh(2, k)
         n1 = ctx.order - 1
-        taken = [t for t in range(1, n1 + 1) if n1 % t == 0 and ctx._coset_log(t)]
-        assert taken == ([(1 << k // 2) - 1] if k % 2 == 0 else []), k
-    assert make_field(3, 4)._coset_log(8) is None
-    assert make_field(5, 2)._coset_log(4) is None
+        zs = [1, ctx.generator, n1]
+        taken = [d for d in range(1, n1 + 1) if n1 % d == 0 and _assert_subgroup_index(ctx, d, zs)]
+        assert taken == ([(1 << k // 2) + 1] if k % 2 == 0 else []), k
+    assert not _assert_subgroup_index(make_field(3, 4), 10, [1, 2, 80])
+    assert not _assert_subgroup_index(make_field(5, 2), 6, [1, 2, 24])
 
 
 @pytest.mark.parametrize("p,k", [(2, 9), (3, 5), (2, 18), (3, 11)])
 def test_scaler_and_power(p, k):
-    # z -> c*z and z -> z^t on a tabled field, on a fresh untabled context of
-    # the same field, and above the table limit, against the raw references
+    # z -> c*z, and the index of z^t in mu_d, on a tabled field, on a fresh
+    # untabled context of the same field, and above the table limit,
+    # against the raw references
     base = make_field(p, k)
     fresh = FieldCtx(p, k, base.modulus, base.generator)
     ctxs = [fresh, base] if base.ensure_tables() else [base]
@@ -1047,14 +1064,15 @@ def test_scaler_and_power(p, k):
     rng = random.Random(400 * p + k)
     zs = [0, 1, n1, base.generator] + [rng.randrange(base.order) for _ in range(8)]
     cs = [0, 1, n1, base.generator] + [rng.randrange(base.order) for _ in range(3)]
-    ts = {n1 // d for d in range(1, 50) if n1 % d == 0} | {0, 1, 2, 0b1011101, n1}
+    ds = [d for d in range(1, 50) if n1 % d == 0]
+    if p == 2 and k % 2 == 0:
+        ds.append((1 << k // 2) + 1)  # the coset rule
     for ctx in ctxs:
         for c in cs:
             scale = ctx._scaler(c)
             assert [scale(z) for z in zs] == [raw_mul(ctx, c, z) for z in zs], (ctx, c)
-        for t in sorted(ts):
-            power = ctx._power(t)
-            assert [power(z) for z in zs] == [raw_pow(ctx, z, t) for z in zs], (ctx, t)
+        for d in ds:
+            _assert_subgroup_index(ctx, d, [z for z in zs if z])
     assert fresh._exp is None
 
 

@@ -304,47 +304,68 @@ def test_split_of_nonzero_constant_term(p, k):
 
 
 @pytest.fixture
-def power_spy(monkeypatch):
-    """The exponent t of every ``FieldCtx._power(t)`` plan made."""
+def mu_spy(monkeypatch):
+    """(ctx, d) of every ``FieldCtx.subgroup_reps(d)`` built, from an empty
+    ``FieldCtx._subgroup_index`` cache."""
+    FieldCtx._subgroup_index.cache_clear()
     calls = []
-    orig = FieldCtx._power
+    orig = FieldCtx.subgroup_reps
 
-    def spy(ctx, t):
-        calls.append(t)
-        return orig(ctx, t)
+    def spy(ctx, d):
+        calls.append((ctx, d))
+        return orig(ctx, d)
 
-    monkeypatch.setattr(FieldCtx, "_power", spy)
+    monkeypatch.setattr(FieldCtx, "subgroup_reps", spy)
     return calls
 
 
-def _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, power_spy):
+def _pow_spy(monkeypatch):
+    """The exponent e of every ``FieldCtx.pow(a, e)`` call from now on."""
+    calls = []
+    orig = FieldCtx.pow
+
+    def spy(ctx, a, e):
+        calls.append(e)
+        return orig(ctx, a, e)
+
+    monkeypatch.setattr(FieldCtx, "pow", spy)
+    return calls
+
+
+def _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, mu_spy):
     """zieve_verdict's byte-table sweep of ``fid`` over GF(q^2), above the
-    table limit, against the per-point reference at every point of mu_d, and
-    the rule that indexed h(y)^t: coset labels for F5 and F8 (t = q - 1, d =
-    q + 1), a planned power for F9 (t = q + 1, d = q - 1)."""
+    table limit, twice: mu_d is built on the first call only, and the second
+    sweep, against the per-point reference at every point of mu_d, indexes
+    h(y)^t by coset labels for F5 and F8 (t = q - 1, d = q + 1) and by
+    ``pow`` for F9 (t = q + 1, d = q - 1)."""
     ctx = fam.family_ctx(fid, params)
     q = 1 << ctx.k // 2
     assert ctx.order == q * q and not ctx.ensure_tables()
     f = fam.build(fid, params, ctx=ctx)
-    circle_spy.clear()
-    power_spy.clear()
-    split, info = zieve_verdict(f)
-    assert split is verdict
     t, d = (q + 1, q - 1) if fid == "F9" else (q - 1, q + 1)
+    mu_spy.clear()
+    first = zieve_verdict(f)
+    assert mu_spy.count((ctx, d)) == 1
+    mu_spy.clear()
+    circle_spy.clear()
+    with pytest.MonkeyPatch.context() as mp:
+        pows = _pow_spy(mp)
+        split, info = zieve_verdict(f)
+    assert (split, info) == first and split is verdict
     assert (info["d"], info["t"]) == (d, t)
-    assert power_spy == ([t] if fid == "F9" else [])
-    assert (ctx._coset_log(t) is None) is (fid == "F9")
+    assert mu_spy == []
+    assert pows == ([t] * d if fid == "F9" else [])
     r, h = zieve_split(f, d)
     (fn, mu), = circle_spy
     naive = naive_split_map(ctx, r, h, t, d)
     assert [fn(y) for y in mu] == [naive(y) for y in mu]
 
 
-def test_split_sweep_f8_above_table_limit(circle_spy, power_spy):
-    # GF(2^18): F8 with d = 513 by coset labels, F9 with d = 511 by the power
+def test_split_sweep_f8_above_table_limit(circle_spy, mu_spy):
+    # GF(2^18): F8 with d = 513 by coset labels, F9 with d = 511 by pow
     for fid, params in [("F8", {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 10}),
                         ("F9", {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 1})]:
-        _assert_sweep_above_table_limit(fid, params, True, circle_spy, power_spy)
+        _assert_sweep_above_table_limit(fid, params, True, circle_spy, mu_spy)
 
 
 @pytest.mark.parametrize("fid, params, verdict", [
@@ -352,10 +373,32 @@ def test_split_sweep_f8_above_table_limit(circle_spy, power_spy):
     ("F5", {"m": 10, "r": 7, "i": 3, "b": 5}, False),
     ("F9", {"m": 9, "r": 5, "s": 1, "a": 1, "delta": 1}, True),
 ])
-def test_split_sweep_gf2_20_shapes(fid, params, verdict, circle_spy, power_spy):
+def test_split_sweep_gf2_20_shapes(fid, params, verdict, circle_spy, mu_spy):
     # F8 and F5 over GF(2^20), d = 1025 by coset labels, and the other side,
-    # F9 over GF(2^18) with t = q + 1, by the planned power
-    _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, power_spy)
+    # F9 over GF(2^18) with t = q + 1, by pow
+    _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, mu_spy)
+
+
+def test_split_sees_pow_patched_after_the_cache_fills(monkeypatch):
+    # the cached rule looks pow up on each call: a counter patched onto
+    # FieldCtx.pow after F9's mu_511 is cached over GF(2^18) sees every power
+    params = {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 1}
+    f = fam.build("F9", params, ctx=fam.family_ctx("F9", params))
+    first = zieve_verdict(f)
+    pows = _pow_spy(monkeypatch)
+    assert zieve_verdict(f) == first
+    assert pows == [513] * 511
+
+
+def test_split_checks_d_before_a_constant():
+    # a constant or zero f gets no verdict for a d that does not divide q - 1
+    ctx = make_field(2, 4)
+    for f in (SparsePoly.constant(ctx, 1), SparsePoly(ctx, []), SparsePoly.x(ctx)):
+        for d in (7, 0):
+            with pytest.raises(NotADivisor):
+                zieve_verdict(f, d)
+    assert zieve_verdict(SparsePoly(ctx, []), 5) == (
+        False, {"d": 5, "r": None, "t": None, "coprime": False, "subgroup": False})
 
 
 def test_split_sweep_odd_char_above_table_limit(circle_spy):
