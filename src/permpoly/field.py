@@ -285,7 +285,8 @@ class FieldCtx:
         when a = 0, else (log a - log b) mod t, logs in GF(q)* = mu_t.
         gcd(t, d) = 1, so each coset holds one point w^j of mu, and its
         label is sent to t*j mod d.  Otherwise log_d is index[pow(z, t)],
-        ``pow`` looked up on each call.
+        ``pow`` looked up on each call; a split makes one call per distinct
+        nonzero value of h on mu.
         """
         mu = self.subgroup_reps(d)
         index = {y: j for j, y in enumerate(mu)}
@@ -678,6 +679,35 @@ class FieldCtx:
         words = [col if isinstance(col, array) else array("I", col) for col in cols]
         acc = reduce(operator.xor, [int.from_bytes(w, "little") for w in words])
         return array("I", acc.to_bytes(len(words[0]) * words[0].itemsize, "little")).tolist()
+
+    def _mu_sweep(self, mu, terms):
+        """[h(w^j) for j < d] for mu = [w^j for j < d] and h the (e, c) ``terms``,
+        no table needed: term (e, c) is the column c * mu[j*e mod d].  In
+        characteristic 2 each column is packed in the 32-bit slots of one int,
+        and z -> c*z, GF(2)-linear, is bit-sliced: the XOR over i < k of
+        ((P >> i) & ones) * (c*x^i mod m), whose slots hold a k-bit value or 0,
+        so none carries.  The scaled columns are XORed and unpacked once.  Odd
+        characteristic maps ``_scaler(c)`` over each column and sums them by
+        ``_add_columns``."""
+        d = len(mu)
+        cols = [(c, [mu[j * e % d] for j in range(d)]) for e, c in terms]
+        if self.p != 2:
+            return self._add_columns([col if c == 1 else map(self._scaler(c), col)
+                                      for c, col in cols] or [[0] * d])
+        width = array("I").itemsize
+        assert self.k <= 8 * width  # DEFAULT_SIZE_LIMIT keeps k <= 24
+        ones, acc, kbit = int.from_bytes(array("I", [1]) * d, "little"), 0, 1 << self.k
+        for c, col in cols:
+            col = int.from_bytes(array("I", col), "little")
+            if c == 1:
+                acc ^= col
+                continue
+            for _ in range(self.k):  # c runs through c*x^i mod m
+                acc ^= (col & ones) * c
+                col, c = col >> 1, c << 1
+                if c & kbit:
+                    c ^= self._mod_int
+        return array("I", acc.to_bytes(d * width, "little")).tolist()
 
     def _log_sweep(self, c0, terms, i0, count):
         """c0 + sum(c*x^e) at g^i, i0 <= i < i0 + count, for the terms given

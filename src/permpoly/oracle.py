@@ -88,11 +88,15 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     Closure under f is not assumed: an image outside the subset is itself a
     failure, reported through ``escape``.  A subset that repeats a rep or
     holds one outside [0, order) raises :class:`BadSubset` before any
-    evaluation.
+    evaluation, and a :class:`FieldElem` of another field
+    :class:`CtxMismatch`.  Elements are read as their reps, converted only
+    when a pass over the types finds one.
     """
     fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
-    reps = [ctx._rep(s) if isinstance(s, FieldElem) else s for s in subset]
+    reps = list(subset)
+    if any(issubclass(kind, FieldElem) for kind in set(map(type, reps))):
+        reps = [ctx._rep(s) if isinstance(s, FieldElem) else s for s in reps]
     member = set(reps)
     if len(member) != len(reps) or reps and not 0 <= min(reps) <= max(reps) < ctx.order:
         raise BadSubset(f"subset reps must be distinct and in [0, {ctx.order})")
@@ -157,20 +161,20 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     and y^r * h(y)^((q-1)/d) permutes the order-d subgroup.  A given d that
     does not divide q - 1 raises :class:`NotADivisor`, for any f.  The split
     is taken of f - f(0), which is a bijection exactly when f is; a constant
-    f is no bijection, and its details carry no split.  The divisor and the
-    split read the polynomial's own term tuple, not copies of it.
+    f is no bijection, and its details carry no split.  One pass over the
+    terms gives the natural step (``ctx._split_step``); a d whose t does not
+    divide it raises zieve_split's :class:`NotFactorable`.  A second folds
+    h's exponents (e - r)/t mod d, exact on the subgroup mu_d = [w^j], w = g^t.
 
-    With log tables, a point y of the subgroup maps to
-    exp[r log y + t log h(y)], h compiled by :meth:`SparsePoly.rep_fn` after
-    folding it mod d, so a point costs no field multiplication.  Above
-    TABLE_LIMIT the subgroup is swept by index: point j is w^j with w = g^t,
-    and every power y^e is the lookup ``mu[j * e % d]``.  A coefficient
-    c != 1 multiplies through ``ctx._scaler(c)``, chosen once per call.
-    h(y)^t lies in the subgroup, so the image is ``mu[(j*r + i) % d]``, i
-    the index of h(y)^t.  The subgroup, its index and the rule for i come
-    from ``ctx._subgroup_index(d)``, built once per field and d: coset
-    labels over GF(q^2) of characteristic 2 with d = q + 1 (F5, F8), and
-    ``ctx.pow`` for every other d (F9's d = q - 1, odd k, odd p).
+    With log tables, a point y maps to exp[r log y + t log h(y)], h compiled
+    by :meth:`SparsePoly.rep_fn`.  Above TABLE_LIMIT, ``ctx._mu_sweep`` sums
+    h's columns c * mu[j*e mod d] for all j at once.  h(y)^t lies in mu_d, so
+    w^j maps to ``mu[(j*r + i) % d]``, i the index of h(y)^t, read once per
+    distinct nonzero value by the ``log_d`` of ``ctx._subgroup_index(d)``,
+    built once per field and d: coset labels over GF(q^2) of characteristic
+    2 with d = q + 1 (F5, F8), ``ctx.pow`` for every other d.  Either way
+    :func:`permutes_subset` reads the images in mu's order, so its witness,
+    escape and evaluation count are the per-point sweep's.
     """
     ctx = f.ctx
     n1 = ctx.order - 1
@@ -178,37 +182,33 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
         raise NotADivisor(f"{d} does not divide {n1}")
     terms = f._terms
     if terms and terms[0][0] == 0:
-        terms = terms[1:]
+        terms = terms[1:]  # f - f(0)
     if not terms:
         return False, {"d": d, "r": None, "t": None, "coprime": False,
                        "subgroup": False}
-    f = SparsePoly._raw(ctx, terms)  # f - f(0); _raw keeps the tuple, no copy
-    if d is None:
-        d = natural_divisor(f)
-    r, h = zieve_split(f, d)
+    step = ctx._split_step(terms)
+    d = n1 // step if d is None else d
     t = n1 // d
+    if step % t:
+        zieve_split(SparsePoly._raw(ctx, terms), d)  # raises NotFactorable
+    r, add, fold = terms[0][0], ctx._sum, {}
+    for e, c in terms:
+        e = (e - r) // t % d
+        fold[e] = add(fold.get(e, 0), c)
     coprime = math.gcd(r, t) == 1
     tabled = ctx.ensure_tables()
-    mu, index, log_d = ctx._subgroup_index(d)
-    h = h.reduce_exponents(d)
+    mu, _, log_d = ctx._subgroup_index(d)
     if tabled:
-        exp, log, hf = ctx._exp, ctx._log, h.rep_fn()
+        exp, log, hf = ctx._exp, ctx._log, SparsePoly._collect(ctx, fold).rep_fn()
 
         def on_circle(y):  # h(y) = 0 sends y out of mu_d, an escape
             v = hf(y)
             return exp[(log[y] * r + log[v] * t) % n1] if v else 0
     else:
-        add = ctx._sum
-        terms = [(e, None if c == 1 else ctx._scaler(c)) for c, e in h.term_pairs()]
-
-        def on_circle(y):  # h(y)^t lies in mu_d unless h(y) = 0, an escape
-            j = index[y]
-            acc = 0
-            for e, scale in terms:
-                v = mu[j * e % d]
-                acc = add(acc, v if scale is None else scale(v))
-            return mu[(j * r + log_d(acc)) % d] if acc else 0
-
+        vals = ctx._mu_sweep(mu, [(e, c) for e, c in fold.items() if c])
+        label = {v: log_d(v) for v in set(vals) if v}
+        on_circle = dict(zip(mu, [mu[(j * r + label[v]) % d] if v else 0  # 0: an escape
+                                  for j, v in enumerate(vals)])).__getitem__
     sub = permutes_subset(on_circle, mu, ctx)
     verdict = coprime and sub.is_permutation
     return verdict, {"d": d, "r": r, "t": t, "coprime": coprime,

@@ -98,6 +98,21 @@ def naive_split_map(ctx, r, h, t, d):
     return fn
 
 
+def naive_mu_sweep(ctx, terms, d):
+    """[sum(c * y^e) for y = w^j, j < d], w = g^((q-1)/d), point by point:
+    y walks by ``raw_mul`` from 1, each power is a ``raw_pow`` of y itself
+    and the terms are summed by ``raw_add``, with no index arithmetic."""
+    w = raw_pow(ctx, ctx.generator, (ctx.order - 1) // d)
+    out, y = [], 1
+    for _ in range(d):
+        acc = 0
+        for e, c in terms:
+            acc = raw_add(ctx, acc, raw_mul(ctx, c, raw_pow(ctx, y, e)))
+        out.append(acc)
+        y = raw_mul(ctx, y, w)
+    return out
+
+
 def brute_quad_roots(ctx, u, v):
     """All x with x^2 + u*x + v == 0, by field enumeration."""
     return sorted(x for x in range(ctx.order)

@@ -30,7 +30,16 @@ from permpoly.field import (
     is_irreducible,
 )
 
-from helpers import log_order_points, naive_eval, raw_add, raw_eval, raw_mul, raw_pow, swept
+from helpers import (
+    log_order_points,
+    naive_eval,
+    naive_mu_sweep,
+    raw_add,
+    raw_eval,
+    raw_mul,
+    raw_pow,
+    swept,
+)
 
 
 # --------------------------------------------------------------------------
@@ -1078,6 +1087,47 @@ def test_scaler_and_power(p, k):
 
 def _raw_neg(ctx, a):
     return ctx.encode([-x for x in ctx.decode(a)])
+
+
+@pytest.mark.parametrize("p,k", [(2, k) for k in range(17, 25)] + [(3, 11)])
+def test_mu_sweep_matches_points(p, k):
+    # h on mu_d as one columnar sum, against the point-by-point reference,
+    # at each split divisor 1 < d <= 400 (none at k = 17, 19, where q - 1 is
+    # prime) and d = 1: random terms with c = 1 columns among them, a
+    # constant term chosen so that the sum cancels to 0 at a point, and no
+    # terms.
+    # k = 24 fills 24 of each packed 32-bit slot
+    ctx = make_field(p, k)
+    assert not ctx.ensure_tables()
+    n1 = ctx.order - 1
+    rng = random.Random(600 * p + k)
+    ds = [d for d in range(2, 401) if n1 % d == 0][-2:]
+    for d in ds:
+        mu = ctx.subgroup_reps(d)
+        for _ in range(2):
+            terms = [(e, 1 if i == 0 else rng.randrange(1, ctx.order))
+                     for i, e in enumerate(rng.sample(range(1, d), min(3, d - 1)))]
+            assert ctx._mu_sweep(mu, terms) == naive_mu_sweep(ctx, terms, d)
+            j0 = rng.randrange(d)
+            c0 = _raw_neg(ctx, naive_mu_sweep(ctx, terms, d)[j0])
+            vals = ctx._mu_sweep(mu, terms + [(0, c0)])
+            assert vals == naive_mu_sweep(ctx, terms + [(0, c0)], d)
+            assert vals[j0] == 0 and any(vals)
+        assert ctx._mu_sweep(mu, []) == [0] * d
+    # the columns are read from mu by index alone, so any list stands in for
+    # mu: random entries of every bit length check the packed, bit-sliced
+    # products at k = 17 and 19 too
+    mu = [rng.randrange(1, ctx.order) for _ in range(101)] + [n1, 1 << k - 1 if p == 2 else 1]
+    terms = [(0, 1), (1, n1), (5, rng.randrange(1, ctx.order)), (77, rng.randrange(1, ctx.order))]
+    want = [0] * len(mu)
+    for e, c in terms:
+        want = [raw_add(ctx, v, raw_mul(ctx, c, mu[j * e % len(mu)])) for j, v in enumerate(want)]
+    assert ctx._mu_sweep(mu, terms) == want
+    c = rng.randrange(2, ctx.order)
+    for terms in ([(0, c)], [(0, 1)], [(0, c), (0, 1)], []):
+        assert ctx._mu_sweep([1], terms) == naive_mu_sweep(ctx, terms, 1)
+    assert ctx._mu_sweep([1], [(0, c), (0, _raw_neg(ctx, c))]) == [0]
+    assert len(ds) == (0 if k in (17, 19) else 2 if k != 23 else 1)
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (7, 2)])

@@ -13,6 +13,7 @@ from permpoly import (
     BadSubset,
     CtxMismatch,
     FieldCtx,
+    FieldElem,
     ImageOutOfRange,
     NotADivisor,
     NotFactorable,
@@ -146,6 +147,36 @@ def test_subset_elems_of_another_field_rejected():
     with pytest.raises(CtxMismatch):
         permutes_subset(lambda y: calls.append(y) or ctx.pow(y, 2), mu, ctx)
     assert calls == []  # raised before any evaluation
+
+
+def test_subset_reps_by_type_pass():
+    # permutes_subset converts elements only when a pass over the subset's
+    # types finds one: every error of the per-element conversion stays, for
+    # lists, tuples and iterators, and raises before any evaluation
+    class Tagged(FieldElem):
+        pass
+
+    ctx = make_field(2, 4)
+    other = make_field(2, 4, modulus=(1, 0, 0, 1, 1))
+    mu = ctx.subgroup_reps(5)
+    cases = [
+        (BadSubset, mu + [mu[2]]),                                  # a repeated int
+        (BadSubset, tuple(mu) + (16,)),                             # past the field
+        (BadSubset, iter([-1] + mu[1:])),                           # below 0
+        (BadSubset, [ctx.elem(mu[1])] + mu[1:]),                    # an element repeats an int
+        (BadSubset, mu[:3] + [Tagged(ctx, mu[3]), Tagged(ctx, mu[3])]),  # a subclass, twice
+        (CtxMismatch, mu[:4] + [other.elem(mu[4])]),                # a foreign element
+        (CtxMismatch, [ctx.elem(y) for y in mu[:4]] + [other.elem(mu[4])]),
+    ]
+    for exc, subset in cases:
+        calls = []
+        with pytest.raises(exc):
+            permutes_subset(lambda y: calls.append(y) or ctx.pow(y, 2), subset, ctx)
+        assert calls == [], subset
+    want = _fields(permutes_subset(lambda y: ctx.pow(y, 3), mu, ctx))
+    for subset in ([ctx.elem(y) if j % 2 else y for j, y in enumerate(mu)], tuple(mu),
+                   iter(mu), [Tagged(ctx, y) for y in mu]):
+        assert _fields(permutes_subset(lambda y: ctx.pow(y, 3), subset, ctx)) == want
 
 
 def test_reduced_map_on_cubic_circle_matches_full_verdict():
@@ -337,7 +368,8 @@ def _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, mu_spy):
     table limit, twice: mu_d is built on the first call only, and the second
     sweep, against the per-point reference at every point of mu_d, indexes
     h(y)^t by coset labels for F5 and F8 (t = q - 1, d = q + 1) and by
-    ``pow`` for F9 (t = q + 1, d = q - 1)."""
+    ``pow`` for F9 (t = q + 1, d = q - 1), once per distinct nonzero value
+    of h on mu_d: F9's h is constant there, so it takes one power."""
     ctx = fam.family_ctx(fid, params)
     q = 1 << ctx.k // 2
     assert ctx.order == q * q and not ctx.ensure_tables()
@@ -354,7 +386,7 @@ def _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, mu_spy):
     assert (split, info) == first and split is verdict
     assert (info["d"], info["t"]) == (d, t)
     assert mu_spy == []
-    assert pows == ([t] * d if fid == "F9" else [])
+    assert pows == ([t] if fid == "F9" else [])
     r, h = zieve_split(f, d)
     (fn, mu), = circle_spy
     naive = naive_split_map(ctx, r, h, t, d)
@@ -381,13 +413,126 @@ def test_split_sweep_gf2_20_shapes(fid, params, verdict, circle_spy, mu_spy):
 
 def test_split_sees_pow_patched_after_the_cache_fills(monkeypatch):
     # the cached rule looks pow up on each call: a counter patched onto
-    # FieldCtx.pow after F9's mu_511 is cached over GF(2^18) sees every power
+    # FieldCtx.pow after F9's mu_511 is cached over GF(2^18) sees the power
+    # of h's one value on mu_511, which labels all 511 points
     params = {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 1}
     f = fam.build("F9", params, ctx=fam.family_ctx("F9", params))
     first = zieve_verdict(f)
     pows = _pow_spy(monkeypatch)
     assert zieve_verdict(f) == first
-    assert pows == [513] * 511
+    assert pows == [513]
+
+
+def _split_the_long_way(f, d):
+    """(verdict, info, report) of the split of f - f(0) by ``zieve_split`` and
+    ``reduce_exponents``, its subgroup map taken point by point over
+    ``raw_pow`` (``naive_split_map``) by the original ``permutes_subset``."""
+    ctx = f.ctx
+    r, h = zieve_split(f - SparsePoly.constant(ctx, f.eval_rep(0)), d)
+    t = (ctx.order - 1) // d
+    report = permutes_subset(naive_split_map(ctx, r, h.reduce_exponents(d), t, d),
+                             ctx.subgroup_reps(d), ctx)
+    coprime = math.gcd(r, t) == 1
+    return coprime and report.is_permutation, {
+        "d": d, "r": r, "t": t, "coprime": coprime, "subgroup": report.is_permutation}, report
+
+
+@pytest.fixture
+def split_reports(monkeypatch):
+    """The report of every permutes_subset call zieve_verdict makes."""
+    reports = []
+    orig = oracle.permutes_subset
+
+    def spy(fn, subset, ctx):
+        reports.append(orig(fn, subset, ctx))
+        return reports[-1]
+
+    monkeypatch.setattr(oracle, "permutes_subset", spy)
+    return reports
+
+
+def _fields(report):
+    return (report.target, report.is_permutation, report.witness, report.escape,
+            report.evaluations)
+
+
+@pytest.mark.parametrize("p, k", [(2, 6), (2, 8), (3, 4), (2, 18), (3, 11)])
+def test_split_fold_matches_split_and_reduce(p, k, split_reports):
+    # zieve_verdict folds f's terms once, from the step of one _split_step
+    # pass; its verdict, info and subset report equal those of zieve_split
+    # and reduce_exponents, with or without a constant term, at every d
+    # <= 100 that splits f, and a d whose t does not divide the step raises
+    # zieve_split's NotFactorable
+    ctx = make_field(p, k)
+    n1 = ctx.order - 1
+    rng = random.Random(700 * p + k)
+    ds = [d for d in _divisors(n1) if d <= 100]
+    refused = 0
+    for f in _random_split_polys(ctx, rng, 12):
+        f = f + SparsePoly.constant(ctx, rng.choice([0, rng.randrange(ctx.order)]))
+        for d in ds:
+            try:
+                verdict, info, report = _split_the_long_way(f, d)
+            except NotFactorable as exc:
+                with pytest.raises(NotFactorable) as got:
+                    zieve_verdict(f, d)
+                assert str(got.value) == str(exc)
+                refused += 1
+                continue
+            split_reports.clear()
+            assert zieve_verdict(f, d) == (verdict, info), (f, d)
+            (got,) = split_reports
+            assert _fields(got) == _fields(report), (f, d)
+    assert refused
+
+
+def _report_cases():
+    """(f, d) splits over GF(2^18..2^24) and GF(3^11) that fail on mu_d: f's
+    own step with a random h, which repeats an image early, and with a
+    constant term of h chosen to vanish at an early point w^j0, an escape."""
+    out = []
+    for p, k in [(2, 18), (2, 20), (2, 21), (2, 22), (2, 24), (3, 11)]:
+        ctx = make_field(p, k)
+        n1 = ctx.order - 1
+        rng = random.Random(800 * p + k)
+        d = max(d for d in _divisors(n1) if d <= 1100)
+        t = n1 // d
+        mu = ctx.subgroup_reps(d)
+        for _ in range(2):
+            r = rng.randrange(1, t)
+            es = rng.sample(range(1, d), 2)
+            cs = [rng.randrange(1, ctx.order) for _ in es]
+            f = SparsePoly(ctx, [(c, r + t * e) for c, e in zip(cs, es)])
+            out.append((f, d))
+            j0 = rng.randrange(min(d, 40))
+            h0 = ctx.add(ctx.mul(cs[0], mu[j0 * es[0] % d]), ctx.mul(cs[1], mu[j0 * es[1] % d]))
+            out.append((f + SparsePoly(ctx, [(ctx.neg(h0), r)]), d))
+    return out
+
+
+def test_split_report_is_the_per_point_sweeps(split_reports):
+    # the subset report of the columnar sweep, witness, escape and
+    # evaluations, is the point-by-point sweep's, so VerdictClock counts the
+    # same elements: on the bigfield F5 splits (F5 m=10 b=1584 has a zero
+    # value of h at its 668th point), F8 m=10 a=3, and early repeats and
+    # escapes over GF(2^18..2^24) and GF(3^11)
+    cases = [(fam.build(fid, params), None) for fid, params in [
+        ("F5", {"m": 9, "r": 5, "i": 1, "b": 3}),
+        ("F5", {"m": 10, "r": 7, "i": 3, "b": 5}),
+        ("F5", {"m": 10, "r": 7, "i": 3, "b": 1584}),
+        ("F8", {"m": 10, "r": 13, "s": 3, "a": 3, "delta": 2})]] + _report_cases()
+    reports = []
+    for f, d in cases:
+        split_reports.clear()
+        verdict, info = zieve_verdict(f, d)
+        (got,) = split_reports
+        want_verdict, want_info, want = _split_the_long_way(f, info["d"])
+        assert (verdict, info) == (want_verdict, want_info)
+        assert _fields(got) == _fields(want), f
+        reports.append(got)
+    assert reports[2].escape == (334585, 0) and reports[2].evaluations == 668
+    kinds = {"escape" if rep.escape else "witness" if rep.witness else "ok" for rep in reports[4:]}
+    assert kinds == {"escape", "witness"}
 
 
 def test_split_checks_d_before_a_constant():
