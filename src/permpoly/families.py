@@ -33,7 +33,8 @@ from .errors import (
     SchemaMismatch,
     SizeLimitExceeded,
 )
-from .field import _ORBIT_MIN, DEFAULT_SIZE_LIMIT, FieldCtx, FieldElem, SparsePoly, make_field
+from .field import (
+    _ORBIT_MIN, DEFAULT_SIZE_LIMIT, FieldCtx, FieldElem, SparsePoly, _strided, make_field)
 
 DEFAULT_ENUM_CAP = 1 << 20
 
@@ -306,7 +307,7 @@ class Form:
 
             def columns(i0, count):  # holds no f (``FieldCtx._blocks``)
                 vs = outer(core_fn.sweep(i0, count), i0)
-                return ctx._add_columns([vs, ctx._column(lc + i0, 1, count)]) if c else vs
+                return ctx._add_columns([vs, _strided(exp, lc + i0, 1, count)]) if c else vs
             f.sweep = columns
         else:
             def outer(ws):  # r = 0: only the fibres map a list
@@ -320,12 +321,12 @@ class Form:
                 if not c or q != ctx.order:
                     return False
                 cinv = ctx.inv(c)
-                mu = ctx._linear([lam(ctx.mul(cinv, p ** i)) for i in range(ctx.k)])
-                cores = ctx._span(list(map(lam, complement)), k0)
+                mu = ctx._linear(lam([ctx.mul(cinv, p ** i) for i in range(ctx.k)]))
+                cores = ctx._span(lam(complement), k0)
                 scaled = ctx._span([ctx.mul(c, b) for b in complement])
                 seen, lo, hi = set(), 0, 64
                 while lo < len(cores):  # mu(f(x)) = mu(f(x')) iff the fibres meet
-                    seen.update(map(mu, map(add, outer(cores[lo:hi]), scaled[lo:hi])))
+                    seen.update(mu(list(map(add, outer(cores[lo:hi]), scaled[lo:hi]))))
                     if len(seen) < min(hi, len(cores)):
                         return False
                     lo, hi = hi, 2 * hi
@@ -341,9 +342,9 @@ class Form:
         With r = 0 and every nonconstant core exponent a power of p, core =
         k0 + lam with lam GF(p)-linear, so f(x + k) = f(x) + c*k for every k
         in K = ker lam, whatever u, n, E and c0 are.  ``lam`` is that map on
-        reps (``FieldCtx._linear``) and ``complement`` digit basis vectors
-        p^i spanning a complement of K, whose span gives the reps, one per
-        fibre x + K.  None when |K| < _ORBIT_MIN; a largest exponent below it
+        lists of reps (``FieldCtx._linear``) and ``complement`` digit basis
+        vectors p^i spanning a complement of K, whose span gives the reps, one
+        per fibre x + K.  None when |K| < _ORBIT_MIN; a largest exponent below it
         (|K| is at most the degree of lam) rules that out before any linear
         algebra.
         """

@@ -150,7 +150,34 @@ def _multiples(a):
             a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7)
 
 
-@lru_cache(maxsize=4096)  # bounded: one entry per field and stride met
+def _strided(table, off, step, count):
+    """[table[(off + j*step) % n] for j < count] as strided slices of a table
+    holding n values twice (the antilog table, mu + mu), of its type.  A long
+    stride is split into the m residue classes j = rho mod m of
+    ``_residue_split``, whose short stride m*step slices downwards if negative."""
+    n = len(table) // 2
+    m, s = _residue_split(n, step % n)
+
+    def run(a, k):  # k values from a, stride s
+        if not s:
+            return table[a % n:a % n + 1] * k
+        out = table[0:0]
+        while k > 0:
+            a = a % n + (n if s < 0 else 0)
+            part = table[a:a + k * s if a + k * s >= 0 else None:s]
+            out += part
+            k, a = k - len(part), a + len(part) * s
+        return out
+
+    if m == 1:
+        return run(off, count)
+    out = table[:1] * count
+    for rho in range(min(m, count)):
+        out[rho::m] = run(off + rho * step, len(range(rho, count, m)))
+    return out
+
+
+@lru_cache(maxsize=4096)  # bounded: one entry per period and stride met
 def _residue_split(n1, step):
     """(m, s), m <= isqrt(n1) and s = m*step mod n1 taken in [-n1/2, n1/2):
     the least m with s short (64*|s| <= n1), else the shortest s."""
@@ -254,63 +281,60 @@ class FieldCtx:
         lock: threads that race here build equal tuples, and one is kept.
         """
         if self._bytes is None:
-            xp, top, kbit = [1], 2 * self.k - 1, 1 << self.k
-            for _ in range(top):  # x^(i+1) mod m by a shift: _mul_raw needs these tables
-                v = xp[-1] << 1
-                xp.append(v ^ self._mod_int if v & kbit else v)
-            self._bytes = (_linear_tables(xp[self.k:top]), _linear_tables(xp[0:top:2]))
+            xp = self._shifts(1, 2 * self.k - 1)
+            self._bytes = (_linear_tables(xp[self.k:]), _linear_tables(xp[::2]))
         return self._bytes
 
-    def _scale_tables(self, c):
-        """Byte tables of z -> c*z (p = 2), from the images c*x^i mod m."""
-        return _linear_tables([self._mul_raw(c, 1 << i) for i in range(self.k)])
+    def _shifts(self, c, n):
+        """[c*x^i mod m for i < n] (p = 2) by shifts: ``_mul_raw`` needs tables built of them."""
+        out = [c]
+        for _ in range(n - 1):
+            out.append(c := c << 1 ^ (self._mod_int if c >> self.k - 1 else 0))
+        return out
 
     def _scaler(self, c):
         """z -> c*z for a fixed c: through the byte tables of the map on an
         untabled field of characteristic 2, else ``mul``."""
         if self.p == 2 and self._exp is None:
-            return partial(_apply, self._scale_tables(c))
+            return partial(_apply, _linear_tables(self._shifts(c, self.k)))
         return partial(self.mul, c)
 
     @lru_cache(maxsize=16)  # bounded: one entry per field and split met
     def _subgroup_index(self, d):
-        """(mu, index, log_d) for the order-d subgroup, built once: mu is
-        ``subgroup_reps(d)``, index its inverse, and log_d(z) the index in mu
-        of z^t, t = (q-1)/d, for z != 0.  Callers must not mutate mu or index.
+        """(mu, index, log_d, mu2) for the order-d subgroup, built once: mu is
+        ``subgroup_reps(d)``, index its inverse, mu2 = mu + mu and log_d(zs)
+        the indices in mu of z^t, t = (q-1)/d, for the z != 0 of the list zs.
+        Callers must not mutate mu, index or mu2.
 
         Over GF(q^2) of characteristic 2 with d = q + 1, z^t depends only on
         the coset z*GF(q)*.  z's coordinates over GF(q) in the basis {1, x},
         b = (z + z^q)/(x + x^q) and a = z + x*b, are GF(2)-linear in z, so
-        byte tables give them.  The coset is labelled t when b = 0, t + 1
-        when a = 0, else (log a - log b) mod t, logs in GF(q)* = mu_t.
-        gcd(t, d) = 1, so each coset holds one point w^j of mu, and its
-        label is sent to t*j mod d.  Otherwise log_d is index[pow(z, t)],
-        ``pow`` looked up on each call; a split makes one call per distinct
-        nonzero value of h on mu.
+        one ``_gf2_maps`` call each gives them on all of zs.  The coset is
+        labelled t when b = 0, t + 1 when a = 0, else (log a - log b) mod t,
+        logs in GF(q)* = mu_t.  gcd(t, d) = 1, so each coset holds one point
+        w^j of mu, and its label is sent to t*j mod d.  Otherwise log_d reads
+        index[pow(z, t)], ``pow`` looked up on each call.
         """
         mu = self.subgroup_reps(d)
         index = {y: j for j, y in enumerate(mu)}
         t = (self.order - 1) // d
         q = t + 1
         if self.p != 2 or q * q != self.order:
-            def log_d(z):
-                return index[self.pow(z, t)]
-            return mu, index, log_d
+            return mu, index, lambda zs: [index[self.pow(z, t)] for z in zs], mu + mu
         c = self._pow_raw(2 ^ self._pow_raw(2, q), self.order - 2)  # 1/(x + x^q)
-        bs = [self._mul_raw(z ^ self._pow_raw(z, q), c) for z in (1 << i for i in range(self.k))]
-        ta = _linear_tables([(1 << i) ^ self._mul_raw(2, b) for i, b in enumerate(bs)])
-        tb = _linear_tables(bs)
+        ib = [self._mul_raw(z ^ self._pow_raw(z, q), c) for z in (1 << i for i in range(self.k))]
+        ia = [(1 << i) ^ self._mul_raw(2, b) for i, b in enumerate(ib)]  # x^i's a and b
         lq = {v: i for i, v in enumerate(self.subgroup_reps(t))}
         by_label = list(range(d))  # the labels themselves, until mu is labelled
 
-        def coset_log(z):
-            a, b = _apply(ta, z), _apply(tb, z)
-            return by_label[t if not b else t + 1 if not a else (lq[a] - lq[b]) % t]
-        labels = [coset_log(w) for w in mu]
+        def coset_log(zs):
+            return [by_label[t if not b else t + 1 if not a else (lq[a] - lq[b]) % t]
+                    for a, b in zip(self._gf2_maps([(ia, zs)]), self._gf2_maps([(ib, zs)]))]
+        labels = coset_log(mu)
         assert len(set(labels)) == d
         for j, label in enumerate(labels):
             by_label[label] = t * j % d
-        return mu, index, coset_log
+        return mu, index, coset_log, mu + mu
 
     def _comb(self, tab, b):
         """a*b mod m from tab = _multiples(a): a 4-bit comb over b, then a byte fold."""
@@ -554,11 +578,11 @@ class FieldCtx:
         return out
 
     def _linear(self, images):
-        """The GF(p)-linear map sending the rep p^i to images[i], on reps:
-        through the byte tables of ``_linear_tables`` in characteristic 2,
-        else digit by digit from each image's multiples."""
+        """The GF(p)-linear map sending the rep p^i to images[i], on a list of
+        reps: one ``_gf2_maps`` call in characteristic 2, else digit by digit
+        from each image's multiples, value by value."""
         if self.p == 2:
-            return partial(_apply, _linear_tables(images))
+            return lambda vals: self._gf2_maps([(images, vals)])
         p, add, tabs = self.p, self._sum, [self._span([v]) for v in images]
 
         def linear(a):
@@ -568,7 +592,7 @@ class FieldCtx:
                 if d:
                     acc = add(acc, t[d])
             return acc
-        return linear
+        return lambda vals: list(map(linear, vals))
 
     def subgroup(self, d: int) -> list["FieldElem"]:
         return [FieldElem(self, r) for r in self.subgroup_reps(d)]
@@ -622,7 +646,7 @@ class FieldCtx:
                 exp, log = [1] * (2 * n1), [0] * self.order
             g, cur = self.generator, 1
             if self.p == 2:  # z -> g*z through its byte tables: k <= 16, so one or two
-                tabs = self._scale_tables(g)
+                tabs = _linear_tables(self._shifts(g, self.k))
                 lo, hi = tabs if len(tabs) == 2 else (tabs[0], (0,))
                 for i in range(1, n1):
                     cur = lo[cur & 255] ^ hi[cur >> 8]
@@ -644,32 +668,6 @@ class FieldCtx:
             self._exp = exp  # published last; add/mul/pow key off _exp
         return True
 
-    def _column(self, off, step, count):
-        """[exp[(off + j*step) % (q-1)] for j < count] as strided slices of the
-        doubled antilog table, of its type; needs tables.  A long stride is
-        split into the m residue classes j = rho mod m of ``_residue_split``,
-        whose stride m*step is short, and slices downwards when negative."""
-        exp, n1 = self._exp, self.order - 1
-        m, s = _residue_split(n1, step % n1)
-
-        def run(a, k):  # k values from a, stride s
-            if not s:
-                return exp[a % n1:a % n1 + 1] * k
-            out = exp[0:0]
-            while k > 0:
-                a = a % n1 + (n1 if s < 0 else 0)
-                part = exp[a:a + k * s if a + k * s >= 0 else None:s]
-                out += part
-                k, a = k - len(part), a + len(part) * s
-            return out
-
-        if m == 1:
-            return run(off, count)
-        out = exp[:1] * count
-        for rho in range(min(m, count)):
-            out[rho::m] = run(off + rho * step, len(range(rho, count, m)))
-        return out
-
     def _add_columns(self, cols):
         """The sum of equal-length columns, as a list: on the array('I') tables
         of characteristic 2 one XOR of their words packed into ints (XOR is
@@ -680,39 +678,43 @@ class FieldCtx:
         acc = reduce(operator.xor, [int.from_bytes(w, "little") for w in words])
         return array("I", acc.to_bytes(len(words[0]) * words[0].itemsize, "little")).tolist()
 
-    def _mu_sweep(self, mu, terms):
-        """[h(w^j) for j < d] for mu = [w^j for j < d] and h the (e, c) ``terms``,
-        no table needed: term (e, c) is the column c * mu[j*e mod d].  In
-        characteristic 2 each column is packed in the 32-bit slots of one int,
-        and z -> c*z, GF(2)-linear, is bit-sliced: the XOR over i < k of
-        ((P >> i) & ones) * (c*x^i mod m), whose slots hold a k-bit value or 0,
-        so none carries.  The scaled columns are XORed and unpacked once.  Odd
-        characteristic maps ``_scaler(c)`` over each column and sums them by
-        ``_add_columns``."""
-        d = len(mu)
-        cols = [(c, [mu[j * e % d] for j in range(d)]) for e, c in terms]
+    def _gf2_maps(self, pairs):
+        """The list XOR over (images, vals) of L(vals), value by value, for
+        vals of one length and L the GF(2)-linear map x^i -> images[i] (the
+        identity for None).  Each vals is packed in the 32-bit slots of one
+        int P: L(P) is the XOR over i of ((P >> i) & ones) * images[i], whose
+        slots hold an image or 0, so none carries.  Unpacked once."""
+        width = array("I").itemsize
+        assert self.p == 2 and self.k <= 8 * width  # DEFAULT_SIZE_LIMIT keeps k <= 24
+        n = len(pairs[0][1])
+        ones, acc = int.from_bytes(array("I", [1]) * n, "little"), 0
+        for images, vals in pairs:
+            P = int.from_bytes(array("I", vals), "little")
+            if images is None:
+                acc ^= P
+            for v in images or ():
+                acc ^= (P & ones) * v
+                P >>= 1
+        return array("I", acc.to_bytes(n * width, "little")).tolist()
+
+    def _mu_sweep(self, mu2, terms):
+        """[h(w^j) for j < d], mu2 = mu + mu, mu = [w^j for j < d], h the (e, c)
+        ``terms``, no table needed: term (e, c) is the column c * mu[j*e mod d]
+        of ``_strided`` slices of mu2.  One ``_gf2_maps`` call scales the
+        columns by the images c*x^i mod m and XORs them in characteristic 2;
+        else ``_add_columns`` sums them, each mapped by ``_scaler(c)``."""
+        d = len(mu2) // 2
+        cols = [(c, _strided(mu2, 0, e, d)) for e, c in terms] or [(1, [0] * d)]
         if self.p != 2:
             return self._add_columns([col if c == 1 else map(self._scaler(c), col)
-                                      for c, col in cols] or [[0] * d])
-        width = array("I").itemsize
-        assert self.k <= 8 * width  # DEFAULT_SIZE_LIMIT keeps k <= 24
-        ones, acc, kbit = int.from_bytes(array("I", [1]) * d, "little"), 0, 1 << self.k
-        for c, col in cols:
-            col = int.from_bytes(array("I", col), "little")
-            if c == 1:
-                acc ^= col
-                continue
-            for _ in range(self.k):  # c runs through c*x^i mod m
-                acc ^= (col & ones) * c
-                col, c = col >> 1, c << 1
-                if c & kbit:
-                    c ^= self._mod_int
-        return array("I", acc.to_bytes(d * width, "little")).tolist()
+                                      for c, col in cols])
+        return self._gf2_maps([(None if c == 1 else self._shifts(c, self.k), col)
+                               for c, col in cols])
 
     def _log_sweep(self, c0, terms, i0, count):
         """c0 + sum(c*x^e) at g^i, i0 <= i < i0 + count, for the terms given
-        as (log c, e mod (q-1)): ``_add_columns`` of a ``_column`` each and c0."""
-        cols = [self._column(lc + i0 * e, e, count) for lc, e in terms]
+        as (log c, e mod (q-1)): ``_add_columns`` of an antilog ``_strided`` each, and c0."""
+        cols = [_strided(self._exp, lc + i0 * e, e, count) for lc, e in terms]
         if c0 or not cols:
             cols.append(repeat(c0, count))
         return self._add_columns(cols)

@@ -161,16 +161,18 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     and y^r * h(y)^((q-1)/d) permutes the order-d subgroup.  A given d that
     does not divide q - 1 raises :class:`NotADivisor`, for any f.  The split
     is taken of f - f(0), which is a bijection exactly when f is; a constant
-    f is no bijection, and its details carry no split.  One pass over the
-    terms gives the natural step (``ctx._split_step``); a d whose t does not
-    divide it raises zieve_split's :class:`NotFactorable`.  A second folds
-    h's exponents (e - r)/t mod d, exact on the subgroup mu_d = [w^j], w = g^t.
+    f is no bijection, and its details carry no split.  One pass sums the
+    terms by exponent mod q - 1, as on GF(q)*, and keeps sums that cancel, so
+    the natural step (``ctx._split_step`` of the residues) is the formal one;
+    a d whose t does not divide it raises zieve_split's :class:`NotFactorable`.
+    The residues fold into h's exponents (e - r)/t mod d, r the least formal
+    exponent, exact on the subgroup mu_d = [w^j], w = g^t.
 
     With log tables, a point y maps to exp[r log y + t log h(y)], h compiled
     by :meth:`SparsePoly.rep_fn`.  Above TABLE_LIMIT, ``ctx._mu_sweep`` sums
     h's columns c * mu[j*e mod d] for all j at once.  h(y)^t lies in mu_d, so
-    w^j maps to ``mu[(j*r + i) % d]``, i the index of h(y)^t, read once per
-    distinct nonzero value by the ``log_d`` of ``ctx._subgroup_index(d)``,
+    w^j maps to ``mu[(j*r + i) % d]``, i the index of h(y)^t, read for every
+    distinct nonzero value in one call of ``ctx._subgroup_index(d)``'s log_d,
     built once per field and d: coset labels over GF(q^2) of characteristic
     2 with d = q + 1 (F5, F8), ``ctx.pow`` for every other d.  Either way
     :func:`permutes_subset` reads the images in mu's order, so its witness,
@@ -186,18 +188,21 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     if not terms:
         return False, {"d": d, "r": None, "t": None, "coprime": False,
                        "subgroup": False}
-    step = ctx._split_step(terms)
+    r, add, residues, fold = terms[0][0], ctx._sum, {}, {}
+    for e, c in terms:
+        e %= n1
+        residues[e] = add(residues.get(e, 0), c)
+    step = ctx._split_step(list(residues.items()))
     d = n1 // step if d is None else d
     t = n1 // d
     if step % t:
         zieve_split(SparsePoly._raw(ctx, terms), d)  # raises NotFactorable
-    r, add, fold = terms[0][0], ctx._sum, {}
-    for e, c in terms:
+    for e, c in residues.items():
         e = (e - r) // t % d
         fold[e] = add(fold.get(e, 0), c)
     coprime = math.gcd(r, t) == 1
     tabled = ctx.ensure_tables()
-    mu, _, log_d = ctx._subgroup_index(d)
+    mu, _, log_d, mu2 = ctx._subgroup_index(d)
     if tabled:
         exp, log, hf = ctx._exp, ctx._log, SparsePoly._collect(ctx, fold).rep_fn()
 
@@ -205,8 +210,9 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
             v = hf(y)
             return exp[(log[y] * r + log[v] * t) % n1] if v else 0
     else:
-        vals = ctx._mu_sweep(mu, [(e, c) for e, c in fold.items() if c])
-        label = {v: log_d(v) for v in set(vals) if v}
+        vals = ctx._mu_sweep(mu2, [(e, c) for e, c in fold.items() if c])
+        distinct = [v for v in set(vals) if v]
+        label = dict(zip(distinct, log_d(distinct)))
         on_circle = dict(zip(mu, [mu[(j * r + label[v]) % d] if v else 0  # 0: an escape
                                   for j, v in enumerate(vals)])).__getitem__
     sub = permutes_subset(on_circle, mu, ctx)

@@ -160,7 +160,7 @@ def fibres_of(form):
     part lam."""
     ctx = form.core.ctx
     lam, complement = form._fibres()
-    kernel = ctx._kernel_split([lam(ctx.p ** i) for i in range(ctx.k)])[0]
+    kernel = ctx._kernel_split(lam([ctx.p ** i for i in range(ctx.k)]))[0]
     return ctx._span(complement), ctx._span([ctx.mul(form.c, v) for v in kernel])
 
 

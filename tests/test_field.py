@@ -26,7 +26,9 @@ from permpoly.field import (
     FieldCtx,
     FieldElem,
     _apply,
+    _linear_tables,
     _residue_split,
+    _strided,
     is_irreducible,
 )
 
@@ -566,7 +568,7 @@ def test_log_column_matches_comprehension(p, k):
         for off in (0, 2, n1 - 1, n1, 3 * n1 + 2, rng.randrange(10 * n1)):
             for count in sorted({0, 1, max(1, m - 1), m + 1, 300, n1 + 3}):
                 want = [exp[(off + j * step) % n1] for j in range(count)]
-                col = ctx._column(off, step, count)  # of the table's type
+                col = _strided(exp, off, step, count)  # of the table's type
                 assert type(col) is type(exp) and list(col) == want, (step, off, count)
     assert split == (n1 >= 7)
 
@@ -984,19 +986,49 @@ def test_char2_linear_map_tables(k):
     edge = [0, 1, ctx.order - 1, ctx.generator]
     zs = edge + [rng.randrange(ctx.order) for _ in range(20)]
     for c in edge + [rng.randrange(ctx.order) for _ in range(4)]:
-        tabs = ctx._scale_tables(c)
+        tabs = _linear_tables(ctx._shifts(c, k))
         assert len(tabs) == -(-k // 8)
         assert all(_apply(tabs, z) == raw_mul(ctx, c, z) for z in zs), c
 
 
+@pytest.mark.parametrize("k", range(2, 25))
+def test_gf2_maps_match_byte_tables(k):
+    # the packed GF(2)-linear map against the byte-table map of one value at
+    # a time, on every slot: random images, zero images and, at k = 17 and
+    # 19, values and images with all k bits set, so that every bit of a slot
+    # is multiplied; lists of 0, 1, 63, 64 and 1,025 values, and the XOR of
+    # a pair of maps and an identity (images None)
+    ctx = FieldCtx(2, k, make_field(2, k).modulus, 1)  # no tables are built
+    rng = random.Random(800 + k)
+    full = ctx.order - 1
+    imagesets = [[rng.randrange(ctx.order) for _ in range(k)], [0] * k,
+                 [full] * k if k in (17, 19) else [rng.randrange(ctx.order)] * k]
+    for images in imagesets:
+        tabs = _linear_tables(images)
+        for n in (0, 1, 63, 64, 1025):
+            vals = [rng.randrange(ctx.order) for _ in range(n)]
+            if k in (17, 19):
+                vals[:2] = [full, full][:n]
+            assert ctx._gf2_maps([(images, vals)]) == [_apply(tabs, v) for v in vals], (n, images)
+            other = [rng.randrange(ctx.order) for _ in range(n)]
+            assert ctx._gf2_maps([(images, vals), (None, other), (imagesets[0], other)]) == \
+                [_apply(tabs, v) ^ w ^ _apply(_linear_tables(imagesets[0]), w)
+                 for v, w in zip(vals, other)]
+    if k in (17, 19):
+        assert ctx._gf2_maps([([full] * k, [full] * 5)]) == [full] * 5  # k odd
+    assert ctx._exp is None
+
+
 def _assert_subgroup_index(ctx, d, zs):
     """``ctx._subgroup_index(d)`` against ``subgroup_reps`` and ``raw_pow``:
-    mu_d, its index, and log_d(z) = the index of z^t in mu_d, t = (q-1)/d,
-    for z != 0 in zs.  log_d calls no ``pow`` (the coset rule) exactly when
-    p = 2, k is even and d = 2^(k/2) + 1, and otherwise one per z."""
+    mu_d, its index, mu_d doubled, and log_d(zs) = the indices of z^t in
+    mu_d, t = (q-1)/d, for z != 0 in zs, in one call on the whole list.
+    log_d calls no ``pow`` (the coset rule) exactly when p = 2, k is even
+    and d = 2^(k/2) + 1, and otherwise one per z."""
     t = (ctx.order - 1) // d
-    mu, index, log_d = ctx._subgroup_index(d)
+    mu, index, log_d, mu2 = ctx._subgroup_index(d)
     assert mu == ctx.subgroup_reps(d) and index == {y: j for j, y in enumerate(mu)}
+    assert mu2 == mu + mu
     pows, orig = [], FieldCtx.pow
 
     def spy(self, a, e):
@@ -1004,7 +1036,7 @@ def _assert_subgroup_index(ctx, d, zs):
         return orig(self, a, e)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FieldCtx, "pow", spy)
-        logs = [log_d(z) for z in zs]
+        logs = log_d(zs)
     assert logs == [index[raw_pow(ctx, z, t)] for z in zs], (ctx.p, ctx.k, d)
     coset = ctx.p == 2 and ctx.k % 2 == 0 and d == (1 << ctx.k // 2) + 1
     assert pows == ([] if coset else [t] * len(zs)), (ctx.p, ctx.k, d)
@@ -1107,13 +1139,29 @@ def test_mu_sweep_matches_points(p, k):
         for _ in range(2):
             terms = [(e, 1 if i == 0 else rng.randrange(1, ctx.order))
                      for i, e in enumerate(rng.sample(range(1, d), min(3, d - 1)))]
-            assert ctx._mu_sweep(mu, terms) == naive_mu_sweep(ctx, terms, d)
+            assert ctx._mu_sweep(mu + mu, terms) == naive_mu_sweep(ctx, terms, d)
             j0 = rng.randrange(d)
             c0 = _raw_neg(ctx, naive_mu_sweep(ctx, terms, d)[j0])
-            vals = ctx._mu_sweep(mu, terms + [(0, c0)])
+            vals = ctx._mu_sweep(mu + mu, terms + [(0, c0)])
             assert vals == naive_mu_sweep(ctx, terms + [(0, c0)], d)
             assert vals[j0] == 0 and any(vals)
-        assert ctx._mu_sweep(mu, []) == [0] * d
+        assert ctx._mu_sweep(mu + mu, []) == [0] * d
+    if p == 2 and k in (18, 20, 24):
+        # the coset splits d = 2^(k/2) + 1 (513, 1025, 4097): their columns
+        # are strided slices of mu + mu, with a stride that needs the
+        # residue split (m > 1), a short negative one, e = 0 mod d and e > d,
+        # against mu read index by index (mu's entries are the powers of w:
+        # the point-by-point reference checks that at the d above)
+        d = (1 << k // 2) + 1
+        mu = ctx.subgroup_reps(d)
+        split = next(e for e in range(2, d) if _residue_split(d, e)[0] > 1)
+        for es in ([split, d - 3], [2 * d, 3 * d + split, d + 1]):
+            terms = [(e, rng.randrange(2, ctx.order)) for e in es] + [(d - 1, 1)]
+            want = [0] * d
+            for e, c in terms:
+                want = [v ^ raw_mul(ctx, c, mu[j * e % d]) for j, v in enumerate(want)]
+            assert ctx._mu_sweep(mu + mu, terms) == want, es
+        assert _residue_split(d, d - 3) == (1, -3)
     # the columns are read from mu by index alone, so any list stands in for
     # mu: random entries of every bit length check the packed, bit-sliced
     # products at k = 17 and 19 too
@@ -1122,11 +1170,11 @@ def test_mu_sweep_matches_points(p, k):
     want = [0] * len(mu)
     for e, c in terms:
         want = [raw_add(ctx, v, raw_mul(ctx, c, mu[j * e % len(mu)])) for j, v in enumerate(want)]
-    assert ctx._mu_sweep(mu, terms) == want
+    assert ctx._mu_sweep(mu + mu, terms) == want
     c = rng.randrange(2, ctx.order)
     for terms in ([(0, c)], [(0, 1)], [(0, c), (0, 1)], []):
-        assert ctx._mu_sweep([1], terms) == naive_mu_sweep(ctx, terms, 1)
-    assert ctx._mu_sweep([1], [(0, c), (0, _raw_neg(ctx, c))]) == [0]
+        assert ctx._mu_sweep([1, 1], terms) == naive_mu_sweep(ctx, terms, 1)
+    assert ctx._mu_sweep([1, 1], [(0, c), (0, _raw_neg(ctx, c))]) == [0]
     assert len(ds) == (0 if k in (17, 19) else 2 if k != 23 else 1)
 
 

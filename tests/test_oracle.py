@@ -291,28 +291,52 @@ def circle_spy(monkeypatch):
     return calls
 
 
+def _lifted_split_polys(ctx, rng, f):
+    """Inputs whose exponents are not their residues mod q - 1: f with every
+    exponent raised by several multiples of q - 1 (the same map); f plus
+    c*x^e - c*x^(e + 2(q-1)) at a residue e that f lacks, a pair whose sum
+    cancels mod q - 1 but not formally (the same map); and f plus c*x^e, e a
+    positive multiple of q - 1 (1 on GF(q)*, 0 at 0)."""
+    n1, pairs = ctx.order - 1, list(f.term_pairs())
+    c, free = rng.randrange(1, ctx.order), set(range(n1)) - {x % n1 for _, x in pairs}
+    out = [SparsePoly(ctx, [(a, x + n1 * rng.randrange(1, 5)) for a, x in pairs]),
+           SparsePoly(ctx, pairs + [(c, n1 * rng.randrange(1, 4))])]
+    if free:
+        e = rng.choice(sorted(free)) + n1
+        out.append(SparsePoly(ctx, pairs + [(c, e), (ctx.neg(c), e + 2 * n1)]))
+    return out
+
+
 @pytest.mark.parametrize("p, k", SPLIT_FIELDS)
 def test_split_sweep_matches_scan_and_reference(p, k, circle_spy):
+    # random split shapes, and their lifts by multiples of q - 1 (the verdict
+    # sums the terms by exponent mod q - 1 first): the verdict is the full
+    # scan's, the subgroup map the per-point reference's, and the details
+    # those of the formal split of zieve_split, whose r is f's least exponent
     ctx = make_field(p, k)
     n1 = ctx.order - 1
     rng = random.Random(1000 * p + k)
-    verdicts = set()
+    verdicts, lifted = set(), 0
     for f in _random_split_polys(ctx, rng, 15):
-        direct = is_permutation(f, ctx).is_permutation
-        verdicts.add(direct)
-        for d in _divisors(n1):
-            try:
-                r, h = zieve_split(f, d)
-            except NotFactorable:
-                continue
-            circle_spy.clear()
-            split, info = zieve_verdict(f, d)
-            assert split == direct, (f, d, info)
-            (fn, mu), = circle_spy
-            assert mu == ctx.subgroup_reps(d)
-            naive = naive_split_map(ctx, r, h, n1 // d, d)
-            assert [fn(y) for y in mu] == [naive(y) for y in mu], (f, d)
-    assert verdicts == {True, False}
+        for g in [f] + [g for g in _lifted_split_polys(ctx, rng, f) if not g.is_zero()]:
+            direct = is_permutation(g, ctx).is_permutation
+            verdicts.add(direct)
+            lifted += g is not f and g._terms[-1][0] >= 2 * n1
+            for d in _divisors(n1):
+                try:
+                    r, h = zieve_split(g, d)
+                except NotFactorable:
+                    continue
+                circle_spy.clear()
+                split, info = zieve_verdict(g, d)
+                assert split == direct, (g, d, info)
+                assert (info["d"], info["r"], info["t"]) == (d, r, n1 // d), (g, d, info)
+                (fn, mu), = circle_spy
+                assert mu == ctx.subgroup_reps(d)
+                naive = naive_split_map(ctx, r, h, n1 // d, d)
+                assert [fn(y) for y in mu] == [naive(y) for y in mu], (g, d)
+            assert zieve_verdict(g)[1]["d"] == natural_divisor(g), g
+    assert verdicts == {True, False} and lifted >= 15
 
 
 @pytest.mark.parametrize("p, k", [(2, 3), (2, 6), (3, 3)])
@@ -388,6 +412,7 @@ def _assert_sweep_above_table_limit(fid, params, verdict, circle_spy, mu_spy):
     assert mu_spy == []
     assert pows == ([t] if fid == "F9" else [])
     r, h = zieve_split(f, d)
+    assert info["r"] == r  # the formal split's, also where F9's 13,121 terms have 511 residues
     (fn, mu), = circle_spy
     naive = naive_split_map(ctx, r, h, t, d)
     assert [fn(y) for y in mu] == [naive(y) for y in mu]
@@ -812,14 +837,19 @@ def test_coset_labels_repeat_before_any_block(k, monkeypatch):
 
 def _fibre_labels(fn, ctx, numbered=False):
     """(answer, values) of fn's fibres source: its answer on ctx, and the
-    values it labelled, in order, through a stand-in for ``FieldCtx._linear``.
-    The labels are the real ones mod c*K, or with ``numbered`` a new number
-    per value, so that no two agree."""
+    values it labelled, in order, through a stand-in for ``FieldCtx._linear``,
+    which labels a list of values per call.  The labels are the real ones
+    mod c*K, or with ``numbered`` a new number per value, so that no two
+    agree."""
     values, inner, numbers = [], FieldCtx._linear, itertools.count()
 
     def linear(field, images):
-        mu = (lambda y: next(numbers)) if numbered else inner(field, images)
-        return lambda y: values.append(y) or mu(y)
+        mu = (lambda ys: [next(numbers) for _ in ys]) if numbered else inner(field, images)
+
+        def spy(ys):
+            values.extend(ys)
+            return mu(ys)
+        return spy
     with unittest.mock.patch.object(FieldCtx, "_linear", linear):
         answer = fn.bijective(fn, ctx.order)
     return answer, values
