@@ -96,6 +96,7 @@ class FamilySpec:
     condition: object         # (ctx, params) -> ConditionReport
     form: object              # (ctx, params) -> Form or SparsePoly
     notes: str = ""
+    trace: object = None      # params -> d: T(f(x)) = s*T(x), T the trace onto GF(2^d)
 
     def param(self, name: str) -> ParamSpec:
         for p in self.params:
@@ -771,7 +772,9 @@ _register(FamilySpec(
     ("m",), _gf2_3m,
     (_int("m"), _elem("c", nonzero=True)),
     _f1_condition, _f2_form,
-    notes="condition: c in GF(2^m)*",
+    notes="condition: c in GF(2^m)*, sufficient: then T(f(x)) = c*T(x) for T "
+          "the trace onto GF(2^m), and f is injective on each fibre of ker T",
+    trace=lambda p: p["m"],
 ))
 
 _register(FamilySpec(
@@ -922,11 +925,13 @@ def build(fid: str, params: dict, *, ctx: FieldCtx | None = None) -> SparsePoly:
 
 
 def evaluator(fid: str, params: dict, *, ctx: FieldCtx | None = None):
-    """Rep-level evaluation closure: the family's form, compiled by ``rep_fn``."""
+    """Rep-level evaluation closure: the family's form, compiled by ``rep_fn``,
+    which is offered the family's ``trace`` claim when it states one."""
     spec = family(fid)
     ctx = ctx or family_ctx(fid, params)
     norm = _validate(spec, ctx, params)
-    return spec.form(ctx, norm).rep_fn()
+    form = spec.form(ctx, norm)
+    return form.rep_fn(spec.trace(norm)) if spec.trace else form.rep_fn()
 
 
 def enumerate_instances(fid: str, fixed: dict, *, cap: int = DEFAULT_ENUM_CAP):

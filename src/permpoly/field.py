@@ -18,7 +18,7 @@ import operator
 import threading
 from array import array
 from functools import lru_cache, partial, reduce
-from itertools import repeat
+from itertools import combinations, repeat
 
 from .errors import (
     CtxMismatch,
@@ -577,6 +577,58 @@ class FieldCtx:
                     for x in out]
         return out
 
+    def _trace_fibres(self, terms, d, fn):
+        """The block source ``trace_fibres`` of f, the polynomial of the (e, c)
+        ``terms`` with evaluator fn, once T(f(x)) = s*T(x) is proven for T the
+        trace onto GF(2^d); None when a check of the proof fails.
+
+        The proof: p = 2; every exponent of f has binary weight <= 2, so the
+        polar form B(a, b) = f(a+b) + f(a) + f(b) + f(0) is GF(2)-bilinear;
+        the sum of the f^(2^(dj)), j < k/d, its exponents folded mod q-1, is
+        s*T, s its coefficient of x; and B vanishes on pairs of basis vectors
+        of K = ker T (``_kernel_split`` of T's images).  Then f sends the fibre
+        x0 + K into that of s*T(x0), and f(x0 + b) = f(x0) + A(b) + B(x0, b)
+        with A(b) = f(b) + f(0) GF(2)-linear on K (Akbary-Ghioca-Wang).
+
+        ``trace_fibres(f, q)`` is False when q is not the order or s = 0 (f
+        lands in K), else True exactly when, at every rep x0 in the span of
+        K's complement, the images A(b_i) + B(x0, b_i) of K's basis are
+        independent.  B(x0, b_i) is linear in x0: one ``_span`` per b_i of
+        the B(c_j, b_i), read from f at 0, at both bases and at their sums.
+        It holds no f.
+        """
+        k = self.k
+        if self.p != 2 or d < 1 or k % d or any(e.bit_count() > 2 for e, _ in terms):
+            return None
+        f = SparsePoly._raw(self, terms)
+        trace = SparsePoly._raw(self, [(2 ** (d * j), 1) for j in range(k // d)])
+        conj = reduce(operator.add, [f.frobenius_power(d * j) for j in range(k // d)])
+        conj = conj.reduce_exponents(self.order - 1)
+        s = dict(conj._terms).get(1, 0)
+        if conj != trace.scale(s):
+            return None
+        kernel, complement = self._kernel_split([trace.eval_rep(1 << i) for i in range(k)])
+        f0, fk = fn(0), [fn(b) for b in kernel]
+        if any(fn(a ^ b) ^ fa ^ fb ^ f0 for (a, fa), (b, fb) in combinations(zip(kernel, fk), 2)):
+            return None
+
+        def trace_fibres(f, q):
+            if q != self.order or not s:
+                return False
+            f0, fc = f(0), [f(c) for c in complement]
+            cols = [self._span([f(b ^ c) ^ fb ^ v ^ f0 for c, v in zip(complement, fc)], fb ^ f0)
+                    for b, fb in zip(kernel, map(f, kernel))]
+            for images in zip(*cols):  # K's basis at one rep x0
+                pivots = {}
+                for v in images:
+                    while v and (w := pivots.get(v.bit_length())):
+                        v ^= w
+                    if not v:
+                        return False
+                    pivots[v.bit_length()] = v
+            return True
+        return trace_fibres
+
     def _linear(self, images):
         """The GF(p)-linear map sending the rep p^i to images[i], on a list of
         reps: one ``_gf2_maps`` call in characteristic 2, else digit by digit
@@ -1026,7 +1078,7 @@ class SparsePoly:
             acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, e)))
         return acc
 
-    def rep_fn(self):
+    def rep_fn(self, trace=None):
         """A rep-level evaluator compiled against the context's log tables.
 
         Each term is kept as (log c, e mod (q-1)), so every power is one table
@@ -1037,11 +1089,19 @@ class SparsePoly:
         from the head of its cosets of mu_t when the exponents split with t =
         gcd(q-1, e - e0) >= 16, else from its images in log order
         (``FieldCtx._blocks``).  Above TABLE_LIMIT this is :meth:`eval_rep`,
-        with neither.  Nothing is cached on the polynomial.
+        with neither.  ``trace`` = d claims T(f(x)) = s*T(x) for T the trace
+        onto GF(2^d): on any field, when ``FieldCtx._trace_fibres`` proves
+        it, the source is ``trace_fibres`` instead.  Nothing is cached on the
+        polynomial.
         """
         ctx = self.ctx
         if not ctx.ensure_tables():
-            return self.eval_rep
+            source = trace and ctx._trace_fibres(self._terms, trace, self.eval_rep)
+            if not source:
+                return self.eval_rep
+            f = partial(self.eval_rep)  # a bound method takes no attributes
+            f.bijective = source
+            return f
         exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
         add = ctx._sum
         c0 = self.eval_rep(0)
@@ -1056,7 +1116,8 @@ class SparsePoly:
                 acc = add(acc, exp[lc + lx * e % n1])
             return acc
         f.sweep = partial(ctx._log_sweep, c0, terms)
-        f.bijective = ctx._blocks(f.sweep, self._terms)
+        f.bijective = (trace and ctx._trace_fibres(self._terms, trace, f)
+                       or ctx._blocks(f.sweep, self._terms))
         return f
 
     def eval(self, x: FieldElem) -> FieldElem:

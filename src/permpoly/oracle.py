@@ -7,8 +7,9 @@ evaluator f may carry a block source ``f.bijective``: ``bijective(f, q)`` is
 True exactly when q is the order of f's field and f's q images are distinct
 and in [0, q).  The fibres of an affine core and the cosets of a split answer
 by labels that tell the images of their blocks apart (Akbary-Ghioca-Wang,
-Zieve), the log order by marking every image.  When it answers False, or f
-has none, the sequential scan from 0 gives the report.
+Zieve), the fibres of a proven trace identity by a rank check on each fibre,
+the log order by marking every image.  When it answers False, or f has none,
+the sequential scan from 0 gives the report.
 """
 
 from __future__ import annotations
@@ -90,7 +91,12 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     holds one outside [0, order) raises :class:`BadSubset` before any
     evaluation, and a :class:`FieldElem` of another field
     :class:`CtxMismatch`.  Elements are read as their reps, converted only
-    when a pass over the types finds one.
+    when a pass over the types finds one.  f maps the subset in chunks of
+    16, 16, 32, ... elements: when its images are the subset itself, f is a
+    bijection of it, with one call per element.  Otherwise, after the chunk
+    that repeats an image or leaves the subset, or at an exception, a walk
+    in subset order calls f again from the start and gives the report: the
+    first escape or repeat, or the exception f raises.
     """
     fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
@@ -101,11 +107,18 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     if len(member) != len(reps) or reps and not 0 <= min(reps) <= max(reps) < ctx.order:
         raise BadSubset(f"subset reps must be distinct and in [0, {ctx.order})")
     start = time.perf_counter()
+    images, lo = set(), 0
+    try:  # in chunks of 16, 16, 32, ... reps, until an image repeats or escapes
+        while len(images) == lo < len(reps) and images <= member:
+            images.update(map(fn, reps[lo:lo + max(lo, 16)]))
+            lo = min(lo + max(lo, 16), len(reps))
+    except Exception:  # the walk meets it again, unless it stops before
+        images = None
     seen = {}
     witness = None
     escape = None
     evals = 0
-    for x in reps:
+    for x in () if images == member else reps:
         y = fn(x)
         evals += 1
         if y not in member:

@@ -61,14 +61,14 @@ class RunState:
         """Check the split of ``poly`` against the scan of its evaluator fn.
 
         A True verdict of a certified block source, ``cosets`` (Zieve's
-        criterion, as the split is) or ``fibres``, is no scan: the sequential
-        scan gives the reference then, and both the split and the verdict
-        must equal it.
+        criterion, as the split is), ``fibres`` or ``trace_fibres``, is no
+        scan: the sequential scan gives the reference then, and both the split
+        and the verdict must equal it.
         """
         self.instances += 1
         source = getattr(getattr(fn, "bijective", None), "__name__", None)
         reference = verdict
-        if verdict and source in ("cosets", "fibres"):
+        if verdict and source in ("cosets", "fibres", "trace_fibres"):
             reference = _sequential_scan(fn, poly.ctx.order)[0] is None
         split_verdict, info = zieve_verdict(poly)
         if split_verdict != reference or verdict != reference:

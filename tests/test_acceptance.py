@@ -28,7 +28,7 @@ import re
 
 import pytest
 
-from permpoly import FieldCtx, is_permutation
+from permpoly import FieldCtx, SparsePoly, is_permutation
 from permpoly import families as fam
 from permpoly import reproduce
 from permpoly.reproduce import run_all
@@ -283,6 +283,48 @@ def test_criterion_12_catches_a_lying_coset_source(monkeypatch):
     assert all("split=False oracle=True sequential=False" in line for line in lying.details)
     for cid in (4, 6):  # reproduce's own coset scans keep their counts
         assert reproduce.CRITERIA[cid](reproduce.RunState(split=True)).counts == counts[cid]
+
+
+def test_criterion_12_catches_a_lying_trace_source(monkeypatch):
+    # a True verdict of the trace-fibre source is checked against the
+    # sequential scan too, so a source that skips its rank check (and s) is
+    # caught.  Every F2 instance it proves is a bijection, so the tally runs
+    # over x^520 + x^65 + a*x^8 + c*x for a, c in GF(8) over GF(512): T(f(x))
+    # = (a + c)*T(x), and many (a, c) give a singular fibre map or s = 0
+    ctx = fam.family_ctx("F2", {"m": 3})
+    sub = ctx.subfield_reps(3)
+    polys = [SparsePoly(ctx, [(1, 520), (1, 65), (a, 8), (c, 1)]) for a in sub for c in sub]
+
+    def tally():
+        state, verified = reproduce.RunState(split=True), 0
+        for poly in polys:
+            fn = poly.rep_fn(3)
+            assert fn.bijective.__name__ == "trace_fibres"
+            vr = is_permutation(fn, ctx)
+            state.record(f"{poly}", poly, fn, vr.is_permutation)
+            verified += vr.is_permutation
+        return state, verified
+
+    state, verified = tally()
+    assert (state.instances, state.disagreements, state.details) == (64, 0, [])
+    assert 0 < verified < 64
+    counts = reproduce.CRITERIA[1](reproduce.RunState(split=True)).counts
+    orig = FieldCtx._trace_fibres
+
+    def proven(self, terms, d, fn):
+        if orig(self, terms, d, fn) is None:
+            return None
+
+        def trace_fibres(f, q):  # the rank check skipped
+            return q == self.order
+        return trace_fibres
+
+    monkeypatch.setattr(FieldCtx, "_trace_fibres", proven)
+    lying, lied = tally()
+    assert lied == 64
+    assert lying.disagreements == lied - verified
+    assert all("split=False oracle=True sequential=False" in line for line in lying.details)
+    assert reproduce.CRITERIA[1](reproduce.RunState(split=True)).counts == counts
 
 
 def test_expansions_built_only_for_criterion_12(monkeypatch):

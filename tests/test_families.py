@@ -2,6 +2,7 @@
 the soundness sweeps (with the two documented gate defects characterized
 exactly against repaired predicates)."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -402,8 +403,9 @@ def test_period_sweep_shapes(p, k, log_sweeps):
 def test_column_sweep_kept(log_sweeps):
     # every evaluator sweeps by columns; F1, F2 and F6 are not split-shaped
     # (d = q-1, c != 0 or u set) and x^3 + 1 over GF(2^16) has t = 3, below
-    # 16, so they take no coset source (F1 and F6 take their fibres, the
-    # others log order), while a monomial is one coset (d = 1)
+    # 16, so they take no coset source (F1 and F6 take their fibres, F2 with
+    # c in GF(32) its trace fibres, x^3 + 1 log order), while a monomial is
+    # one coset (d = 1)
     ctx = make_field(2, 16)
     cases = [fam.evaluator("F1", {"m": 5, "delta": 1234, "c": 624}),
              fam.evaluator("F2", {"m": 5, "c": 844}),
@@ -415,7 +417,37 @@ def test_column_sweep_kept(log_sweeps):
         fn.sweep(5, 300)
         assert log_sweeps == [(5, 300)]
     assert [fn.bijective.__name__ for fn in cases] == \
-        ["fibres", "log_order", "fibres", "log_order", "cosets"]
+        ["fibres", "trace_fibres", "fibres", "log_order", "cosets"]
+
+
+def test_only_f2_states_a_trace_claim():
+    # the claim is one datum of the registry, the degree d = m of F2's trace
+    assert {fid: spec.trace({"m": 7}) for fid, spec in fam.REGISTRY.items()
+            if spec.trace} == {"F2": 7}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_wrong_trace_claim_keeps_log_order(m, monkeypatch):
+    # a claim the compiler cannot prove costs speed, never a verdict: with
+    # d = 1 or d = 2m in place of m, every F2 instance keeps log order, and
+    # its report is the one the trace fibres gave
+    ctx = fam.family_ctx("F2", {"m": m})
+    cs = ctx.subfield_reps(m)[1:] + random.Random(m).sample(range(1, ctx.order), 12)
+
+    def reports():
+        out = []
+        for c in cs:
+            fn = fam.evaluator("F2", {"m": m, "c": c}, ctx=ctx)
+            vr = is_permutation(fn, ctx)
+            out.append((fn.bijective.__name__, vr.is_permutation, vr.witness, vr.evaluations))
+        return out
+
+    proven = reports()
+    assert {r[0] for r in proven[:(1 << m) - 1]} == {"trace_fibres"}
+    for d in (1, 2 * m):
+        monkeypatch.setitem(fam.REGISTRY, "F2", dataclasses.replace(
+            fam.REGISTRY["F2"], trace=lambda p, d=d: d))
+        assert reports() == [("log_order", *r[1:]) for r in proven]
 
 
 @pytest.mark.parametrize("fid,params", [

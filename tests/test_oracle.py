@@ -179,6 +179,60 @@ def test_subset_reps_by_type_pass():
         assert _fields(permutes_subset(lambda y: ctx.pow(y, 3), subset, ctx)) == want
 
 
+def _walk(fn, reps):
+    """(is_permutation, witness, escape, evaluations) of the walk in subset
+    order, stopping at the first escape or repeat."""
+    member, seen = set(reps), {}
+    for n, x in enumerate(reps, 1):
+        y = fn(x)
+        if y not in member:
+            return False, None, (x, y), n
+        if y in seen:
+            return False, (seen[y], x), None, n
+        seen[y] = x
+    return True, None, None, len(reps)
+
+
+def test_subset_bulk_path_keeps_the_walks_report():
+    # a bijection of the subset is read from its images at once, one call
+    # per element; a repeat, an escape or an exception is the walk's, which
+    # calls f again from the start: an exception after the first repeat
+    # leaves its witness, one before it is raised
+    ctx = make_field(2, 8)
+    mu = ctx.subgroup_reps(51)
+    cube = lambda y: ctx.pow(y, 3)  # noqa: E731
+    first = _walk(cube, mu)[3]
+
+    def raising(at, fn):
+        def g(y):
+            if y == mu[at]:
+                raise ZeroDivisionError(at)
+            return fn(y)
+        return g
+    maps = [lambda y: ctx.pow(y, 2), lambda y: ctx.pow(y, 7), cube, lambda y: ctx.add(y, 1),
+            lambda y: mu[0], raising(first - 2, cube), raising(first, cube),
+            raising(30, lambda y: ctx.pow(y, 2))]
+    outcomes = []
+    for fn in maps:
+        calls = []
+        try:
+            got = _fields(permutes_subset(lambda y: calls.append(y) or fn(y), mu, ctx))[1:]
+        except ZeroDivisionError as exc:
+            got = exc.args
+        try:
+            want = _walk(fn, mu)
+        except ZeroDivisionError as exc:
+            want = exc.args
+        assert got == want
+        outcomes.append(len(got))
+        if got[0] is True:
+            assert calls == mu
+        elif len(got) == 4:  # the walk's calls come last
+            assert calls[len(calls) - got[3]:] == mu[:got[3]]
+    assert outcomes == [4, 4, 4, 4, 4, 1, 4, 1]
+    assert first > 3 and _walk(cube, mu)[1] is not None
+
+
 def test_reduced_map_on_cubic_circle_matches_full_verdict():
     # direct subgroup sweep of y^r * (y^(2^m) + a*y + b)^(s*(2^(3m)-1)) against
     # the full-field verdict of the F10-shaped product, m = 1
@@ -786,11 +840,12 @@ def test_block_sources_hold_no_evaluator():
              (SparsePoly(ctx, [(1, 1366), (7, 1)]), "cosets"),  # x^(D+1) + 7x
              (fam.Form(SparsePoly(ctx, [(1, 3), (1, 0)]), 2, c=1), "log_order"),
              (fam.Form(SparsePoly(ctx, [(1, 1365), (1, 0)]), 2, r=1), "cosets"),
-             (fam.Form(SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)]), 257, c=1), "fibres")]
+             (fam.Form(SparsePoly(ctx, [(1, 16), (1, 1), (5, 0)]), 257, c=1), "fibres"),
+             (fam.build("F2", {"m": 4, "c": 1}), "trace_fibres")]
     gc.disable()
     try:
         for f, source in cases:
-            fn = f.rep_fn()
+            fn = f.rep_fn(4) if source == "trace_fibres" else f.rep_fn()
             assert fn.bijective.__name__ == source
             ref = weakref.ref(fn)
             del fn
@@ -989,3 +1044,107 @@ def test_fibre_scan_needs_no_tables(monkeypatch):
             _assert_span_values(fn, form)
             assert _same_as_sequential(fn, ctx).is_permutation == verdict
         assert ctx._exp is None
+
+
+# --------------------------------------------------------------------------
+# F2 by its trace fibres: T(f(x)) = c*T(x), T the trace onto GF(2^m)
+# --------------------------------------------------------------------------
+
+def _f2_scalars(ctx, m):
+    """F2's c over GF(2^3m): every c up to GF(2^9), GF(16)* and 24 random c
+    over GF(2^12), and 1, 11, 844 over GF(2^15) (11 lies outside GF(32))."""
+    if m <= 3:
+        return range(1, ctx.order)
+    if m == 4:
+        return ctx.subfield_reps(4)[1:] + random.Random(4).sample(range(1, ctx.order), 24)
+    return [1, 11, 844]
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_trace_fibres_match_sequential(m, tabled, monkeypatch):
+    # the claim is proven exactly for c in GF(2^m), where the source's answer
+    # equals the sequential scan; any other c keeps log order (no source on
+    # a fresh context with TABLE_LIMIT = 1, where f is eval_rep)
+    ctx = fam.family_ctx("F2", {"m": m})
+    sub = set(ctx.subfield_reps(m))
+    if not tabled:
+        monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
+        ctx = FieldCtx(2, 3 * m, ctx.modulus, ctx.generator)
+    verdicts = set()
+    for c in _f2_scalars(ctx, m):
+        fn = fam.evaluator("F2", {"m": m, "c": c}, ctx=ctx)
+        source = getattr(fn, "bijective", None)
+        assert getattr(source, "__name__", None) == (
+            "trace_fibres" if c in sub else "log_order" if tabled else None), c
+        verdicts.add(_same_as_sequential(fn, ctx).is_permutation)
+        if c in sub:
+            assert source(fn, ctx.order // 2) is False  # q is not the order
+    assert verdicts == {True, False}
+    assert (ctx._exp is not None) == tabled
+
+
+def test_trace_fibres_zero_scale_answers_false():
+    # the literal F2 with c = 0 satisfies T(f(x)) = 0*T(x): the proof holds
+    # with s = 0, so f lands in ker T, and the source answers False without
+    # calling f; the sequential scan gives the witness
+    for m in (2, 3, 5):
+        ctx = fam.family_ctx("F2", {"m": m})
+        e = (1 << 2 * m) + 1
+        fn = SparsePoly(ctx, [(1, (1 << m) * e), (1, e)]).rep_fn(m)
+        calls = []
+        assert fn.bijective.__name__ == "trace_fibres"
+        assert fn.bijective(lambda x: calls.append(x) or fn(x), ctx.order) is False
+        assert calls == []
+        assert not _same_as_sequential(fn, ctx).is_permutation
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_trace_fibre_images_from_spans(m, monkeypatch):
+    # the images A(b) + B(x0, b) the source builds from spans are the
+    # evaluated f(x0 + b) + f(x0), at every rep x0 in the span of the
+    # complement and every basis vector b of K = ker T, and K is ker T; for
+    # F2 and for F2 plus a constant in ker T, so that f(0) != 0
+    ctx = fam.family_ctx("F2", {"m": m})
+    c = ctx.subfield_reps(m)[-1]
+    delta = next(v for v in range(1, ctx.order) if ctx.rel_trace(v, m) == 0)
+    splits, spans = [], []
+    split, span = FieldCtx._kernel_split, FieldCtx._span
+    monkeypatch.setattr(FieldCtx, "_kernel_split",
+                        lambda self, images: splits.append(split(self, images)) or splits[-1])
+    monkeypatch.setattr(FieldCtx, "_span",
+                        lambda self, basis, origin=0: spans.append(span(self, basis, origin))
+                        or spans[-1])
+    for const in (0, delta):
+        del splits[:], spans[:]
+        fn = (fam.build("F2", {"m": m, "c": c}, ctx=ctx) + SparsePoly.constant(ctx, const)).rep_fn(m)
+        assert fn(0) == const and fn.bijective.__name__ == "trace_fibres"
+        (kernel, complement), = splits
+        assert len(kernel) == 2 * m and len(complement) == m
+        assert all(ctx.rel_trace(b, m) == 0 for b in kernel)
+        assert fn.bijective(fn, ctx.order) is True
+        reps = span(ctx, complement)
+        assert spans == [[fn(x ^ b) ^ fn(x) for x in reps] for b in kernel]
+
+
+def test_trace_proof_refuses_each_failed_check():
+    # each of the four checks alone refuses the claim: a source is proven,
+    # never assumed.  Over GF(2^6): the F2 claim with d = 2 does not divide 6;
+    # x^(2q-1) equals x on the field (so T(f) = T), but its exponent has
+    # weight 7; 28*x^12 + 11*x^33 satisfies T(f(x)) = 0 for T onto GF(8), but
+    # its polar form does not vanish on ker T, so it keeps its coset source;
+    # odd characteristic is refused
+    ctx = make_field(2, 6)
+    x = SparsePoly.x(ctx)
+    assert ctx._trace_fibres(x._terms, 3, x.eval_rep) is not None
+    assert ctx._trace_fibres(x._terms, 4, x.eval_rep) is None
+    wide = SparsePoly(ctx, [(1, 2 * ctx.order - 1)])
+    assert all(wide.eval_rep(v) == v for v in range(ctx.order))
+    assert ctx._trace_fibres(wide._terms, 6, wide.eval_rep) is None
+    polar = SparsePoly(ctx, [(28, 12), (11, 33)])
+    assert all(ctx.rel_trace(polar.eval_rep(v), 3) == 0 for v in range(ctx.order))
+    assert ctx._trace_fibres(polar._terms, 3, polar.eval_rep) is None
+    assert polar.rep_fn(3).bijective.__name__ == polar.rep_fn().bijective.__name__ == "cosets"
+    odd = make_field(3, 3)
+    y = SparsePoly.x(odd)
+    assert odd._trace_fibres(y._terms, 1, y.eval_rep) is None
