@@ -646,9 +646,6 @@ class FieldCtx:
             return acc
         return lambda vals: list(map(linear, vals))
 
-    def subgroup(self, d: int) -> list["FieldElem"]:
-        return [FieldElem(self, r) for r in self.subgroup_reps(d)]
-
     def subfield_reps(self, m: int) -> list[int]:
         """All reps of the GF(p^m) subfield, ascending."""
         if m < 1 or self.k % m:
@@ -750,12 +747,20 @@ class FieldCtx:
         return array("I", acc.to_bytes(n * width, "little")).tolist()
 
     def _mu_sweep(self, mu2, terms):
-        """[h(w^j) for j < d], mu2 = mu + mu, mu = [w^j for j < d], h the (e, c)
-        ``terms``, no table needed: term (e, c) is the column c * mu[j*e mod d]
-        of ``_strided`` slices of mu2.  One ``_gf2_maps`` call scales the
-        columns by the images c*x^i mod m and XORs them in characteristic 2;
-        else ``_add_columns`` sums them, each mapped by ``_scaler(c)``."""
+        """[h(w^j) for j < d], mu2 = mu + mu (mu_d twice), mu = [w^j for j < d],
+        h the (e, c) ``terms``, whose coefficients of one exponent sum.  With
+        log tables, h compiled by :meth:`SparsePoly.rep_fn` maps mu point by
+        point.  Without, term (e, c) is the column c * mu[j*e mod d] of
+        ``_strided`` slices of mu2, read by index alone.  One ``_gf2_maps``
+        call scales the columns by the images c*x^i mod m and XORs them in
+        characteristic 2; else ``_add_columns`` sums them, each mapped by
+        ``_scaler(c)``."""
         d = len(mu2) // 2
+        if self.ensure_tables():
+            acc, add = {}, self._sum
+            for e, c in terms:
+                acc[e] = add(acc.get(e, 0), c)
+            return list(map(SparsePoly._collect(self, acc).rep_fn(), mu2[:d]))
         cols = [(c, _strided(mu2, 0, e, d)) for e, c in terms] or [(1, [0] * d)]
         if self.p != 2:
             return self._add_columns([col if c == 1 else map(self._scaler(c), col)

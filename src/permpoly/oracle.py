@@ -91,12 +91,9 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     holds one outside [0, order) raises :class:`BadSubset` before any
     evaluation, and a :class:`FieldElem` of another field
     :class:`CtxMismatch`.  Elements are read as their reps, converted only
-    when a pass over the types finds one.  f maps the subset in chunks of
-    16, 16, 32, ... elements: when its images are the subset itself, f is a
-    bijection of it, with one call per element.  Otherwise, after the chunk
-    that repeats an image or leaves the subset, or at an exception, a walk
-    in subset order calls f again from the start and gives the report: the
-    first escape or repeat, or the exception f raises.
+    when a pass over the types finds one.  One walk in subset order calls f
+    once per element and stops at the first escape or repeat, so an
+    exception f raises before that propagates.
     """
     fn = _as_rep_fn(f, ctx)
     ctx.ensure_tables()
@@ -107,20 +104,9 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     if len(member) != len(reps) or reps and not 0 <= min(reps) <= max(reps) < ctx.order:
         raise BadSubset(f"subset reps must be distinct and in [0, {ctx.order})")
     start = time.perf_counter()
-    images, lo = set(), 0
-    try:  # in chunks of 16, 16, 32, ... reps, until an image repeats or escapes
-        while len(images) == lo < len(reps) and images <= member:
-            images.update(map(fn, reps[lo:lo + max(lo, 16)]))
-            lo = min(lo + max(lo, 16), len(reps))
-    except Exception:  # the walk meets it again, unless it stops before
-        images = None
-    seen = {}
-    witness = None
-    escape = None
-    evals = 0
-    for x in () if images == member else reps:
+    seen, witness, escape, evals = {}, None, None, 0
+    for evals, x in enumerate(reps, 1):
         y = fn(x)
-        evals += 1
         if y not in member:
             escape = (x, y)
             break
@@ -130,8 +116,6 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
         seen[y] = x
     elapsed = (time.perf_counter() - start) * 1000.0
     ok = witness is None and escape is None
-    if ok:
-        evals = len(reps)
     return VerifyReport(f"subset[{len(reps)}]", ok, witness, escape, evals, elapsed)
 
 
@@ -181,15 +165,14 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     The residues fold into h's exponents (e - r)/t mod d, r the least formal
     exponent, exact on the subgroup mu_d = [w^j], w = g^t.
 
-    With log tables, a point y maps to exp[r log y + t log h(y)], h compiled
-    by :meth:`SparsePoly.rep_fn`.  Above TABLE_LIMIT, ``ctx._mu_sweep`` sums
-    h's columns c * mu[j*e mod d] for all j at once.  h(y)^t lies in mu_d, so
-    w^j maps to ``mu[(j*r + i) % d]``, i the index of h(y)^t, read for every
-    distinct nonzero value in one call of ``ctx._subgroup_index(d)``'s log_d,
-    built once per field and d: coset labels over GF(q^2) of characteristic
-    2 with d = q + 1 (F5, F8), ``ctx.pow`` for every other d.  Either way
-    :func:`permutes_subset` reads the images in mu's order, so its witness,
-    escape and evaluation count are the per-point sweep's.
+    ``ctx._mu_sweep`` gives h on mu_d, and h(y)^t lies in mu_d, so w^j maps
+    to ``mu[(j*r + i) % d]``, i the index of h(y)^t, read for every distinct
+    nonzero value in one call of ``ctx._subgroup_index(d)``'s log_d, built
+    once per field and d: coset labels over GF(q^2) of characteristic 2 with
+    d = q + 1 (F5, F8), ``ctx.pow`` for every other d.  A zero of h sends
+    its point out of mu_d, an escape.  :func:`permutes_subset` reads the
+    images in mu's order, so its witness, escape and evaluation count are
+    the per-point sweep's.
     """
     ctx = f.ctx
     n1 = ctx.order - 1
@@ -214,21 +197,13 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
         e = (e - r) // t % d
         fold[e] = add(fold.get(e, 0), c)
     coprime = math.gcd(r, t) == 1
-    tabled = ctx.ensure_tables()
     mu, _, log_d, mu2 = ctx._subgroup_index(d)
-    if tabled:
-        exp, log, hf = ctx._exp, ctx._log, SparsePoly._collect(ctx, fold).rep_fn()
-
-        def on_circle(y):  # h(y) = 0 sends y out of mu_d, an escape
-            v = hf(y)
-            return exp[(log[y] * r + log[v] * t) % n1] if v else 0
-    else:
-        vals = ctx._mu_sweep(mu2, [(e, c) for e, c in fold.items() if c])
-        distinct = [v for v in set(vals) if v]
-        label = dict(zip(distinct, log_d(distinct)))
-        on_circle = dict(zip(mu, [mu[(j * r + label[v]) % d] if v else 0  # 0: an escape
-                                  for j, v in enumerate(vals)])).__getitem__
-    sub = permutes_subset(on_circle, mu, ctx)
+    vals = ctx._mu_sweep(mu2, [(e, c) for e, c in fold.items() if c])
+    distinct = [v for v in set(vals) if v]
+    label = dict(zip(distinct, log_d(distinct)))
+    images = dict(zip(mu, [mu[(j * r + label[v]) % d] if v else 0  # 0: an escape
+                           for j, v in enumerate(vals)]))
+    sub = permutes_subset(images.__getitem__, mu, ctx)
     verdict = coprime and sub.is_permutation
     return verdict, {"d": d, "r": r, "t": t, "coprime": coprime,
                      "subgroup": sub.is_permutation}

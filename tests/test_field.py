@@ -1162,9 +1162,9 @@ def test_mu_sweep_matches_points(p, k):
                 want = [v ^ raw_mul(ctx, c, mu[j * e % d]) for j, v in enumerate(want)]
             assert ctx._mu_sweep(mu + mu, terms) == want, es
         assert _residue_split(d, d - 3) == (1, -3)
-    # the columns are read from mu by index alone, so any list stands in for
-    # mu: random entries of every bit length check the packed, bit-sliced
-    # products at k = 17 and 19 too
+    # the table-free branch reads its columns from mu by index alone, so any
+    # list stands in for mu there: random entries of every bit length check
+    # the packed, bit-sliced products at k = 17 and 19 too
     mu = [rng.randrange(1, ctx.order) for _ in range(101)] + [n1, 1 << k - 1 if p == 2 else 1]
     terms = [(0, 1), (1, n1), (5, rng.randrange(1, ctx.order)), (77, rng.randrange(1, ctx.order))]
     want = [0] * len(mu)
@@ -1176,6 +1176,39 @@ def test_mu_sweep_matches_points(p, k):
         assert ctx._mu_sweep([1, 1], terms) == naive_mu_sweep(ctx, terms, 1)
     assert ctx._mu_sweep([1, 1], [(0, c), (0, _raw_neg(ctx, c))]) == [0]
     assert len(ds) == (0 if k in (17, 19) else 2 if k != 23 else 1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (2, 8), (2, 9), (2, 16), (3, 4), (5, 2)])
+def test_mu_sweep_tabled_matches_points(p, k, monkeypatch):
+    # with log tables h is compiled from its summed terms and mapped over mu
+    # point by point: against the point-by-point reference at d = 1 and the
+    # two largest split divisors d < 300, with random exponents up to 2d, a
+    # repeated exponent, a constant term chosen so that the sum cancels to 0
+    # at a point, and no terms; then each result again from the table-free
+    # branch, tables forced off (GF(2^16) has array tables, d = 257 = q + 1)
+    ctx = make_field(p, k)
+    assert ctx.ensure_tables()
+    n1 = ctx.order - 1
+    rng = random.Random(700 * p + k)
+    ds = [1] + [d for d in range(2, 300) if n1 % d == 0][-2:]
+    sweeps = []
+    for d in ds:
+        mu = ctx.subgroup_reps(d)
+        terms = [(e, rng.randrange(1, ctx.order)) for e in rng.sample(range(1, 2 * d + 1), 2)]
+        terms.append((terms[0][0], rng.randrange(1, ctx.order)))
+        j0 = rng.randrange(d)
+        c0 = _raw_neg(ctx, naive_mu_sweep(ctx, terms, d)[j0])
+        for ts in (terms, terms + [(0, c0)], []):
+            vals = ctx._mu_sweep(mu + mu, ts)
+            assert vals == naive_mu_sweep(ctx, ts, d), (d, ts)
+            sweeps.append((mu, ts, vals))
+        assert sweeps[-2][2][j0] == 0 and sweeps[-1][2] == [0] * d
+    assert len(ds) == 3
+    monkeypatch.setattr(ctx, "_exp", None)
+    monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
+    assert not ctx.ensure_tables()
+    for mu, ts, vals in sweeps:
+        assert ctx._mu_sweep(mu + mu, ts) == vals, (len(mu), ts)
 
 
 @pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (7, 2)])
