@@ -231,7 +231,8 @@ class Form:
         """The literal polynomial of the form, every exponent expanded.
 
         Steps that are no-ops (E = 1, r = 0, c0 = 1, c = 0) are skipped, so
-        x^r * core^E costs one ``pow_charp`` and one ``shift_x``.
+        c0 * x^r * core^E is one ``pow_charp``, whose product starts from the
+        monomial c0 * x^r.
         """
         g = self.core
         ctx = g.ctx
@@ -240,12 +241,8 @@ class Form:
             e = round(math.log(self.q, ctx.p))  # q = p^e: conjugates are Frobenius powers
             for j in range(1, self.n):
                 g = g + w.frobenius_power(e * j)
-        if self.E != 1:
-            g = g.pow_charp(self.E)
-        if self.r:
-            g = g.shift_x(self.r)
-        if self.c0 != 1:
-            g = g.scale(self.c0)
+        if (self.E, self.r, self.c0) != (1, 0, 1):
+            g = g.pow_charp(self.E, shift=self.r, scale=self.c0)
         if self.c:
             g = g + SparsePoly(ctx, [(self.c, 1)])
         return g

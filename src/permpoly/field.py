@@ -18,7 +18,7 @@ import operator
 import threading
 from array import array
 from functools import lru_cache, partial, reduce
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 
 from .errors import (
     CtxMismatch,
@@ -298,6 +298,19 @@ class FieldCtx:
         if self.p == 2 and self._exp is None:
             return partial(_apply, _linear_tables(self._shifts(c, self.k)))
         return partial(self.mul, c)
+
+    def _scale_column(self, c, col):
+        """[c*z for z in col], z != 0: by log tables when built; else one
+        ``_gf2_maps`` call (p = 2, from _PACKED_SCALE_MIN values), or ``mul``."""
+        if c == 1:
+            return col
+        if self._exp is not None:
+            exp, log, lc = self._exp, self._log, self._log[c]
+            return [exp[lc + log[z]] for z in col]
+        if self.p == 2 and len(col) >= _PACKED_SCALE_MIN:
+            return self._gf2_maps([(self._shifts(c, self.k), col)])
+        mul = self.mul
+        return [c if z == 1 else mul(c, z) for z in col]
 
     @lru_cache(maxsize=16)  # bounded: one entry per field and split met
     def _subgroup_index(self, d):
@@ -754,7 +767,7 @@ class FieldCtx:
         ``_strided`` slices of mu2, read by index alone.  One ``_gf2_maps``
         call scales the columns by the images c*x^i mod m and XORs them in
         characteristic 2; else ``_add_columns`` sums them, each mapped by
-        ``_scaler(c)``."""
+        ``_scale_column``."""
         d = len(mu2) // 2
         if self.ensure_tables():
             acc, add = {}, self._sum
@@ -763,8 +776,7 @@ class FieldCtx:
             return list(map(SparsePoly._collect(self, acc).rep_fn(), mu2[:d]))
         cols = [(c, _strided(mu2, 0, e, d)) for e, c in terms] or [(1, [0] * d)]
         if self.p != 2:
-            return self._add_columns([col if c == 1 else map(self._scaler(c), col)
-                                      for c, col in cols])
+            return self._add_columns([self._scale_column(c, col) for c, col in cols])
         return self._gf2_maps([(None if c == 1 else self._shifts(c, self.k), col)
                                for c, col in cols])
 
@@ -1006,6 +1018,14 @@ class FieldElem:
 # ---------------------------------------------------------------------------
 
 _EXPANSION_CAP = 200_000  # intermediate term-count guard for formal expansion
+_PACKED_SCALE_MIN = 8  # a packed scale took 8-12 us over GF(2^18..2^24), one mul 2-3.5 us
+
+
+def _sorted_columns(acc):
+    """(exps, cs) of an {exponent: coefficient} dict, sorted, zero sums dropped."""
+    exps = sorted(acc)
+    cs = list(map(acc.__getitem__, exps))
+    return (list(compress(exps, cs)), list(compress(cs, cs))) if 0 in cs else (exps, cs)
 
 
 class SparsePoly:
@@ -1025,14 +1045,8 @@ class SparsePoly:
             coeff = ctx._rep(coeff)
             if exp < 0:
                 raise ValueError("negative exponent")
-            if coeff:
-                prev = acc.get(exp, 0)
-                new = ctx.add(prev, coeff)
-                if new:
-                    acc[exp] = new
-                else:
-                    acc.pop(exp, None)
-        self._terms = tuple(sorted(acc.items(), key=lambda t: t[0]))
+            acc[exp] = ctx.add(acc.get(exp, 0), coeff)
+        self._terms = SparsePoly._collect(ctx, acc)._terms
 
     @classmethod
     def _raw(cls, ctx, sorted_pairs):
@@ -1043,8 +1057,31 @@ class SparsePoly:
 
     @classmethod
     def _collect(cls, ctx, acc):
-        """The polynomial of an {exponent: coefficient} dict, zero sums dropped."""
-        return cls._raw(ctx, sorted(filter(operator.itemgetter(1), acc.items())))
+        """The polynomial of an {exponent: coefficient} dict (``_sorted_columns``)."""
+        return cls._raw(ctx, zip(*_sorted_columns(acc)))
+
+    def _columns(self):
+        return tuple(zip(*self._terms)) or ((), ())  # (exps, cs)
+
+    @staticmethod
+    def _product(ctx, a, b, too_large="polynomial product too large to expand"):
+        """The product of (exps, cs) columns a and b, as columns; ValueError
+        before any is built when their lengths multiply past _EXPANSION_CAP.
+        Each term c*x^s of the shorter shifts the longer into a sorted run,
+        its coefficients scaled once (``FieldCtx._scale_column``); the first
+        run fills a dict with no lookups, the others add into it."""
+        if len(a[0]) * len(b[0]) > _EXPANSION_CAP:
+            raise ValueError(too_large)
+        if len(a[0]) > len(b[0]):
+            a, b = b, a
+        exps, cs = b
+        runs = (zip(map(s.__add__, exps), ctx._scale_column(t, cs)) for s, t in zip(*a))
+        acc = dict(next(runs, ()))
+        get, add = acc.get, ctx._sum
+        for run in runs:
+            for e, v in run:
+                acc[e] = add(get(e, 0), v)
+        return _sorted_columns(acc)
 
     @classmethod
     def x(cls, ctx) -> "SparsePoly":
@@ -1153,29 +1190,13 @@ class SparsePoly:
         return self._combine(other, self.ctx.sub)
 
     def __mul__(self, other):
-        other = self._other(other)
-        ctx = self.ctx
-        if len(self._terms) * len(other._terms) > _EXPANSION_CAP:
-            raise ValueError("polynomial product too large to expand")
-        mul, add = ctx.mul, ctx._sum
-        acc: dict[int, int] = {}
-        get = acc.get
-        for e1, c1 in self._terms:
-            for e2, c2 in other._terms:
-                e = e1 + e2
-                acc[e] = add(get(e, 0), c2 if c1 == 1 else c1 if c2 == 1 else mul(c1, c2))
-        return SparsePoly._collect(ctx, acc)
+        """The formal product (kernel ``_product``)."""
+        columns = SparsePoly._product(self.ctx, self._columns(), self._other(other)._columns())
+        return SparsePoly._raw(self.ctx, zip(*columns))
 
     def scale(self, c) -> "SparsePoly":
-        ctx = self.ctx
-        c = ctx._rep(c)
-        return SparsePoly(ctx, [(ctx.mul(c, cf), e) for e, cf in self._terms])
-
-    def shift_x(self, r: int) -> "SparsePoly":
-        """Multiply by x^r."""
-        if r < 0:
-            raise ValueError("negative shift")
-        return SparsePoly._raw(self.ctx, [(e + r, c) for e, c in self._terms])
+        c, (exps, cs) = self.ctx._rep(c), self._columns()
+        return SparsePoly._raw(self.ctx, zip(exps, self.ctx._scale_column(c, cs)) if c else ())
 
     def frobenius_power(self, i: int) -> "SparsePoly":
         """The polynomial f(x)**(p^i): exact identity in characteristic p."""
@@ -1183,36 +1204,36 @@ class SparsePoly:
         q = ctx.p ** i  # c -> c^q keeps coefficients nonzero, e -> e*q the order
         return SparsePoly._raw(ctx, [(e * q, ctx.pow(c, q)) for e, c in self._terms])
 
-    def pow_charp(self, e: int) -> "SparsePoly":
-        """f**e by base-p digit splitting; exact formal expansion."""
-        if e < 0:
-            raise ValueError("negative exponent")
+    def pow_charp(self, e: int, *, shift: int = 0, scale=1) -> "SparsePoly":
+        """scale * x^shift * f**e, expanded by base-p digits from the monomial
+        scale*x^shift (so shift and scale copy no terms): a digit d at p^j
+        takes f**d (d - 1 products) to the p^j as ``frobenius_power`` does.
+        Every product is ``_product``, capped before it is built."""
+        if e < 0 or shift < 0:
+            raise ValueError("negative exponent or shift")
         ctx = self.ctx
-        result = SparsePoly.constant(ctx, 1)
-        if e == 0:
-            return result
-        j = 0
-        rest = e
-        p = ctx.p
-        while rest:
-            rest, d = divmod(rest, p)
+        scale = ctx._rep(scale)
+        result = ([shift], [scale]) if scale else ((), ())
+        base, p, j = self._columns(), ctx.p, 0
+        while e:
+            e, d = divmod(e, p)
             if d:
-                part = self
+                part = base
                 for _ in range(d - 1):
-                    part = part * self
-                result = result * part.frobenius_power(j)
-                if len(result) > _EXPANSION_CAP:
-                    raise ValueError("expansion too large")
+                    part = SparsePoly._product(ctx, part, base, "expansion too large")
+                if j:
+                    q = p ** j
+                    part = [x * q for x in part[0]], [ctx.pow(c, q) for c in part[1]]
+                result = SparsePoly._product(ctx, result, part, "expansion too large")
             j += 1
-        return result
+        return SparsePoly._raw(ctx, zip(*result))
 
     def compose(self, inner: "SparsePoly") -> "SparsePoly":
         """f(inner(x)) as a formal polynomial."""
         inner = self._other(inner)
-        ctx = self.ctx
-        out = SparsePoly(ctx)
+        out = SparsePoly(self.ctx)
         for e, c in self._terms:
-            out = out + inner.pow_charp(e).scale(c)
+            out = out + inner.pow_charp(e, scale=c)
         return out
 
     def reduce_exponents(self, n: int) -> "SparsePoly":

@@ -77,6 +77,30 @@ def raw_eval(ctx, poly, x):
     return total
 
 
+def naive_product(ctx, a, b):
+    """a * b for two lists of (coeff_rep, exp) pairs: one ``raw_mul`` per pair
+    of terms and ``raw_add`` into each sum.  The product's pairs, exponent
+    ascending, zero sums dropped."""
+    acc = {}
+    for c1, e1 in a:
+        for c2, e2 in b:
+            acc[e1 + e2] = raw_add(ctx, acc.get(e1 + e2, 0), raw_mul(ctx, c1, c2))
+    return tuple((c, e) for e, c in sorted(acc.items()) if c)
+
+
+def naive_power(ctx, pairs, e, shift=0, scale=1):
+    """scale * x^shift * f^e by square-and-multiply over ``naive_product``, f
+    given by its (coeff_rep, exp) pairs (0**0 == 1)."""
+    result, square = (((scale, shift),) if scale else ()), tuple(pairs)
+    while e:
+        if e & 1:
+            result = naive_product(ctx, result, square)
+        e >>= 1
+        if e:
+            square = naive_product(ctx, square, square)
+    return result
+
+
 def naive_split_map(ctx, r, h, t, d):
     """The split's subgroup map y -> y^r * h(y)^t, point by point over ``raw_pow``.
 

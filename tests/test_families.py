@@ -277,6 +277,32 @@ def test_expansion_matches_closure(fid, params, terms, digest):
     assert all(raw_eval(ctx, poly, x) == ev(x) for x in range(ctx.order))
 
 
+# above the table limit, GF(2^18), pinned the same way: three F9 m=9 r=5
+# expansions, too large to check at every point, and their split verdicts.
+# The third has coefficients other than 1, so its long columns are scaled by
+# packed maps; its condition fails, but it permutes.
+_BIG_EXPANSIONS = [
+    ({"m": 9, "r": 5, "s": 1, "a": 1, "delta": 1}, 13121, "33e78c179188a7d8", True),
+    ({"m": 9, "r": 5, "s": 3, "a": 1, "delta": 1}, 10209, "a07fadb6b1851b83", True),
+    ({"m": 9, "r": 5, "s": 1, "a": 3, "delta": 7}, 16402, "6fd6e1eebd95ef81", False),
+]
+
+
+@pytest.mark.parametrize("params,terms,digest,passed", _BIG_EXPANSIONS,
+                         ids=[f"F9-params{i}" for i in range(len(_BIG_EXPANSIONS))])
+def test_big_expansion_pinned(params, terms, digest, passed, monkeypatch):
+    packed, real = [], FieldCtx._gf2_maps
+    monkeypatch.setattr(FieldCtx, "_gf2_maps",
+                        lambda ctx, pairs: packed.append(len(pairs[0][1])) or real(ctx, pairs))
+    poly = fam.build("F9", params)
+    assert len(poly) == terms
+    assert hashlib.sha256(repr(poly._terms).encode()).hexdigest()[:16] == digest
+    assert bool(packed) == (not passed)
+    assert fam.check("F9", params).passed == passed
+    verdict, info = oracle.zieve_verdict(poly)
+    assert (verdict, info["d"], info["t"]) == (True, 511, 513)
+
+
 # every registered family on list tables (the expansions above), a few on
 # array tables (GF(2^15), GF(2^16)), and F12 over GF(3^5)
 _SWEEPS = [(fid, params) for fid, params, _, _ in _EXPANSIONS] + [

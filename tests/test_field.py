@@ -9,6 +9,7 @@ from array import array
 
 import pytest
 
+import permpoly.field as field_module
 from permpoly import (
     CtxMismatch,
     DegreeMismatch,
@@ -21,8 +22,11 @@ from permpoly import (
     make_field,
 )
 from permpoly.field import (
+    _EXPANSION_CAP,
+    _PACKED_SCALE_MIN,
     DEFAULT_SIZE_LIMIT,
     LIST_TABLE_LIMIT,
+    TABLE_LIMIT,
     FieldCtx,
     FieldElem,
     _apply,
@@ -36,6 +40,8 @@ from helpers import (
     log_order_points,
     naive_eval,
     naive_mu_sweep,
+    naive_power,
+    naive_product,
     raw_add,
     raw_eval,
     raw_mul,
@@ -631,6 +637,161 @@ def test_compose_matches_pointwise():
     comp = outer.compose(inner)
     for x in range(27):
         assert comp.eval_rep(x) == outer.eval_rep(inner.eval_rep(x))
+
+
+# -- the product kernel against pairwise products ----------------------------
+
+_KERNEL_FIELDS = [(2, 8), (2, 16), (2, 18), (2, 20), (3, 3), (5, 2)]
+# columns on both sides of _PACKED_SCALE_MIN, up to about a thousand terms
+_COLUMNS = (1, 3, _PACKED_SCALE_MIN - 1, _PACKED_SCALE_MIN, 63, 64, 65, 1000)
+
+
+def _kernel_ctxs(p, k):
+    """Fresh contexts of GF(p^k), so that whether log tables exist is known:
+    one without them, and up to TABLE_LIMIT one with them built."""
+    ref = make_field(p, k)
+    ctxs = [FieldCtx(p, k, ref.modulus, ref.generator) for _ in range(2)]
+    if ref.order > TABLE_LIMIT:
+        return ctxs[:1]
+    ctxs[1].ensure_tables()
+    return ctxs
+
+
+def _random_poly(ctx, rng, n, unit):
+    """n terms with distinct exponents below 3n + 3, coefficients 1 or random."""
+    exps = rng.sample(range(3 * n + 3), n)
+    return SparsePoly(ctx, [(1 if unit else rng.randrange(1, ctx.order), e) for e in exps])
+
+
+def _packed_calls(monkeypatch):
+    """The lengths of the columns ``_gf2_maps`` is called on, as they come."""
+    calls, real = [], FieldCtx._gf2_maps
+    monkeypatch.setattr(FieldCtx, "_gf2_maps",
+                        lambda ctx, pairs: calls.append(len(pairs[0][1])) or real(ctx, pairs))
+    return calls
+
+
+@pytest.mark.parametrize("p,k", _KERNEL_FIELDS, ids=[f"{p}-{k}" for p, k in _KERNEL_FIELDS])
+def test_product_kernel_matches_pairwise(p, k, monkeypatch):
+    rng = random.Random(p * 100 + k)
+    calls = _packed_calls(monkeypatch)
+    for ctx in _kernel_ctxs(p, k):
+        packed = p == 2 and ctx._exp is None
+        for n in _COLUMNS:
+            for m in (1, 2, 3):
+                for unit in (True, False):
+                    a, b = _random_poly(ctx, rng, n, unit), _random_poly(ctx, rng, m, unit)
+                    calls.clear()
+                    want = naive_product(ctx, a.term_pairs(), b.term_pairs())
+                    assert (a * b).term_pairs() == (b * a).term_pairs() == want, (n, m, unit)
+                    # a column is packed exactly when it is scaled and long enough
+                    assert (packed and not unit and n >= _PACKED_SCALE_MIN) == bool(calls)
+                    assert all(c == n for c in calls)
+        # x + 1 times x - 1: the sums at x cancel, and x^2 - 1 remains
+        one, x = SparsePoly.constant(ctx, 1), SparsePoly.x(ctx)
+        prod = (x + one) * (x - one)
+        assert prod == x * x - one and len(prod) == 2
+        assert prod.term_pairs() == naive_product(ctx, (x + one).term_pairs(),
+                                                  (x - one).term_pairs())
+        # dense unit operands, whose sums cancel at many exponents
+        a = SparsePoly(ctx, [(1, e) for e in range(0, 200, 2)] + [(1, 3), (1, 77)])
+        b = SparsePoly(ctx, [(1, 0), (1, 2), (ctx.neg(1), 4)])
+        assert (a * b).term_pairs() == naive_product(ctx, a.term_pairs(), b.term_pairs())
+        assert len(a * b) < len({e1 + e2 for _, e1 in a.term_pairs() for _, e2 in b.term_pairs()})
+        # zero operands
+        zero = SparsePoly(ctx)
+        assert (zero * a).is_zero() and (a * zero).is_zero() and (zero * zero).is_zero()
+
+
+@pytest.mark.parametrize("p,k", _KERNEL_FIELDS, ids=[f"{p}-{k}" for p, k in _KERNEL_FIELDS])
+def test_pow_charp_matches_pairwise(p, k):
+    rng = random.Random(p * 1000 + k)
+    # odd p: exponents with base-p digits above 1, so f**d takes d - 1 products
+    exps = (0, 1, 2, 5, 2 ** 6 - 1) if p == 2 else (0, 1, 2, p + 2, 2 + (p - 1) * p + p * p)
+    for ctx in _kernel_ctxs(p, k):
+        bases = [SparsePoly(ctx), SparsePoly.x(ctx), _random_poly(ctx, rng, 2, True),
+                 _random_poly(ctx, rng, 3, True), _random_poly(ctx, rng, 3, False)]
+        c = rng.randrange(2, ctx.order)
+        for f in bases:
+            for e in exps:
+                want = naive_power(ctx, f.term_pairs(), e)
+                assert f.pow_charp(e).term_pairs() == want, (f, e)
+                for shift, scale in ((0, c), (5, 1), (7, c), (3, 0)):
+                    got = f.pow_charp(e, shift=shift, scale=scale)
+                    assert got.term_pairs() == naive_power(ctx, f.term_pairs(), e, shift, scale)
+        assert len(bases[-1].pow_charp(exps[-1])) > 60  # long columns, past _PACKED_SCALE_MIN
+        assert SparsePoly(ctx).pow_charp(0, shift=4, scale=c).term_pairs() == ((c, 4),)
+        with pytest.raises(ValueError):
+            bases[1].pow_charp(3, shift=-1)
+        with pytest.raises(ValueError):
+            bases[1].pow_charp(-1)
+        with pytest.raises(ValueError):
+            bases[1].pow_charp(3, scale=ctx.order)
+        with pytest.raises(CtxMismatch):
+            bases[1].pow_charp(3, scale=make_field(2, 3).gen)
+
+
+@pytest.mark.parametrize("p,k", _KERNEL_FIELDS, ids=[f"{p}-{k}" for p, k in _KERNEL_FIELDS])
+def test_scale_matches_pairwise(p, k, monkeypatch):
+    rng = random.Random(p * 10 + k)
+    calls = _packed_calls(monkeypatch)
+    for ctx in _kernel_ctxs(p, k):
+        for n in _COLUMNS:
+            for unit in (True, False):
+                f = _random_poly(ctx, rng, n, unit)
+                for c in (1, rng.randrange(2, ctx.order)):
+                    calls.clear()
+                    assert f.scale(c).term_pairs() == naive_product(ctx, ((c, 0),), f.term_pairs())
+                    assert bool(calls) == (p == 2 and ctx._exp is None and c != 1
+                                           and n >= _PACKED_SCALE_MIN)
+                assert f.scale(0).is_zero()
+        assert SparsePoly(ctx).scale(3).is_zero()
+
+
+@pytest.mark.parametrize("p,k", _KERNEL_FIELDS, ids=[f"{p}-{k}" for p, k in _KERNEL_FIELDS])
+def test_compose_matches_pairwise(p, k):
+    rng = random.Random(p * 7 + k)
+    for ctx in _kernel_ctxs(p, k):
+        outer = SparsePoly(ctx, [(rng.randrange(1, ctx.order), e) for e in (0, 1, 3, p + 1, 2 * p)])
+        for inner in (_random_poly(ctx, rng, 3, False), _random_poly(ctx, rng, 2, True),
+                      SparsePoly.constant(ctx, 5), SparsePoly(ctx)):
+            acc = {}
+            for c, e in outer.term_pairs():
+                for cc, ee in naive_power(ctx, inner.term_pairs(), e, scale=c):
+                    acc[ee] = raw_add(ctx, acc.get(ee, 0), cc)
+            want = tuple((c, e) for e, c in sorted(acc.items()) if c)
+            assert outer.compose(inner).term_pairs() == want
+        # y^p - y at 1 cancels everywhere; at x + 1 its constants cancel
+        frob = SparsePoly(ctx, [(1, p), (ctx.neg(1), 1)])
+        one, x = SparsePoly.constant(ctx, 1), SparsePoly.x(ctx)
+        assert frob.compose(one).is_zero()
+        assert frob.compose(x + one) == frob
+
+
+def test_expansion_cap_raises_before_building(monkeypatch):
+    built, real = [], field_module._sorted_columns
+    monkeypatch.setattr(field_module, "_sorted_columns",
+                        lambda acc: built.append(len(acc)) or real(acc))
+    ctx = make_field(2, 8)
+    # (x + 1)^(2^20 - 1) doubles at each of its 20 digits: 2^17 terms times
+    # the next factor's 2 pass the cap, and that product is never built
+    f = SparsePoly(ctx, [(1, 1), (1, 0)])
+    with pytest.raises(ValueError, match="^expansion too large$"):
+        f.pow_charp(2 ** 20 - 1)
+    assert max(built) == 2 ** 17 <= _EXPANSION_CAP < 2 ** 18
+    a = SparsePoly(ctx, [(1, e) for e in range(500)])
+    b = SparsePoly(ctx, [(1, 1000 * e) for e in range(_EXPANSION_CAP // 500 + 1)])
+    built.clear()
+    with pytest.raises(ValueError, match="^polynomial product too large to expand$"):
+        a * b
+    assert built == []
+    # f**d for a digit d above 1 is capped the same way, here at its first product
+    monkeypatch.setattr(field_module, "_EXPANSION_CAP", 8)
+    g = SparsePoly(make_field(3, 3), [(1, 2), (1, 1), (1, 0)])
+    built.clear()
+    with pytest.raises(ValueError, match="^expansion too large$"):
+        g.pow_charp(2)
+    assert built == []
 
 
 def test_reduce_exponents_on_subgroup():
