@@ -300,15 +300,12 @@ class FieldCtx:
         return partial(self.mul, c)
 
     def _scale_column(self, c, col):
-        """[c*z for z in col], z != 0: by log tables when built; else one
-        ``_gf2_maps`` call (p = 2, from _PACKED_SCALE_MIN values), or ``mul``."""
+        """[c*z for z in col], z != 0: by log tables when built, else ``mul``."""
         if c == 1:
             return col
         if self._exp is not None:
             exp, log, lc = self._exp, self._log, self._log[c]
             return [exp[lc + log[z]] for z in col]
-        if self.p == 2 and len(col) >= _PACKED_SCALE_MIN:
-            return self._gf2_maps([(self._shifts(c, self.k), col)])
         mul = self.mul
         return [c if z == 1 else mul(c, z) for z in col]
 
@@ -1018,7 +1015,6 @@ class FieldElem:
 # ---------------------------------------------------------------------------
 
 _EXPANSION_CAP = 200_000  # intermediate term-count guard for formal expansion
-_PACKED_SCALE_MIN = 8  # a packed scale took 8-12 us over GF(2^18..2^24), one mul 2-3.5 us
 
 
 def _sorted_columns(acc):
@@ -1201,13 +1197,18 @@ class SparsePoly:
     def frobenius_power(self, i: int) -> "SparsePoly":
         """The polynomial f(x)**(p^i): exact identity in characteristic p."""
         ctx = self.ctx
-        q = ctx.p ** i  # c -> c^q keeps coefficients nonzero, e -> e*q the order
-        return SparsePoly._raw(ctx, [(e * q, ctx.pow(c, q)) for e, c in self._terms])
+        return SparsePoly._raw(ctx, zip(*SparsePoly._frobenius(ctx, self._columns(), ctx.p ** i)))
+
+    @staticmethod
+    def _frobenius(ctx, columns, q):
+        """The (exps, cs) columns of f**q, q a power of p: e -> e*q, c -> c^q
+        (which keeps coefficients nonzero and exponents in order)."""
+        return [e * q for e in columns[0]], [ctx.pow(c, q) for c in columns[1]]
 
     def pow_charp(self, e: int, *, shift: int = 0, scale=1) -> "SparsePoly":
         """scale * x^shift * f**e, expanded by base-p digits from the monomial
         scale*x^shift (so shift and scale copy no terms): a digit d at p^j
-        takes f**d (d - 1 products) to the p^j as ``frobenius_power`` does.
+        takes f**d (d - 1 products) to the p^j by ``_frobenius``.
         Every product is ``_product``, capped before it is built."""
         if e < 0 or shift < 0:
             raise ValueError("negative exponent or shift")
@@ -1222,8 +1223,7 @@ class SparsePoly:
                 for _ in range(d - 1):
                     part = SparsePoly._product(ctx, part, base, "expansion too large")
                 if j:
-                    q = p ** j
-                    part = [x * q for x in part[0]], [ctx.pow(c, q) for c in part[1]]
+                    part = SparsePoly._frobenius(ctx, part, p ** j)
                 result = SparsePoly._product(ctx, result, part, "expansion too large")
             j += 1
         return SparsePoly._raw(ctx, zip(*result))

@@ -23,7 +23,6 @@ from permpoly import (
 )
 from permpoly.field import (
     _EXPANSION_CAP,
-    _PACKED_SCALE_MIN,
     DEFAULT_SIZE_LIMIT,
     LIST_TABLE_LIMIT,
     TABLE_LIMIT,
@@ -642,8 +641,8 @@ def test_compose_matches_pointwise():
 # -- the product kernel against pairwise products ----------------------------
 
 _KERNEL_FIELDS = [(2, 8), (2, 16), (2, 18), (2, 20), (3, 3), (5, 2)]
-# columns on both sides of _PACKED_SCALE_MIN, up to about a thousand terms
-_COLUMNS = (1, 3, _PACKED_SCALE_MIN - 1, _PACKED_SCALE_MIN, 63, 64, 65, 1000)
+# columns from one term up to about a thousand
+_COLUMNS = (1, 3, 63, 64, 65, 1000)
 
 
 def _kernel_ctxs(p, k):
@@ -663,30 +662,16 @@ def _random_poly(ctx, rng, n, unit):
     return SparsePoly(ctx, [(1 if unit else rng.randrange(1, ctx.order), e) for e in exps])
 
 
-def _packed_calls(monkeypatch):
-    """The lengths of the columns ``_gf2_maps`` is called on, as they come."""
-    calls, real = [], FieldCtx._gf2_maps
-    monkeypatch.setattr(FieldCtx, "_gf2_maps",
-                        lambda ctx, pairs: calls.append(len(pairs[0][1])) or real(ctx, pairs))
-    return calls
-
-
 @pytest.mark.parametrize("p,k", _KERNEL_FIELDS, ids=[f"{p}-{k}" for p, k in _KERNEL_FIELDS])
-def test_product_kernel_matches_pairwise(p, k, monkeypatch):
+def test_product_kernel_matches_pairwise(p, k):
     rng = random.Random(p * 100 + k)
-    calls = _packed_calls(monkeypatch)
     for ctx in _kernel_ctxs(p, k):
-        packed = p == 2 and ctx._exp is None
         for n in _COLUMNS:
             for m in (1, 2, 3):
                 for unit in (True, False):
                     a, b = _random_poly(ctx, rng, n, unit), _random_poly(ctx, rng, m, unit)
-                    calls.clear()
                     want = naive_product(ctx, a.term_pairs(), b.term_pairs())
                     assert (a * b).term_pairs() == (b * a).term_pairs() == want, (n, m, unit)
-                    # a column is packed exactly when it is scaled and long enough
-                    assert (packed and not unit and n >= _PACKED_SCALE_MIN) == bool(calls)
-                    assert all(c == n for c in calls)
         # x + 1 times x - 1: the sums at x cancel, and x^2 - 1 remains
         one, x = SparsePoly.constant(ctx, 1), SparsePoly.x(ctx)
         prod = (x + one) * (x - one)
@@ -719,7 +704,7 @@ def test_pow_charp_matches_pairwise(p, k):
                 for shift, scale in ((0, c), (5, 1), (7, c), (3, 0)):
                     got = f.pow_charp(e, shift=shift, scale=scale)
                     assert got.term_pairs() == naive_power(ctx, f.term_pairs(), e, shift, scale)
-        assert len(bases[-1].pow_charp(exps[-1])) > 60  # long columns, past _PACKED_SCALE_MIN
+        assert len(bases[-1].pow_charp(exps[-1])) > 60  # long columns
         assert SparsePoly(ctx).pow_charp(0, shift=4, scale=c).term_pairs() == ((c, 4),)
         with pytest.raises(ValueError):
             bases[1].pow_charp(3, shift=-1)
@@ -732,18 +717,14 @@ def test_pow_charp_matches_pairwise(p, k):
 
 
 @pytest.mark.parametrize("p,k", _KERNEL_FIELDS, ids=[f"{p}-{k}" for p, k in _KERNEL_FIELDS])
-def test_scale_matches_pairwise(p, k, monkeypatch):
+def test_scale_matches_pairwise(p, k):
     rng = random.Random(p * 10 + k)
-    calls = _packed_calls(monkeypatch)
     for ctx in _kernel_ctxs(p, k):
         for n in _COLUMNS:
             for unit in (True, False):
                 f = _random_poly(ctx, rng, n, unit)
                 for c in (1, rng.randrange(2, ctx.order)):
-                    calls.clear()
                     assert f.scale(c).term_pairs() == naive_product(ctx, ((c, 0),), f.term_pairs())
-                    assert bool(calls) == (p == 2 and ctx._exp is None and c != 1
-                                           and n >= _PACKED_SCALE_MIN)
                 assert f.scale(0).is_zero()
         assert SparsePoly(ctx).scale(3).is_zero()
 
