@@ -312,8 +312,9 @@ class FieldCtx:
     @lru_cache(maxsize=16)  # bounded: one entry per field and split met
     def _subgroup_index(self, d):
         """(mu, index, log_d, mu2) for the order-d subgroup, built once: mu is
-        ``subgroup_reps(d)``, index its inverse, mu2 = mu + mu and log_d(zs)
-        the indices in mu of z^t, t = (q-1)/d, for the z != 0 of the list zs.
+        ``subgroup_reps(d)``, index its inverse, mu2 = mu + mu as an array('I')
+        (packed by a copy, not value by value) and log_d(zs) the indices in mu
+        of z^t, t = (q-1)/d, for the z != 0 of the list zs.
         Callers must not mutate mu, index or mu2.
 
         Over GF(q^2) of characteristic 2 with d = q + 1, z^t depends only on
@@ -326,11 +327,11 @@ class FieldCtx:
         index[pow(z, t)], ``pow`` looked up on each call.
         """
         mu = self.subgroup_reps(d)
-        index = {y: j for j, y in enumerate(mu)}
+        index, mu2 = {y: j for j, y in enumerate(mu)}, array("I", mu + mu)
         t = (self.order - 1) // d
         q = t + 1
         if self.p != 2 or q * q != self.order:
-            return mu, index, lambda zs: [index[self.pow(z, t)] for z in zs], mu + mu
+            return mu, index, lambda zs: [index[self.pow(z, t)] for z in zs], mu2
         c = self._pow_raw(2 ^ self._pow_raw(2, q), self.order - 2)  # 1/(x + x^q)
         ib = [self._mul_raw(z ^ self._pow_raw(z, q), c) for z in (1 << i for i in range(self.k))]
         ia = [(1 << i) ^ self._mul_raw(2, b) for i, b in enumerate(ib)]  # x^i's a and b
@@ -339,12 +340,12 @@ class FieldCtx:
 
         def coset_log(zs):
             return [by_label[t if not b else t + 1 if not a else (lq[a] - lq[b]) % t]
-                    for a, b in zip(self._gf2_maps([(ia, zs)]), self._gf2_maps([(ib, zs)]))]
+                    for a, b in zip(self._gf2_maps(ia, zs), self._gf2_maps(ib, zs))]
         labels = coset_log(mu)
         assert len(set(labels)) == d
         for j, label in enumerate(labels):
             by_label[label] = t * j % d
-        return mu, index, coset_log, mu + mu
+        return mu, index, coset_log, mu2
 
     def _comb(self, tab, b):
         """a*b mod m from tab = _multiples(a): a 4-bit comb over b, then a byte fold."""
@@ -644,7 +645,7 @@ class FieldCtx:
         reps: one ``_gf2_maps`` call in characteristic 2, else digit by digit
         from each image's multiples, value by value."""
         if self.p == 2:
-            return lambda vals: self._gf2_maps([(images, vals)])
+            return partial(self._gf2_maps, images)
         p, add, tabs = self.p, self._sum, [self._span([v]) for v in images]
 
         def linear(a):
@@ -737,45 +738,53 @@ class FieldCtx:
         acc = reduce(operator.xor, [int.from_bytes(w, "little") for w in words])
         return array("I", acc.to_bytes(len(words[0]) * words[0].itemsize, "little")).tolist()
 
-    def _gf2_maps(self, pairs):
-        """The list XOR over (images, vals) of L(vals), value by value, for
-        vals of one length and L the GF(2)-linear map x^i -> images[i] (the
-        identity for None).  Each vals is packed in the 32-bit slots of one
-        int P: L(P) is the XOR over i of ((P >> i) & ones) * images[i], whose
-        slots hold an image or 0, so none carries.  Unpacked once."""
+    def _gf2_maps(self, images, vals):
+        """[L(v) for v in vals], L the GF(2)-linear map x^i -> images[i].  vals
+        is packed in the 32-bit slots of one int P: L(P) is the XOR over i of
+        ((P >> i) & ones) * images[i], whose slots hold an image or 0, so none
+        carries.  Unpacked once."""
         width = array("I").itemsize
         assert self.p == 2 and self.k <= 8 * width  # DEFAULT_SIZE_LIMIT keeps k <= 24
-        n = len(pairs[0][1])
-        ones, acc = int.from_bytes(array("I", [1]) * n, "little"), 0
-        for images, vals in pairs:
-            P = int.from_bytes(array("I", vals), "little")
-            if images is None:
-                acc ^= P
-            for v in images or ():
-                acc ^= (P & ones) * v
-                P >>= 1
-        return array("I", acc.to_bytes(n * width, "little")).tolist()
+        P, acc = int.from_bytes(array("I", vals), "little"), 0
+        ones = int.from_bytes(array("I", [1]) * len(vals), "little")
+        for v in images:
+            acc ^= (P & ones) * v
+            P >>= 1
+        return array("I", acc.to_bytes(len(vals) * width, "little")).tolist()
 
     def _mu_sweep(self, mu2, terms):
         """[h(w^j) for j < d], mu2 = mu + mu (mu_d twice), mu = [w^j for j < d],
         h the (e, c) ``terms``, whose coefficients of one exponent sum.  With
-        log tables, h compiled by :meth:`SparsePoly.rep_fn` maps mu point by
-        point.  Without, term (e, c) is the column c * mu[j*e mod d] of
-        ``_strided`` slices of mu2, read by index alone.  One ``_gf2_maps``
-        call scales the columns by the images c*x^i mod m and XORs them in
-        characteristic 2; else ``_add_columns`` sums them, each mapped by
-        ``_scale_column``."""
+        log tables h, compiled from its summed terms (``SparsePoly._point_fn``),
+        maps mu point by point, as h may have d terms.  Without, term (e, c) is
+        the column c * mu[j*e mod d] of ``_strided`` slices of mu2, read by index
+        alone: scaled and summed (``_scale_column``, ``_add_columns``) in odd
+        characteristic; in characteristic 2 packed in the 32-bit slots of one
+        int and XORed into plane i for every bit x^i of c, then Horner's rule
+        from the top plane, acc = x*acc + plane, doubles every slot at once (k
+        steps for all of h; k < 32 keeps a doubled value in its slot)."""
         d = len(mu2) // 2
         if self.ensure_tables():
             acc, add = {}, self._sum
             for e, c in terms:
                 acc[e] = add(acc.get(e, 0), c)
-            return list(map(SparsePoly._collect(self, acc).rep_fn(), mu2[:d]))
-        cols = [(c, _strided(mu2, 0, e, d)) for e, c in terms] or [(1, [0] * d)]
+            return list(map(SparsePoly._collect(self, acc)._point_fn()[0], mu2[:d]))
         if self.p != 2:
+            cols = [(c, _strided(mu2, 0, e, d)) for e, c in terms] or [(1, [0] * d)]
             return self._add_columns([self._scale_column(c, col) for c, col in cols])
-        return self._gf2_maps([(None if c == 1 else self._shifts(c, self.k), col)
-                               for c, col in cols])
+        width, k = array("I").itemsize, self.k
+        assert k < 8 * width
+        planes, ones = [0] * k, int.from_bytes(array("I", [1]) * d, "little")
+        for e, c in terms:
+            col = int.from_bytes(array("I", _strided(mu2, 0, e, d)), "little")
+            for i in range(c.bit_length()):
+                if c >> i & 1:
+                    planes[i] ^= col
+        low, red, acc = ones * ((1 << k) - 1), self._mod_int ^ 1 << k, 0
+        for plane in reversed(planes):
+            acc <<= 1
+            acc = acc & low ^ (acc >> k & ones) * red ^ plane
+        return array("I", acc.to_bytes(d * width, "little")).tolist()
 
     def _log_sweep(self, c0, terms, i0, count):
         """c0 + sum(c*x^e) at g^i, i0 <= i < i0 + count, for the terms given
@@ -1142,8 +1151,17 @@ class SparsePoly:
             f = partial(self.eval_rep)  # a bound method takes no attributes
             f.bijective = source
             return f
-        exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
-        add = ctx._sum
+        f, c0, terms = self._point_fn()
+        f.sweep = partial(ctx._log_sweep, c0, terms)
+        f.bijective = (trace and ctx._trace_fibres(self._terms, trace, f)
+                       or ctx._blocks(f.sweep, self._terms))
+        return f
+
+    def _point_fn(self):
+        """(f, c0, terms) on a tabled field: :meth:`rep_fn`'s evaluator f, with
+        no sweep or block source, its value c0 at 0 and its terms."""
+        ctx = self.ctx
+        exp, log, n1, add = ctx._exp, ctx._log, ctx.order - 1, ctx._sum
         c0 = self.eval_rep(0)
         terms = [(log[c], e % n1) for e, c in self._terms if e]
 
@@ -1155,10 +1173,7 @@ class SparsePoly:
             for lc, e in terms:
                 acc = add(acc, exp[lc + lx * e % n1])
             return acc
-        f.sweep = partial(ctx._log_sweep, c0, terms)
-        f.bijective = (trace and ctx._trace_fibres(self._terms, trace, f)
-                       or ctx._blocks(f.sweep, self._terms))
-        return f
+        return f, c0, terms
 
     def eval(self, x: FieldElem) -> FieldElem:
         return FieldElem(self.ctx, self.eval_rep(self.ctx._rep(x)))

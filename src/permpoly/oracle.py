@@ -1,7 +1,8 @@
 """Ground-truth exhaustive verification of permutation behavior.
 
-Maps are accepted either as :class:`SparsePoly` or as plain callables on
-integer reps, so composition closures verify without formal expansion.  A
+Maps are accepted as :class:`SparsePoly` or as callables on integer reps, so
+composition closures verify without formal expansion, and by
+:func:`permutes_subset` as the list of their values in subset order too.  A
 polynomial is compiled once per scan (:meth:`SparsePoly.rep_fn`).  A compiled
 evaluator f may carry a block source ``f.bijective``: ``bijective(f, q)`` is
 True exactly when q is the order of f's field and f's q images are distinct
@@ -86,16 +87,19 @@ def is_permutation(f, ctx: FieldCtx) -> VerifyReport:
 def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     """Test whether f maps ``subset`` into itself bijectively.
 
-    Closure under f is not assumed: an image outside the subset is itself a
-    failure, reported through ``escape``.  A subset that repeats a rep or
-    holds one outside [0, order) raises :class:`BadSubset` before any
-    evaluation, and a :class:`FieldElem` of another field
+    f is a map or a list of its values in subset order.  Closure under f is
+    not assumed: an image outside the subset is itself a failure, reported
+    through ``escape``.  A subset that repeats a rep or holds one outside
+    [0, order) raises :class:`BadSubset` before any evaluation, as does a
+    list of another length, and a :class:`FieldElem` of another field
     :class:`CtxMismatch`.  Elements are read as their reps, converted only
-    when a pass over the types finds one.  One walk in subset order calls f
-    once per element and stops at the first escape or repeat, so an
-    exception f raises before that propagates.
+    when a pass over the types finds one.  A list whose values are the
+    subset's is a bijection, with one evaluation per element.  Otherwise one
+    walk in subset order reads f once per element and stops at the first
+    escape or repeat, so an exception f raises before that propagates.
     """
     fn = _as_rep_fn(f, ctx)
+    listed = isinstance(fn, list)
     ctx.ensure_tables()
     reps = list(subset)
     if any(issubclass(kind, FieldElem) for kind in set(map(type, reps))):
@@ -103,17 +107,19 @@ def permutes_subset(f, subset, ctx: FieldCtx) -> VerifyReport:
     member = set(reps)
     if len(member) != len(reps) or reps and not 0 <= min(reps) <= max(reps) < ctx.order:
         raise BadSubset(f"subset reps must be distinct and in [0, {ctx.order})")
+    if listed and len(fn) != len(reps):
+        raise BadSubset(f"{len(fn)} values for a subset of {len(reps)}")
     start = time.perf_counter()
-    seen, witness, escape, evals = {}, None, None, 0
-    for evals, x in enumerate(reps, 1):
-        y = fn(x)
-        if y not in member:
-            escape = (x, y)
-            break
-        if y in seen:
-            witness = (seen[y], x)
-            break
-        seen[y] = x
+    seen, witness, escape, evals = {}, None, None, len(reps)
+    if not listed or set(fn) != member:
+        for evals, (x, y) in enumerate(zip(reps, fn if listed else map(fn, reps)), 1):
+            if y not in member:
+                escape = (x, y)
+                break
+            if y in seen:
+                witness = (seen[y], x)
+                break
+            seen[y] = x
     elapsed = (time.perf_counter() - start) * 1000.0
     ok = witness is None and escape is None
     return VerifyReport(f"subset[{len(reps)}]", ok, witness, escape, evals, elapsed)
@@ -170,9 +176,9 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     nonzero value in one call of ``ctx._subgroup_index(d)``'s log_d, built
     once per field and d: coset labels over GF(q^2) of characteristic 2 with
     d = q + 1 (F5, F8), ``ctx.pow`` for every other d.  A zero of h sends
-    its point out of mu_d, an escape.  :func:`permutes_subset` reads the
-    images in mu's order, so its witness, escape and evaluation count are
-    the per-point sweep's.
+    its point out of mu_d, an escape.  :func:`permutes_subset` takes the
+    list of images in mu's order, so its witness, escape and evaluation
+    count are the per-point sweep's.
     """
     ctx = f.ctx
     n1 = ctx.order - 1
@@ -201,9 +207,8 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     vals = ctx._mu_sweep(mu2, [(e, c) for e, c in fold.items() if c])
     distinct = [v for v in set(vals) if v]
     label = dict(zip(distinct, log_d(distinct)))
-    images = dict(zip(mu, [mu[(j * r + label[v]) % d] if v else 0  # 0: an escape
-                           for j, v in enumerate(vals)]))
-    sub = permutes_subset(images.__getitem__, mu, ctx)
+    images = [mu[(j * r + label[v]) % d] if v else 0 for j, v in enumerate(vals)]  # 0: an escape
+    sub = permutes_subset(images, mu, ctx)
     verdict = coprime and sub.is_permutation
     return verdict, {"d": d, "r": r, "t": t, "coprime": coprime,
                      "subgroup": sub.is_permutation}

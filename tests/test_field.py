@@ -1138,8 +1138,7 @@ def test_gf2_maps_match_byte_tables(k):
     # the packed GF(2)-linear map against the byte-table map of one value at
     # a time, on every slot: random images, zero images and, at k = 17 and
     # 19, values and images with all k bits set, so that every bit of a slot
-    # is multiplied; lists of 0, 1, 63, 64 and 1,025 values, and the XOR of
-    # a pair of maps and an identity (images None)
+    # is multiplied; lists of 0, 1, 63, 64 and 1,025 values
     ctx = FieldCtx(2, k, make_field(2, k).modulus, 1)  # no tables are built
     rng = random.Random(800 + k)
     full = ctx.order - 1
@@ -1151,13 +1150,9 @@ def test_gf2_maps_match_byte_tables(k):
             vals = [rng.randrange(ctx.order) for _ in range(n)]
             if k in (17, 19):
                 vals[:2] = [full, full][:n]
-            assert ctx._gf2_maps([(images, vals)]) == [_apply(tabs, v) for v in vals], (n, images)
-            other = [rng.randrange(ctx.order) for _ in range(n)]
-            assert ctx._gf2_maps([(images, vals), (None, other), (imagesets[0], other)]) == \
-                [_apply(tabs, v) ^ w ^ _apply(_linear_tables(imagesets[0]), w)
-                 for v, w in zip(vals, other)]
+            assert ctx._gf2_maps(images, vals) == [_apply(tabs, v) for v in vals], (n, images)
     if k in (17, 19):
-        assert ctx._gf2_maps([([full] * k, [full] * 5)]) == [full] * 5  # k odd
+        assert ctx._gf2_maps([full] * k, [full] * 5) == [full] * 5  # k odd
     assert ctx._exp is None
 
 
@@ -1170,7 +1165,7 @@ def _assert_subgroup_index(ctx, d, zs):
     t = (ctx.order - 1) // d
     mu, index, log_d, mu2 = ctx._subgroup_index(d)
     assert mu == ctx.subgroup_reps(d) and index == {y: j for j, y in enumerate(mu)}
-    assert mu2 == mu + mu
+    assert mu2 == array("I", mu + mu)
     pows, orig = [], FieldCtx.pow
 
     def spy(self, a, e):
@@ -1305,10 +1300,12 @@ def test_mu_sweep_matches_points(p, k):
             assert ctx._mu_sweep(mu + mu, terms) == want, es
         assert _residue_split(d, d - 3) == (1, -3)
     # the table-free branch reads its columns from mu by index alone, so any
-    # list stands in for mu there: random entries of every bit length check
-    # the packed, bit-sliced products at k = 17 and 19 too
+    # list stands in for mu there: random entries of every bit length, and
+    # coefficients n1 and x^(k-1), whose top bit starts Horner's rule, check
+    # the packed products at k = 17 and 19 too
     mu = [rng.randrange(1, ctx.order) for _ in range(101)] + [n1, 1 << k - 1 if p == 2 else 1]
-    terms = [(0, 1), (1, n1), (5, rng.randrange(1, ctx.order)), (77, rng.randrange(1, ctx.order))]
+    terms = [(0, 1), (1, n1), (2, 1 << k - 1), (5, rng.randrange(1, ctx.order)),
+             (77, rng.randrange(1, ctx.order))]
     want = [0] * len(mu)
     for e, c in terms:
         want = [raw_add(ctx, v, raw_mul(ctx, c, mu[j * e % len(mu)])) for j, v in enumerate(want)]

@@ -236,6 +236,73 @@ def test_subset_bulk_path_keeps_the_walks_report():
     assert first > 3 and _walk(cube, mu)[1] is not None
 
 
+def _list_cases(rng, mu, outside):
+    """(kind, images) maps of mu in its order: a bijection, an escape, a
+    repeat, an escape before a repeat and a repeat before an escape."""
+    perm = rng.sample(mu, len(mu))
+    out = [("ok", perm)]
+    i = rng.randrange(len(mu))
+    out.append(("escape", perm[:i] + [rng.choice(outside)] + perm[i + 1:]))
+    if len(mu) > 2:
+        i, j, m = sorted(rng.sample(range(len(mu)), 3))
+        out.append(("repeat", perm[:j] + [perm[i]] + perm[j + 1:]))
+        both = list(perm)
+        both[i], both[m] = rng.choice(outside), perm[j]
+        out.append(("escape, repeat", both))
+        both = list(perm)
+        both[j], both[m] = perm[i], rng.choice(outside)
+        out.append(("repeat, escape", both))
+    return out
+
+
+@pytest.mark.parametrize("p, k", [(2, 8), (3, 4)])
+def test_subset_list_form_is_the_walk(p, k):
+    # the map given as the list of its values in subset order gives the
+    # callable walk's report, witness, escape and evaluations, on random
+    # maps over every subgroup of GF(2^8) and GF(3^4), with the subset as
+    # reps or as FieldElems
+    ctx = make_field(p, k)
+    rng = random.Random(900 * p + k)
+    kinds = set()
+    for d in _divisors(ctx.order - 1):
+        mu = ctx.subgroup_reps(d)
+        outside = sorted(set(range(ctx.order)) - set(mu))
+        elems = [ctx.elem(y) for y in mu]
+        for _ in range(3):
+            for kind, images in _list_cases(rng, mu, outside):
+                want = _fields(permutes_subset(dict(zip(mu, images)).__getitem__, mu, ctx))
+                assert want[1:] == _walk(dict(zip(mu, images)).__getitem__, mu), (d, kind)
+                assert _fields(permutes_subset(images, mu, ctx)) == want, (d, kind)
+                assert _fields(permutes_subset(images, elems, ctx)) == want, (d, kind)
+                first = "escape" if want[3] else "repeat" if want[2] else "ok"
+                assert kind.startswith(first), (d, kind, want)
+                kinds.add(kind)
+    assert len(kinds) == 5
+
+
+def test_subset_list_form_edges():
+    # the empty subset with no values is a bijection of no evaluations; a
+    # list of another length raises BadSubset before any value is read, and
+    # after the subset itself is validated
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("a value was read")
+
+        def __getitem__(self, i):
+            raise AssertionError("a value was read")
+
+    ctx = make_field(2, 4)
+    mu = ctx.subgroup_reps(5)
+    assert _fields(permutes_subset([], [], ctx)) == ("subset[0]", True, None, None, 0)
+    assert _fields(permutes_subset([], iter(()), ctx)) == _fields(
+        permutes_subset(lambda y: y, [], ctx))
+    for values in (Unread(mu[:4]), Unread(mu + [0]), Unread(), Unread([1])):
+        with pytest.raises(BadSubset, match="values for a subset of"):
+            permutes_subset(values, mu if len(values) != 1 else [], ctx)
+    with pytest.raises(BadSubset, match="distinct"):
+        permutes_subset(Unread(mu[:2]), [1, 1, 2], ctx)
+
+
 def test_reduced_map_on_cubic_circle_matches_full_verdict():
     # direct subgroup sweep of y^r * (y^(2^m) + a*y + b)^(s*(2^(3m)-1)) against
     # the full-field verdict of the F10-shaped product, m = 1
@@ -336,12 +403,14 @@ def _random_split_polys(ctx, rng, count):
 
 @pytest.fixture
 def circle_spy(monkeypatch):
-    """(map, subset) of every permutes_subset call zieve_verdict makes."""
+    """(map, subset) of every permutes_subset call zieve_verdict makes; a
+    map given as the list of its images is recorded as a function."""
     calls = []
     orig = oracle.permutes_subset
 
     def spy(fn, subset, ctx):
-        calls.append((fn, subset))
+        mapped = dict(zip(subset, fn)).__getitem__ if isinstance(fn, list) else fn
+        calls.append((mapped, subset))
         return orig(fn, subset, ctx)
 
     monkeypatch.setattr(oracle, "permutes_subset", spy)
