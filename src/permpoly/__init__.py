@@ -35,7 +35,6 @@ from .field import FieldCtx, FieldElem, SparsePoly, make_field  # noqa: F401
 from .oracle import (  # noqa: F401
     VerifyReport,
     is_permutation,
-    natural_divisor,
     permutes_subset,
     zieve_split,
     zieve_verdict,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from . import solvers
 from .errors import (
@@ -248,13 +248,15 @@ class Form:
         return g
 
     def rep_fn(self):
-        """Rep-level evaluator: the core's ``rep_fn``, then the outer map.
+        """Rep-level evaluator: the core's point function, then the outer map.
 
         ``f(x)`` takes w = core(x) and gives c0 * x^r * G(w) + c*x through
         ``ctx`` arithmetic, on every field.  On a tabled field
         ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count: w from
-        the core's sweep, then exp[log c0 + r*i + E*log G(w)] per value, and
-        ``_add_columns`` adds the column exp[log c + i].  Untabled, no sweep.
+        the core's ``_log_sweep``, then exp[log c0 + r*i + E*log G(w)] per
+        value, and ``_add_columns`` adds the column exp[log c + i].  Untabled,
+        no sweep.  The core is compiled by ``SparsePoly._point_fn``, with no
+        block source of its own.
 
         ``f.bijective(f, q)`` is True exactly when f is a bijection of the
         field, of order q.  With r = 0 and an affine core whose linear part
@@ -262,16 +264,22 @@ class Form:
         ``fibres``: f(x + k) = f(x) + c*k for k in K, so f maps the fibres
         x + K onto cosets of c*K, and it is a bijection exactly when c != 0
         and f's values at the reps, taken from spans with no call of f, have
-        distinct labels mod c*K (``_fibres``).  Else, on a tabled field, the
-        source reads the sweep (``FieldCtx._blocks``): ``cosets`` when ``u``
-        is None, c = 0 (so f = c0 * x^r * core^E) and the core's exponents
-        split with t = gcd(q-1, e - e0) >= 16, otherwise ``log_order``.
+        distinct labels mod c*K (``_fibres``).  Else, when ``u`` is None,
+        c = 0 (so f = c0 * x^r * core^E) and the core's exponents split with
+        t = gcd(q-1, e - e0) >= 16, on every field, ``cosets``: Zieve's check
+        of the core's head (``FieldCtx._cosets``).  Otherwise, on a tabled
+        field, ``log_order`` (``FieldCtx._log_order``); untabled, none.
         """
         core, ctx = self.core, self.core.ctx
-        core_fn = core.rep_fn()
         u = self.u.rep_fn() if self.u is not None else None
         E, r, c0, c = self.E, self.r, self.c0, self.c
         qpows = [self.q ** j for j in range(1, self.n)]
+        add, tabled = ctx._sum, ctx.ensure_tables()
+        if tabled:
+            core_fn, k0, kterms = core._point_fn()
+            core_sweep = partial(ctx._log_sweep, k0, kterms)
+        else:
+            core_fn, core_sweep = core.eval_rep, None
 
         def point(w, x=1):  # c0 * x^r * G(w): the steps of ``expand``, each no-op skipped
             if u is not None:
@@ -289,7 +297,6 @@ class Form:
             return ctx.add(v, ctx.mul(c, x)) if c else v
         f0 = f(0)  # once per compile: each scan starts at 0
 
-        add, tabled = ctx._sum, ctx.ensure_tables()
         if tabled:
             exp, log, n1 = ctx._exp, ctx._log, ctx.order - 1
             lc0, lc = log[c0], log[c]
@@ -303,8 +310,8 @@ class Form:
                 return [exp[(a + log[w] * E) % n1] if w else 0
                         for a, w in zip(itertools.count(lc0 + i0 * r, r), ws)]
 
-            def columns(i0, count):  # holds no f (``FieldCtx._blocks``)
-                vs = outer(core_fn.sweep(i0, count), i0)
+            def columns(i0, count):  # holds no f (``FieldCtx._log_order``)
+                vs = outer(core_sweep(i0, count), i0)
                 return ctx._add_columns([vs, _strided(exp, lc + i0, 1, count)]) if c else vs
             f.sweep = columns
         else:
@@ -330,8 +337,10 @@ class Form:
                     lo, hi = hi, 2 * hi
                 return True
             f.bijective = fibres
+        elif u is None and not c and (cosets := ctx._cosets(core._terms, r, E, core_sweep)):
+            f.bijective = cosets
         elif tabled:
-            f.bijective = ctx._blocks(columns, core._terms if u is None and not c else None, r, E)
+            f.bijective = ctx._log_order(columns)
         return f
 
     def _fibres(self):

@@ -794,56 +794,88 @@ class FieldCtx:
             cols.append(repeat(c0, count))
         return self._add_columns(cols)
 
-    def _blocks(self, columns, terms=None, r=0, E=1):
-        """The block source of an evaluator f on this tabled field: a function
-        ``bijective(f, q)``, True exactly when q is the field's order and f's
-        q images are distinct and in [0, q), with ``columns(i0, count)`` =
-        [f(g^i) for i0 <= i < i0 + count].
-
-        ``cosets`` when f = c0 * x^r * k(x)^E, k the polynomial of the (e, c)
-        ``terms``, and t = gcd(q-1, e - e0 for every e) >= _ORBIT_MIN (16),
-        e0 the first exponent.  Then log f(g^i) = a*i + lam[i mod d], d =
-        (q-1)/t and a = r + E*e0 (Zieve's split), so the coset g^j * mu_t
-        goes into g^P * mu_t, P = log f(g^j).  ``cosets`` reads the head
-        ``columns(0, d)`` once, at most a sixteenth of the field, and answers
-        by it alone: f repeats an image exactly when gcd(a, t) > 1, when a
-        head value is 0 (its coset goes to 0) or when two labels P mod d
-        agree (two cosets go into one).  f(0) = 0 goes to no coset, as a !=
-        0 mod t forces r > 0 or e0 > 0.
-
-        Otherwise ``log_order``: f(0), then the columns in blocks growing
-        from 256 to 4096 logs, each marked in a bytearray(q); False at the
-        first image that repeats or leaves the field.  Neither closes over f,
-        which holds it: such a reference cycle per compile, and its garbage
-        collection, tripled the cost of ``SparsePoly.rep_fn``.  Needs tables.
+    def _log_order(self, columns):
+        """``log_order``, the block source of an evaluator f on this tabled
+        field: a function ``bijective(f, q)``, True exactly when q is the
+        field's order and f's q images are distinct and in [0, q), with
+        ``columns(i0, count)`` = [f(g^i) for i0 <= i < i0 + count].  It marks
+        f(0), then the columns in blocks growing from 256 to 4096 logs, in a
+        bytearray(q), and answers False at the first image that repeats or
+        leaves the field.  It does not close over f, which holds it: such a
+        reference cycle per compile, and its garbage collection, tripled the
+        cost of ``SparsePoly.rep_fn``.
         """
-        log, n1 = self._log, self.order - 1
-        e0 = terms[0][0] if terms else 0
-        t = 0 if terms is None else self._split_step(terms)
-        if t < _ORBIT_MIN:
-            def log_order(f, q):
-                if q != self.order:
+        n1 = self.order - 1
+
+        def log_order(f, q):
+            if q != self.order:
+                return False
+            seen, block, i, size = bytearray(q), (f(0),), 0, 256
+            while block:
+                try:
+                    for y in block:
+                        if seen[y]:
+                            return False
+                        seen[y] = 1
+                except IndexError:  # an image past the field
                     return False
-                seen, block, i, size = bytearray(q), (f(0),), 0, 256
-                while block:
-                    try:
-                        for y in block:
-                            if seen[y]:
-                                return False
-                            seen[y] = 1
-                    except IndexError:  # an image past the field
-                        return False
-                    block = columns(i, min(size, n1 - i)) if i < n1 else None
-                    i, size = i + size, min(2 * size, 4096)
-                return True
-            return log_order
-        d, a = n1 // t, (r + E * e0) % n1
+                block = columns(i, min(size, n1 - i)) if i < n1 else None
+                i, size = i + size, min(2 * size, 4096)
+            return True
+        return log_order
+
+    def _cosets(self, terms, r=0, E=1, sweep=None):
+        """``cosets``, the block source of f = c0 * x^r * k(x)^E, k the
+        polynomial of the (e, c) ``terms``, when t = ``_split_step(terms)`` >=
+        _ORBIT_MIN; else None.  It answers by :meth:`_zieve` from d = (q-1)/t
+        head values, computed when called.  With log tables ``sweep`` is k's
+        ``_log_sweep``, and the head k(g^j), j < d, is labelled by its logs
+        with step r.  Without (None), K on mu_d comes from ``_mu_sweep`` over
+        k's terms folded to (e - e0)/t mod d, and is labelled by
+        ``_subgroup_index(d)`` with step a.
+        """
+        t = self._split_step(terms)
+        if t < _ORBIT_MIN:
+            return None
+        e0 = terms[0][0] if terms else 0
+        d, a = (self.order - 1) // t, r + E * e0
+        if sweep is not None:
+            head, logs, step = partial(sweep, 0, d), partial(map, self._log.__getitem__), r
+        else:
+            folded = [((e - e0) // t % d, c) for e, c in terms]
+
+            def head():
+                return self._mu_sweep(self._subgroup_index(d)[3], folded)
+
+            def logs(ks):
+                return self._subgroup_index(d)[2](ks)
+            step = a
 
         def cosets(f, q):
-            head = columns(0, d)
-            return q == self.order and math.gcd(a, t) == 1 and all(head) and \
-                len({log[y] % d for y in head}) == d
+            return q == self.order and self._zieve(t, a, E, head, logs, step)
         return cosets
+
+    def _zieve(self, t, a, E, head, logs, step):
+        """Zieve's criterion (Proc. AMS 137, 2009; Park-Lee, Bull. Austral.
+        Math. Soc. 63, 2001): f = c0 * x^r * k(x)^E, k = x^e0 * K(x^t) and t
+        dividing q-1, permutes GF(q) exactly when gcd(a, t) = 1 for a = r +
+        E*e0, K has no zero on mu_d = [w^j for j < d] (d = (q-1)/t, w = g^t),
+        and the labels log c0 + a*j + E*log K(w^j) mod d are distinct: f maps
+        the coset g^j * mu_t into the coset of g to the label, and f(0) = 0
+        lies in none (a != 0 mod t).  ``head()`` gives d values, zero exactly
+        where K(w^j) is, and ``logs(values)`` their logs l_j: log K(w^j) with
+        step a, or log k(g^j) = e0*j + log K(w^j) with step r.  The labels
+        are read as step*j + E*l_j, without log c0, which shifts them all
+        alike.  When E = 0 mod d, as for every F8-F11 instance, no log is
+        read: the labels a*j are distinct exactly when gcd(a, d) = 1.
+        """
+        d = (self.order - 1) // t
+        vals, E = head(), E % d
+        if math.gcd(a, t) != 1 or not all(vals):
+            return False
+        if not E:
+            return math.gcd(a, d) == 1
+        return len({(step * j + E * lv) % d for j, lv in enumerate(logs(vals))}) == d
 
     def _split_step(self, terms):
         """t = gcd(q-1, e - e0 for the exponents e of the (e, c) ``terms``),
@@ -1136,12 +1168,12 @@ class SparsePoly:
         f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``),
         and ``f.bijective(f, q)`` is True exactly when f is a bijection, read
         from the head of its cosets of mu_t when the exponents split with t =
-        gcd(q-1, e - e0) >= 16, else from its images in log order
-        (``FieldCtx._blocks``).  Above TABLE_LIMIT this is :meth:`eval_rep`,
-        with neither.  ``trace`` = d claims T(f(x)) = s*T(x) for T the trace
-        onto GF(2^d): on any field, when ``FieldCtx._trace_fibres`` proves
-        it, the source is ``trace_fibres`` instead.  Nothing is cached on the
-        polynomial.
+        gcd(q-1, e - e0) >= 16 (``FieldCtx._cosets``), else from its images
+        in log order (``FieldCtx._log_order``).  Above TABLE_LIMIT this is
+        :meth:`eval_rep`, with neither.  ``trace`` = d claims T(f(x)) =
+        s*T(x) for T the trace onto GF(2^d): on any field, when
+        ``FieldCtx._trace_fibres`` proves it, the source is ``trace_fibres``
+        instead.  Nothing is cached on the polynomial.
         """
         ctx = self.ctx
         if not ctx.ensure_tables():
@@ -1154,7 +1186,7 @@ class SparsePoly:
         f, c0, terms = self._point_fn()
         f.sweep = partial(ctx._log_sweep, c0, terms)
         f.bijective = (trace and ctx._trace_fibres(self._terms, trace, f)
-                       or ctx._blocks(f.sweep, self._terms))
+                       or ctx._cosets(self._terms, sweep=f.sweep) or ctx._log_order(f.sweep))
         return f
 
     def _point_fn(self):

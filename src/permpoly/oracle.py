@@ -150,13 +150,6 @@ def zieve_split(f: SparsePoly, d: int) -> tuple[int, SparsePoly]:
     return r, SparsePoly._raw(ctx, [((e - r) // t, c) for e, c in terms])
 
 
-def natural_divisor(f: SparsePoly) -> int:
-    """Largest-step split divisor: d = (q-1)/gcd(q-1, exponent differences)."""
-    if not f._terms:
-        raise NotFactorable("zero polynomial has no split")
-    return (f.ctx.order - 1) // f.ctx._split_step(f._terms)
-
-
 def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     """Permutation verdict through the two split conditions.
 

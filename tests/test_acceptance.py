@@ -245,8 +245,8 @@ def test_split_runs_only_for_criterion_12(monkeypatch):
 
 def test_criterion_12_catches_a_lying_coset_source(monkeypatch):
     # criterion 12 takes the sequential scan as the reference for a True
-    # verdict of a certified source, so a coset source that skips its label
-    # check is caught.  That check decides none of the 13 coset scans of
+    # verdict of a certified source, so a coset source whose check
+    # (FieldCtx._zieve) skips its labels is caught.  That check decides none of the 13 coset scans of
     # criteria 4 and 6 (each is a bijection or fails by a zero head value),
     # so the tally is run over F5 x^25 + b*x^4 for every b of GF(64), where
     # two labels agree for most b
@@ -262,21 +262,11 @@ def test_criterion_12_catches_a_lying_coset_source(monkeypatch):
     assert (state.instances, state.disagreements, state.details) == (63, 0, [])
     counts = {cid: reproduce.CRITERIA[cid](reproduce.RunState(split=True)).counts
               for cid in (4, 6)}
-    orig = FieldCtx._blocks
 
-    def blocks(self, columns, terms=None, r=0, E=1):
-        source = orig(self, columns, terms, r, E)
-        if source.__name__ != "cosets":
-            return source
-        n1 = self.order - 1
-        t = self._split_step(terms)
-        a, d = (r + E * terms[0][0]) % n1, n1 // t
+    def zieve(self, t, a, E, head, logs, step):  # the label check skipped
+        return math.gcd(a, t) == 1 and all(head())
 
-        def cosets(f, q):  # the label check skipped
-            return q == self.order and math.gcd(a, t) == 1 and all(columns(0, d))
-        return cosets
-
-    monkeypatch.setattr(FieldCtx, "_blocks", blocks)
+    monkeypatch.setattr(FieldCtx, "_zieve", zieve)
     lying, lied = tally()
     assert lied > verified
     assert lying.disagreements == lied - verified

@@ -20,7 +20,6 @@ from permpoly import (
     SparsePoly,
     is_permutation,
     make_field,
-    natural_divisor,
     permutes_subset,
     transform_pair,
     zieve_split,
@@ -29,7 +28,7 @@ from permpoly import (
 from permpoly import families as fam
 from permpoly import oracle
 
-from helpers import brute_is_permutation, fibres_of, naive_split_map
+from helpers import brute_is_permutation, fibres_of, naive_mu_sweep, naive_split_map
 
 
 def test_identity_and_frobenius_are_permutations():
@@ -356,10 +355,11 @@ def test_split_incongruent_exponents():
 
 
 def test_natural_divisor():
+    # the split's own d when none is given: (q-1)/gcd(q-1, exponent differences)
     ctx = make_field(2, 8)
     poly = SparsePoly(ctx, [(1, 1), (1, 91), (1, 1456)])
-    assert natural_divisor(poly) == 17  # gcd(255, 90, 1455) = 15
-    assert natural_divisor(SparsePoly.x(ctx)) == 1
+    assert zieve_verdict(poly)[1]["d"] == 17  # gcd(255, 90, 1455) = 15
+    assert zieve_verdict(SparsePoly.x(ctx))[1]["d"] == 1
 
 
 def test_split_verdict_agrees_with_oracle():
@@ -461,7 +461,8 @@ def test_split_sweep_matches_scan_and_reference(p, k, circle_spy):
                 assert mu == ctx.subgroup_reps(d)
                 naive = naive_split_map(ctx, r, h, n1 // d, d)
                 assert [fn(y) for y in mu] == [naive(y) for y in mu], (g, d)
-            assert zieve_verdict(g)[1]["d"] == natural_divisor(g), g
+            e0 = g._terms[0][0]
+            assert zieve_verdict(g)[1]["d"] == n1 // math.gcd(n1, *(e - e0 for e, _ in g._terms)), g
     assert verdicts == {True, False} and lifted >= 15
 
 
@@ -905,6 +906,102 @@ def test_coset_scan_matches_sequential_and_brute(p, k):
         kinds.add("permutation" if vr.is_permutation else "inside" if math.gcd(a, t) > 1
                   else "zero" if zero else "across")
     assert kinds >= {"permutation", "inside", "across"}
+
+
+def _coset_forms(ctx, rng, count):
+    """Forms c0 * x^r * k^E, k = x^e0 * K(x^t) for a divisor t >= 16 of q-1:
+    K has one to three random terms of exponent up to d = (q-1)/t, or a
+    quarter of the time K(y) = y - w^j, which vanishes at a point of mu_d;
+    E is a multiple of d two times in five."""
+    n1 = ctx.order - 1
+    ts = [t for t in range(16, n1 + 1) if n1 % t == 0]
+    for _ in range(count):
+        t = rng.choice(ts)
+        d, e0 = n1 // t, rng.randrange(3)
+        if d > 1 and rng.random() < 0.25:
+            K = [(1, 1), (ctx.neg(ctx.pow(ctx.generator, t * rng.randrange(d))), 0)]
+        else:
+            K = [(rng.randrange(1, ctx.order), e)
+                 for e in rng.sample(range(d + 1), min(d + 1, rng.randint(1, 3)))]
+        E = d * rng.randint(1, 3) if rng.random() < 0.4 else rng.randint(1, n1)
+        core = SparsePoly(ctx, [(c, e0 + t * e) for c, e in K])
+        yield fam.Form(core, E, r=rng.randrange(n1), c0=rng.randrange(1, ctx.order))
+
+
+_COSET_FIELDS = [(2, 8), (2, 9), (2, 10), (2, 11), (2, 12), (3, 4), (3, 5)]
+
+
+def _coset_form_count(p, k):
+    # the table-free scans of GF(2^11), GF(2^12) and GF(3^5) take 20-40 ms
+    # a form, so those fields get half the forms
+    return 20 if (p, k) in {(2, 11), (2, 12), (3, 5)} else 40
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("p,k", _COSET_FIELDS)
+def test_coset_forms_match_sequential(p, k, tabled, monkeypatch):
+    # Zieve's check of the core's head answers as the sequential scan does,
+    # on the tabled field (labels from the logs of the core's sweep) and on a
+    # fresh context with TABLE_LIMIT = 1 (K on mu_d from _mu_sweep, logs
+    # from _subgroup_index); test_coset_forms_meet_every_kind shows what
+    # these forms cover
+    ctx = make_field(p, k)
+    if not tabled:
+        monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
+        ctx = FieldCtx(p, k, ctx.modulus, ctx.generator)
+    verdicts = set()
+    for form in _coset_forms(ctx, random.Random(10 * k + p), _coset_form_count(p, k)):
+        fn = form.rep_fn()
+        assert fn.bijective.__name__ == "cosets"
+        witness, _ = oracle._sequential_scan(fn, ctx.order)
+        assert fn.bijective(fn, ctx.order) is (witness is None), form
+        verdicts.add(witness is None)
+    assert verdicts == {True, False}
+    assert (ctx._exp is not None) == tabled
+
+
+def test_coset_forms_meet_every_kind():
+    # the forms of test_coset_forms_match_sequential, classified without the
+    # source: permutations with E = 0 and E != 0 mod d, and each of the
+    # three ways to fail, gcd(a, t) > 1, a zero of K on mu_d (counted by
+    # naive_mu_sweep), and two labels that agree, with E != 0 mod d
+    kinds = set()
+    for p, k in _COSET_FIELDS:
+        ctx = make_field(p, k)
+        n1 = ctx.order - 1
+        for form in _coset_forms(ctx, random.Random(10 * k + p), _coset_form_count(p, k)):
+            terms = form.core._terms
+            e0 = terms[0][0]
+            t = math.gcd(n1, *(e - e0 for e, _ in terms))
+            d, a = n1 // t, form.r + form.E * e0
+            kinds.add((
+                "gcd" if math.gcd(a, t) > 1
+                else "zero" if 0 in naive_mu_sweep(ctx, [((e - e0) // t, c) for e, c in terms], d)
+                else "permutation" if brute_is_permutation(form.rep_fn(), ctx.order)
+                else "labels", form.E % d == 0))
+    assert kinds >= {(kind, E0) for kind in ("permutation", "gcd", "zero") for E0 in (True, False)}
+    assert ("labels", False) in kinds
+
+
+@pytest.mark.parametrize("fid,params", [
+    ("F8", {"m": 10, "r": 7, "s": 3, "a": 1, "delta": 2}),
+    ("F8", {"m": 10, "r": 7, "s": 3, "a": 5, "delta": 2}),
+    ("F8", {"m": 10, "r": 13, "s": 3, "a": 9, "delta": 2}),
+    ("F8", {"m": 10, "r": 13, "s": 3, "a": 7, "delta": 2}),
+    ("F8", {"m": 10, "r": 13, "s": 3, "a": 3, "delta": 2}),
+    ("F8", {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 10}),
+    ("F8", {"m": 9, "r": 5, "s": 2, "a": 1, "delta": 10}),
+    ("F9", {"m": 9, "r": 5, "s": 1, "a": 1, "delta": 1}),
+    ("F9", {"m": 9, "r": 5, "s": 3, "a": 1, "delta": 1}),
+])
+def test_untabled_coset_source_is_the_split(fid, params):
+    # above the table limit, GF(2^18) and GF(2^20), the form's coset source
+    # answers as the split of its expansion on the F8/F9 instances of the
+    # bigfield benchmark; E = 0 mod d for both families, so no log is read
+    ctx = fam.family_ctx(fid, params)
+    fn = fam.evaluator(fid, params, ctx=ctx)
+    assert not ctx.ensure_tables() and fn.bijective.__name__ == "cosets"
+    assert fn.bijective(fn, ctx.order) is zieve_verdict(fam.build(fid, params, ctx=ctx))[0]
 
 
 def test_block_sources_hold_no_evaluator():
