@@ -311,11 +311,11 @@ class FieldCtx:
 
     @lru_cache(maxsize=16)  # bounded: one entry per field and split met
     def _subgroup_index(self, d):
-        """(mu, index, log_d, mu2) for the order-d subgroup, built once: mu is
-        ``subgroup_reps(d)``, index its inverse, mu2 = mu + mu as an array('I')
-        (packed by a copy, not value by value) and log_d(zs) the indices in mu
-        of z^t, t = (q-1)/d, for the z != 0 of the list zs.
-        Callers must not mutate mu, index or mu2.
+        """(mu, log_d, mu2) for the order-d subgroup, built once: mu is
+        ``subgroup_reps(d)``, mu2 = mu + mu as an array('I') (packed by a
+        copy, not value by value) and log_d(zs) the indices in mu of z^t, t =
+        (q-1)/d, for the z != 0 of the list zs.  Callers must not mutate mu
+        or mu2.
 
         Over GF(q^2) of characteristic 2 with d = q + 1, z^t depends only on
         the coset z*GF(q)*.  z's coordinates over GF(q) in the basis {1, x},
@@ -324,14 +324,14 @@ class FieldCtx:
         labelled t when b = 0, t + 1 when a = 0, else (log a - log b) mod t,
         logs in GF(q)* = mu_t.  gcd(t, d) = 1, so each coset holds one point
         w^j of mu, and its label is sent to t*j mod d.  Otherwise log_d reads
-        index[pow(z, t)], ``pow`` looked up on each call.
+        the index in mu of pow(z, t), ``pow`` looked up on each call.
         """
         mu = self.subgroup_reps(d)
-        index, mu2 = {y: j for j, y in enumerate(mu)}, array("I", mu + mu)
-        t = (self.order - 1) // d
+        mu2, t = array("I", mu + mu), (self.order - 1) // d
         q = t + 1
         if self.p != 2 or q * q != self.order:
-            return mu, index, lambda zs: [index[self.pow(z, t)] for z in zs], mu2
+            index = {y: j for j, y in enumerate(mu)}
+            return mu, lambda zs: [index[self.pow(z, t)] for z in zs], mu2
         c = self._pow_raw(2 ^ self._pow_raw(2, q), self.order - 2)  # 1/(x + x^q)
         ib = [self._mul_raw(z ^ self._pow_raw(z, q), c) for z in (1 << i for i in range(self.k))]
         ia = [(1 << i) ^ self._mul_raw(2, b) for i, b in enumerate(ib)]  # x^i's a and b
@@ -345,7 +345,7 @@ class FieldCtx:
         assert len(set(labels)) == d
         for j, label in enumerate(labels):
             by_label[label] = t * j % d
-        return mu, index, coset_log, mu2
+        return mu, coset_log, mu2
 
     def _comb(self, tab, b):
         """a*b mod m from tab = _multiples(a): a 4-bit comb over b, then a byte fold."""
@@ -827,55 +827,59 @@ class FieldCtx:
     def _cosets(self, terms, r=0, E=1, sweep=None):
         """``cosets``, the block source of f = c0 * x^r * k(x)^E, k the
         polynomial of the (e, c) ``terms``, when t = ``_split_step(terms)`` >=
-        _ORBIT_MIN; else None.  It answers by :meth:`_zieve` from d = (q-1)/t
-        head values, computed when called.  With log tables ``sweep`` is k's
-        ``_log_sweep``, and the head k(g^j), j < d, is labelled by its logs
-        with step r.  Without (None), K on mu_d comes from ``_mu_sweep`` over
-        k's terms folded to (e - e0)/t mod d, and is labelled by
-        ``_subgroup_index(d)`` with step a.
-        """
+        _ORBIT_MIN; else None.  It answers by :meth:`_zieve`, ``sweep`` k's
+        ``_log_sweep`` on a tabled field, else None."""
         t = self._split_step(terms)
         if t < _ORBIT_MIN:
             return None
-        e0 = terms[0][0] if terms else 0
-        d, a = (self.order - 1) // t, r + E * e0
-        if sweep is not None:
-            head, logs, step = partial(sweep, 0, d), partial(map, self._log.__getitem__), r
-        else:
-            folded = [((e - e0) // t % d, c) for e, c in terms]
-
-            def head():
-                return self._mu_sweep(self._subgroup_index(d)[3], folded)
-
-            def logs(ks):
-                return self._subgroup_index(d)[2](ks)
-            step = a
 
         def cosets(f, q):
-            return q == self.order and self._zieve(t, a, E, head, logs, step)
+            return q == self.order and self._zieve(terms, t, r, E, sweep)
         return cosets
 
-    def _zieve(self, t, a, E, head, logs, step):
+    def _zieve(self, terms, t, r, E, sweep):
         """Zieve's criterion (Proc. AMS 137, 2009; Park-Lee, Bull. Austral.
-        Math. Soc. 63, 2001): f = c0 * x^r * k(x)^E, k = x^e0 * K(x^t) and t
-        dividing q-1, permutes GF(q) exactly when gcd(a, t) = 1 for a = r +
-        E*e0, K has no zero on mu_d = [w^j for j < d] (d = (q-1)/t, w = g^t),
-        and the labels log c0 + a*j + E*log K(w^j) mod d are distinct: f maps
-        the coset g^j * mu_t into the coset of g to the label, and f(0) = 0
-        lies in none (a != 0 mod t).  ``head()`` gives d values, zero exactly
-        where K(w^j) is, and ``logs(values)`` their logs l_j: log K(w^j) with
-        step a, or log k(g^j) = e0*j + log K(w^j) with step r.  The labels
-        are read as step*j + E*l_j, without log c0, which shifts them all
-        alike.  When E = 0 mod d, as for every F8-F11 instance, no log is
-        read: the labels a*j are distinct exactly when gcd(a, d) = 1.
+        Math. Soc. 63, 2001): f = c0 * x^r * k(x)^E, k = x^e0 * K(x^t) the
+        polynomial of the (e, c) ``terms`` and t dividing q-1, permutes GF(q)
+        exactly when gcd(a, t) = 1 for a = r + E*e0, K has no zero on mu_d =
+        [w^j for j < d] (d = (q-1)/t, w = g^t), and the labels log c0 + a*j +
+        E*log K(w^j) mod d are distinct: f maps the coset g^j * mu_t into the
+        coset of g to the label, and f(0) = 0 lies in none (a != 0 mod t).
+        log c0 shifts every label alike, so it is not read.
+
+        The gcds come first: gcd(a, t), then gcd(a, d) when E = 0 mod d (all
+        of F8-F11), whose labels a*j need no log.  Tabled, the head k(g^j), j
+        < d, is one call (0, d) of k's ``_log_sweep`` ``sweep``, labelled by
+        ``_log`` with step r (log k(g^j) = e0*j + log K(w^j)); untabled
+        (None), :meth:`_mu_labels` gives K on mu_d and its labels, step a.
         """
-        d = (self.order - 1) // t
-        vals, E = head(), E % d
-        if math.gcd(a, t) != 1 or not all(vals):
+        e0 = terms[0][0] if terms else 0
+        d, a = (self.order - 1) // t, r + E * e0
+        E %= d
+        if math.gcd(a, t) != 1 or not E and math.gcd(a, d) != 1:
             return False
+        if sweep is None:
+            (vals, label), step = self._mu_labels(terms, e0, d, E), a
+        else:
+            vals, label, step = sweep(0, d), self._log, r
+        if not all(vals):
+            return False
+        return not E or len({(step * j + E * label[v]) % d for j, v in enumerate(vals)}) == d
+
+    def _mu_labels(self, terms, e0, d, E=1):
+        """(vals, label): vals = [K(w^j) for j < d] from one ``_mu_sweep``, K
+        k's (e, c) ``terms`` folded to (e - e0)/t mod d, t = (q-1)/d, and
+        label[v] = log v mod d, the index in mu of v^t, read by one call of
+        ``_subgroup_index(d)``'s log_d on the distinct nonzero v; None for E =
+        0, a caller's exponent mod d, whose labels E*log v need no log.
+        """
+        t = (self.order - 1) // d
+        _, log_d, mu2 = self._subgroup_index(d)
+        vals = self._mu_sweep(mu2, [((e - e0) // t % d, c) for e, c in terms])
         if not E:
-            return math.gcd(a, d) == 1
-        return len({(step * j + E * lv) % d for j, lv in enumerate(logs(vals))}) == d
+            return vals, None
+        distinct = [v for v in set(vals) if v]
+        return vals, dict(zip(distinct, log_d(distinct)))
 
     def _split_step(self, terms):
         """t = gcd(q-1, e - e0 for the exponents e of the (e, c) ``terms``),
@@ -1165,28 +1169,28 @@ class SparsePoly:
         Each term is kept as (log c, e mod (q-1)), so every power is one table
         index; the exponent-0 term is kept apart and is the value at 0.
         Characteristic 2 accumulates by XOR.  ``f.sweep(i0, count)`` gives
-        f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``),
-        and ``f.bijective(f, q)`` is True exactly when f is a bijection, read
-        from the head of its cosets of mu_t when the exponents split with t =
-        gcd(q-1, e - e0) >= 16 (``FieldCtx._cosets``), else from its images
-        in log order (``FieldCtx._log_order``).  Above TABLE_LIMIT this is
-        :meth:`eval_rep`, with neither.  ``trace`` = d claims T(f(x)) =
-        s*T(x) for T the trace onto GF(2^d): on any field, when
-        ``FieldCtx._trace_fibres`` proves it, the source is ``trace_fibres``
-        instead.  Nothing is cached on the polynomial.
+        f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``).
+        Above TABLE_LIMIT f is :meth:`eval_rep`, with no sweep.
+
+        ``f.bijective(f, q)``, True exactly when f is a bijection, is picked
+        as in ``Form.rep_fn``: ``trace_fibres`` when ``FieldCtx._trace_fibres``
+        proves ``trace`` = d's claim T(f(x)) = s*T(x), T the trace onto
+        GF(2^d); else, on every field, ``cosets`` when the exponents split with
+        t = gcd(q-1, e - e0) >= 16 (``FieldCtx._cosets``); else, tabled,
+        ``log_order`` (``FieldCtx._log_order``).  With none, f is the bound
+        :meth:`eval_rep`.  Nothing is cached on the polynomial.
         """
-        ctx = self.ctx
-        if not ctx.ensure_tables():
-            source = trace and ctx._trace_fibres(self._terms, trace, self.eval_rep)
-            if not source:
-                return self.eval_rep
-            f = partial(self.eval_rep)  # a bound method takes no attributes
-            f.bijective = source
+        ctx, f, sweep = self.ctx, self.eval_rep, None
+        if ctx.ensure_tables():
+            f, c0, terms = self._point_fn()
+            f.sweep = sweep = partial(ctx._log_sweep, c0, terms)
+        source = (trace and ctx._trace_fibres(self._terms, trace, f)
+                  or ctx._cosets(self._terms, sweep=sweep) or sweep and ctx._log_order(sweep))
+        if not source:
             return f
-        f, c0, terms = self._point_fn()
-        f.sweep = partial(ctx._log_sweep, c0, terms)
-        f.bijective = (trace and ctx._trace_fibres(self._terms, trace, f)
-                       or ctx._cosets(self._terms, sweep=f.sweep) or ctx._log_order(f.sweep))
+        if sweep is None:
+            f = partial(f)  # a bound method takes no attributes
+        f.bijective = source
         return f
 
     def _point_fn(self):

@@ -9,8 +9,11 @@ True exactly when q is the order of f's field and f's q images are distinct
 and in [0, q).  The fibres of an affine core and the cosets of a split answer
 by labels that tell the images of their blocks apart (Akbary-Ghioca-Wang,
 Zieve), the fibres of a proven trace identity by a rank check on each fibre,
-the log order by marking every image.  When it answers False, or f has none,
-the sequential scan from 0 gives the report.
+the log order by marking every image.  A split-shaped form or literal
+polynomial gets the cosets on every field.  When it answers False, or f has
+none, the sequential scan from 0 gives the report.  :func:`zieve_verdict`
+reads the labelling that the cosets read without tables,
+``FieldCtx._mu_labels``.
 """
 
 from __future__ import annotations
@@ -161,15 +164,12 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     terms by exponent mod q - 1, as on GF(q)*, and keeps sums that cancel, so
     the natural step (``ctx._split_step`` of the residues) is the formal one;
     a d whose t does not divide it raises zieve_split's :class:`NotFactorable`.
-    The residues fold into h's exponents (e - r)/t mod d, r the least formal
-    exponent, exact on the subgroup mu_d = [w^j], w = g^t.
 
-    ``ctx._mu_sweep`` gives h on mu_d, and h(y)^t lies in mu_d, so w^j maps
-    to ``mu[(j*r + i) % d]``, i the index of h(y)^t, read for every distinct
-    nonzero value in one call of ``ctx._subgroup_index(d)``'s log_d, built
-    once per field and d: coset labels over GF(q^2) of characteristic 2 with
-    d = q + 1 (F5, F8), ``ctx.pow`` for every other d.  A zero of h sends
-    its point out of mu_d, an escape.  :func:`permutes_subset` takes the
+    h(y)^t lies in mu_d, so w^j maps to ``mu[(j*r + label[h(w^j)]) % d]``:
+    ``ctx._mu_labels``, the labelling Zieve's coset check reads without
+    tables, gives h on mu_d from the residues, r the least formal exponent,
+    and the label of each distinct nonzero value.  A zero of h sends its
+    point to 0, out of mu_d, an escape.  :func:`permutes_subset` takes the
     list of images in mu's order, so its witness, escape and evaluation
     count are the per-point sweep's.
     """
@@ -183,7 +183,7 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     if not terms:
         return False, {"d": d, "r": None, "t": None, "coprime": False,
                        "subgroup": False}
-    r, add, residues, fold = terms[0][0], ctx._sum, {}, {}
+    r, add, residues = terms[0][0], ctx._sum, {}
     for e, c in terms:
         e %= n1
         residues[e] = add(residues.get(e, 0), c)
@@ -192,14 +192,9 @@ def zieve_verdict(f: SparsePoly, d: int | None = None) -> tuple[bool, dict]:
     t = n1 // d
     if step % t:
         zieve_split(SparsePoly._raw(ctx, terms), d)  # raises NotFactorable
-    for e, c in residues.items():
-        e = (e - r) // t % d
-        fold[e] = add(fold.get(e, 0), c)
     coprime = math.gcd(r, t) == 1
-    mu, _, log_d, mu2 = ctx._subgroup_index(d)
-    vals = ctx._mu_sweep(mu2, [(e, c) for e, c in fold.items() if c])
-    distinct = [v for v in set(vals) if v]
-    label = dict(zip(distinct, log_d(distinct)))
+    mu = ctx._subgroup_index(d)[0]
+    vals, label = ctx._mu_labels([(e, c) for e, c in residues.items() if c], r, d)
     images = [mu[(j * r + label[v]) % d] if v else 0 for j, v in enumerate(vals)]  # 0: an escape
     sub = permutes_subset(images, mu, ctx)
     verdict = coprime and sub.is_permutation

@@ -263,8 +263,9 @@ def test_criterion_12_catches_a_lying_coset_source(monkeypatch):
     counts = {cid: reproduce.CRITERIA[cid](reproduce.RunState(split=True)).counts
               for cid in (4, 6)}
 
-    def zieve(self, t, a, E, head, logs, step):  # the label check skipped
-        return math.gcd(a, t) == 1 and all(head())
+    def zieve(self, terms, t, r, E, sweep):  # the label check skipped
+        a, d = r + E * terms[0][0], (self.order - 1) // t
+        return math.gcd(a, t) == 1 and all(sweep(0, d))
 
     monkeypatch.setattr(FieldCtx, "_zieve", zieve)
     lying, lied = tally()

@@ -4,6 +4,7 @@ exactly against repaired predicates)."""
 
 import dataclasses
 import hashlib
+import math
 import random
 
 import pytest
@@ -343,18 +344,25 @@ def log_sweeps(monkeypatch):
     return calls
 
 
-def _assert_cosets(fn, ctx, calls):
-    """``fn.bijective`` is the coset source, and ``fn.bijective(fn, q)`` asks
-    the columns once, for the head (0, d) with d dividing q-1 and 16*d <=
-    q-1.  Its answer is whether f permutes the field, counted by brute force,
-    and ``is_permutation`` gives the sequential scan's report.  Returns the
-    answer."""
+def _assert_cosets(fn, f, ctx, calls):
+    """``fn.bijective`` is the coset source of f, a form c0 * x^r * k^E or a
+    literal polynomial k (r = 0, E = 1), k = x^e0 * K(x^t), t = gcd(q-1, e -
+    e0) and d = (q-1)/t, with a = r + E*e0.  ``fn.bijective(fn, q)`` asks
+    the columns nothing and answers False when a gcd decides, gcd(a, t) > 1
+    or, with E = 0 mod d, gcd(a, d) > 1; otherwise it asks them once, for
+    the head (0, d).  Its answer is whether f permutes the field, counted by
+    brute force, and ``is_permutation`` gives the sequential scan's report.
+    Returns the answer."""
     assert fn.bijective.__name__ == "cosets"
+    form, n1 = f if isinstance(f, fam.Form) else fam.Form(f), ctx.order - 1
+    e0 = form.core._terms[0][0]
+    t = math.gcd(n1, *(e - e0 for e, _ in form.core._terms))
+    d, a = n1 // t, form.r + form.E * e0
+    decided = math.gcd(a, t) > 1 or form.E % d == 0 and math.gcd(a, d) > 1
     del calls[:]
     answer = fn.bijective(fn, ctx.order)
-    assert len(calls) == 1 and calls[0][0] == 0, calls
-    d = calls[0][1]
-    assert (ctx.order - 1) % d == 0 and 16 * d <= ctx.order - 1, calls
+    assert calls == ([] if decided else [(0, d)]) and 16 * d <= n1, calls
+    assert not (decided and answer)
     assert answer is brute_is_permutation(fn, ctx.order)
     vr = is_permutation(fn, ctx)
     assert (vr.is_permutation, vr.witness, vr.evaluations) == \
@@ -385,7 +393,7 @@ def test_period_sweep_matches_closure(fid, params, bijective, log_sweeps):
     ctx = fam.family_ctx(fid, params)
     fn = fam.evaluator(fid, params, ctx=ctx)
     _assert_sweep_is_closure(fn, ctx)
-    assert _assert_cosets(fn, ctx, log_sweeps) is bijective
+    assert _assert_cosets(fn, _form_of(fid, params, ctx), ctx, log_sweeps) is bijective
 
 
 def _period_shapes(ctx):
@@ -399,6 +407,8 @@ def _period_shapes(ctx):
         ("two-terms", SparsePoly(ctx, [(g, 3), (1, 3 + t)])),
         # core = x * (x^t - 1) vanishes where x^t = 1: a coset of zeros
         ("zeros", fam.Form(SparsePoly(ctx, [(ctx.neg(1), 1), (1, 1 + t)]), 2, r=1, c0=g)),
+        # E = d = 0 mod d and a = r = d, so the labels a*j mod d agree
+        ("a-shares-d", fam.Form(SparsePoly(ctx, [(g, 0), (1, t)]), n1 // t, r=n1 // t)),
     ]
 
 
@@ -407,8 +417,10 @@ def test_period_sweep_shapes(p, k, log_sweeps):
     # GF(3^5) has q-1 = 242 = 2 * 11^2: t = 22, d = 11, odd characteristic;
     # GF(5^4) has q-1 = 624: t = 48, d = 13.  Over GF(2^16) (t = 255) a = 17
     # (alpha-not-r) and a = 3 (two-terms, zeros) share a factor with t, as
-    # a = 3 does with t = 48 over GF(5^4); only the monomial (d = 1) is a
-    # bijection, the others repeat an image by their head
+    # a = 3 does with t = 48 over GF(5^4), and a = d with t = 22 over
+    # GF(3^5); a = d shares only d over GF(2^16) and GF(5^4).  Only the
+    # monomial (d = 1) is a bijection, the others repeat an image by a gcd
+    # or by their head
     ctx = make_field(p, k)
     ctx.ensure_tables()
     answers = {}
@@ -418,7 +430,7 @@ def test_period_sweep_shapes(p, k, log_sweeps):
             assert [fn(x) for x in range(0, ctx.order, 97)] == \
                 [_form_ref(f, x) for x in range(0, ctx.order, 97)], name
         _assert_sweep_is_closure(fn, ctx)
-        answers[name] = _assert_cosets(fn, ctx, log_sweeps)
+        answers[name] = _assert_cosets(fn, f, ctx, log_sweeps)
     assert [name for name, b in answers.items() if b] == ["monomial-form"]
 
 

@@ -1158,14 +1158,15 @@ def test_gf2_maps_match_byte_tables(k):
 
 def _assert_subgroup_index(ctx, d, zs):
     """``ctx._subgroup_index(d)`` against ``subgroup_reps`` and ``raw_pow``:
-    mu_d, its index, mu_d doubled, and log_d(zs) = the indices of z^t in
-    mu_d, t = (q-1)/d, for z != 0 in zs, in one call on the whole list.
-    log_d calls no ``pow`` (the coset rule) exactly when p = 2, k is even
-    and d = 2^(k/2) + 1, and otherwise one per z."""
+    mu_d, mu_d doubled, and log_d(zs) = the indices of z^t in mu_d, t =
+    (q-1)/d, for z != 0 in zs, in one call on the whole list.  log_d calls
+    no ``pow`` (the coset rule) exactly when p = 2, k is even and d =
+    2^(k/2) + 1, and otherwise one per z."""
     t = (ctx.order - 1) // d
-    mu, index, log_d, mu2 = ctx._subgroup_index(d)
-    assert mu == ctx.subgroup_reps(d) and index == {y: j for j, y in enumerate(mu)}
+    mu, log_d, mu2 = ctx._subgroup_index(d)
+    assert mu == ctx.subgroup_reps(d)
     assert mu2 == array("I", mu + mu)
+    index = {y: j for j, y in enumerate(mu)}
     pows, orig = [], FieldCtx.pow
 
     def spy(self, a, e):

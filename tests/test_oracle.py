@@ -928,6 +928,24 @@ def _coset_forms(ctx, rng, count):
         yield fam.Form(core, E, r=rng.randrange(n1), c0=rng.randrange(1, ctx.order))
 
 
+def _coset_literals(ctx, rng, count):
+    """Literal polynomials: the cores x^e0 * K(x^t) of ``_coset_forms``,
+    whose constant term is nonzero when e0 = 0, and over GF(2^2m) F3 (even
+    m), F4 and F5 at random parameters, each also plus a random nonzero
+    constant; only a core with e0 = 0 keeps its split then."""
+    polys = [form.core for form in _coset_forms(ctx, rng, count)]
+    m, q = ctx.k // 2, ctx.order
+    if ctx.p == 2 and ctx.k % 2 == 0:
+        if m % 2 == 0:
+            polys.append(fam.build("F3", {"m": m, "c": rng.randrange(1, q)}, ctx=ctx))
+        polys += [fam.build("F4", {"m": m, "b": rng.randrange(q)}, ctx=ctx) for _ in range(2)]
+        polys += [fam.build("F5", {"m": m, "r": rng.randrange(1, 2 ** m), "i": rng.randint(1, 3),
+                                   "b": rng.randrange(1, q)}, ctx=ctx) for _ in range(2)]
+    for f in polys:
+        yield f
+        yield f + SparsePoly.constant(ctx, rng.randrange(1, q))
+
+
 _COSET_FIELDS = [(2, 8), (2, 9), (2, 10), (2, 11), (2, 12), (3, 4), (3, 5)]
 
 
@@ -937,14 +955,20 @@ def _coset_form_count(p, k):
     return 20 if (p, k) in {(2, 11), (2, 12), (3, 5)} else 40
 
 
+def _coset_literal_count(p, k):
+    return _coset_form_count(p, k) // 2
+
+
 @pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
 @pytest.mark.parametrize("p,k", _COSET_FIELDS)
 def test_coset_forms_match_sequential(p, k, tabled, monkeypatch):
     # Zieve's check of the core's head answers as the sequential scan does,
     # on the tabled field (labels from the logs of the core's sweep) and on a
-    # fresh context with TABLE_LIMIT = 1 (K on mu_d from _mu_sweep, logs
-    # from _subgroup_index); test_coset_forms_meet_every_kind shows what
-    # these forms cover
+    # fresh context with TABLE_LIMIT = 1 (K on mu_d and its labels from
+    # _mu_labels); test_coset_forms_meet_every_kind shows what
+    # these forms cover.  Literal polynomials take the same source when they
+    # split with t >= 16, else log order on the tabled field and none, the
+    # bound eval_rep, on the fresh context
     ctx = make_field(p, k)
     if not tabled:
         monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
@@ -957,30 +981,55 @@ def test_coset_forms_match_sequential(p, k, tabled, monkeypatch):
         assert fn.bijective(fn, ctx.order) is (witness is None), form
         verdicts.add(witness is None)
     assert verdicts == {True, False}
+    verdicts = set()
+    for poly in _coset_literals(ctx, random.Random(10 * k + p), _coset_literal_count(p, k)):
+        fn, e0 = poly.rep_fn(), poly._terms[0][0]
+        split = math.gcd(ctx.order - 1, *(e - e0 for e, _ in poly._terms)) >= 16
+        source = getattr(fn, "bijective", None)
+        assert (source and source.__name__) == \
+            ("cosets" if split else "log_order" if tabled else None), poly
+        assert source or fn == poly.eval_rep
+        witness, _ = oracle._sequential_scan(fn, ctx.order)
+        assert not source or source(fn, ctx.order) is (witness is None), poly
+        verdicts.add((split, witness is None))
+    assert verdicts >= {(True, True), (True, False)}
     assert (ctx._exp is not None) == tabled
+
+
+def _coset_kind(ctx, f, core, r=0, E=1):
+    """(how f = c0 * x^r * core^E fares, E = 0 mod d) without its source,
+    for t = gcd(q-1, e - e0) >= 16 over the core's exponents; else None.
+    It is "constant" when a = r + E*e0 = 0, "gcd" when gcd(a, t) > 1,
+    "zero" when K has a zero on mu_d (``naive_mu_sweep``), "permutation"
+    when f permutes (by brute force) and "labels" when two labels agree."""
+    n1, e0 = ctx.order - 1, core[0][0]
+    t = math.gcd(n1, *(e - e0 for e, _ in core))
+    d, a = n1 // t, r + E * e0
+    if t < 16:
+        return None
+    return ("constant" if a == 0 else "gcd" if math.gcd(a, t) > 1
+            else "zero" if 0 in naive_mu_sweep(ctx, [((e - e0) // t, c) for e, c in core], d)
+            else "permutation" if brute_is_permutation(f.rep_fn(), ctx.order)
+            else "labels", E % d == 0)
 
 
 def test_coset_forms_meet_every_kind():
     # the forms of test_coset_forms_match_sequential, classified without the
     # source: permutations with E = 0 and E != 0 mod d, and each of the
-    # three ways to fail, gcd(a, t) > 1, a zero of K on mu_d (counted by
-    # naive_mu_sweep), and two labels that agree, with E != 0 mod d
-    kinds = set()
+    # three ways to fail, gcd(a, t) > 1, a zero of K on mu_d, and two labels
+    # that agree, with E != 0 mod d; its literal polynomials that split meet
+    # each of these with E = 1, and a nonzero constant term (a = 0) too
+    kinds, literal_kinds = set(), set()
     for p, k in _COSET_FIELDS:
         ctx = make_field(p, k)
-        n1 = ctx.order - 1
         for form in _coset_forms(ctx, random.Random(10 * k + p), _coset_form_count(p, k)):
-            terms = form.core._terms
-            e0 = terms[0][0]
-            t = math.gcd(n1, *(e - e0 for e, _ in terms))
-            d, a = n1 // t, form.r + form.E * e0
-            kinds.add((
-                "gcd" if math.gcd(a, t) > 1
-                else "zero" if 0 in naive_mu_sweep(ctx, [((e - e0) // t, c) for e, c in terms], d)
-                else "permutation" if brute_is_permutation(form.rep_fn(), ctx.order)
-                else "labels", form.E % d == 0))
+            kinds.add(_coset_kind(ctx, form, form.core._terms, form.r, form.E))
+        for poly in _coset_literals(ctx, random.Random(10 * k + p), _coset_literal_count(p, k)):
+            literal_kinds.add(_coset_kind(ctx, poly, poly._terms))
     assert kinds >= {(kind, E0) for kind in ("permutation", "gcd", "zero") for E0 in (True, False)}
     assert ("labels", False) in kinds
+    assert literal_kinds >= {(kind, False) for kind in
+                             ("constant", "gcd", "zero", "labels", "permutation")}
 
 
 @pytest.mark.parametrize("fid,params", [
