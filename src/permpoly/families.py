@@ -95,8 +95,7 @@ class FamilySpec:
     params: tuple[ParamSpec, ...]
     condition: object         # (ctx, params) -> ConditionReport
     form: object              # (ctx, params) -> Form or SparsePoly
-    notes: str = ""
-    trace: object = None      # params -> d: T(f(x)) = s*T(x), T the trace onto GF(2^d)
+    notes: str = ""           # prose only: no compiler hint (F2's trace is found by proof)
 
     def param(self, name: str) -> ParamSpec:
         for p in self.params:
@@ -255,8 +254,8 @@ class Form:
         ``f.sweep(i0, count)`` gives f(g^i) for i0 <= i < i0 + count: w from
         the core's ``_log_sweep``, then exp[log c0 + r*i + E*log G(w)] per
         value, and ``_add_columns`` adds the column exp[log c + i].  Untabled,
-        no sweep.  The core is compiled by ``SparsePoly._point_fn``, with no
-        block source of its own.
+        no sweep.  The core, and u, are compiled by ``SparsePoly._point_fn``
+        (``eval_rep`` untabled), with no block source of their own.
 
         ``f.bijective(f, q)`` is True exactly when f is a bijection of the
         field, of order q.  With r = 0 and an affine core whose linear part
@@ -271,10 +270,10 @@ class Form:
         field, ``log_order`` (``FieldCtx._log_order``); untabled, none.
         """
         core, ctx = self.core, self.core.ctx
-        u = self.u.rep_fn() if self.u is not None else None
         E, r, c0, c = self.E, self.r, self.c0, self.c
         qpows = [self.q ** j for j in range(1, self.n)]
         add, tabled = ctx._sum, ctx.ensure_tables()
+        u = None if self.u is None else self.u._point_fn()[0] if tabled else self.u.eval_rep
         if tabled:
             core_fn, k0, kterms = core._point_fn()
             core_sweep = partial(ctx._log_sweep, k0, kterms)
@@ -780,7 +779,6 @@ _register(FamilySpec(
     _f1_condition, _f2_form,
     notes="condition: c in GF(2^m)*, sufficient: then T(f(x)) = c*T(x) for T "
           "the trace onto GF(2^m), and f is injective on each fibre of ker T",
-    trace=lambda p: p["m"],
 ))
 
 _register(FamilySpec(
@@ -912,32 +910,32 @@ def family_ctx(fid: str, params: dict) -> FieldCtx:
     return make_field(p, k)
 
 
-def check(fid: str, params: dict, *, ctx: FieldCtx | None = None) -> ConditionReport:
-    """Evaluate every hypothesis clause for one parameter assignment."""
+def _resolve(fid: str, params: dict, ctx: FieldCtx | None):
+    """(spec, ctx, normalized params) of one parameter assignment."""
     spec = family(fid)
     ctx = ctx or family_ctx(fid, params)
-    norm = _validate(spec, ctx, params)
+    return spec, ctx, _validate(spec, ctx, params)
+
+
+def check(fid: str, params: dict, *, ctx: FieldCtx | None = None) -> ConditionReport:
+    """Evaluate every hypothesis clause for one parameter assignment."""
+    spec, ctx, norm = _resolve(fid, params, ctx)
     return spec.condition(ctx, norm)
 
 
 def build(fid: str, params: dict, *, ctx: FieldCtx | None = None) -> SparsePoly:
     """The literal polynomial with all exponents expanded: the family's form,
     expanded when it is a :class:`Form`."""
-    spec = family(fid)
-    ctx = ctx or family_ctx(fid, params)
-    norm = _validate(spec, ctx, params)
+    spec, ctx, norm = _resolve(fid, params, ctx)
     form = spec.form(ctx, norm)
     return form.expand() if isinstance(form, Form) else form
 
 
 def evaluator(fid: str, params: dict, *, ctx: FieldCtx | None = None):
-    """Rep-level evaluation closure: the family's form, compiled by ``rep_fn``,
-    which is offered the family's ``trace`` claim when it states one."""
-    spec = family(fid)
-    ctx = ctx or family_ctx(fid, params)
-    norm = _validate(spec, ctx, params)
-    form = spec.form(ctx, norm)
-    return form.rep_fn(spec.trace(norm)) if spec.trace else form.rep_fn()
+    """Rep-level evaluation closure: the family's form compiled by ``rep_fn``,
+    which finds any block source from the form itself."""
+    spec, ctx, norm = _resolve(fid, params, ctx)
+    return spec.form(ctx, norm).rep_fn()
 
 
 def enumerate_instances(fid: str, fixed: dict, *, cap: int = DEFAULT_ENUM_CAP):

@@ -493,17 +493,18 @@ class FieldCtx:
             raise ValueError(f"frobenius power {i} outside [0, {self.k}]")
         return self.pow(a, self.p ** i)
 
-    def _check_tower(self, m: int, n: int):
+    def _check_tower(self, a: int, m: int, n: int | None) -> int:
+        """n (k when None), once m | n | k and a lies in the GF(p^n) subfield."""
+        n = self.k if n is None else n
         if m < 1 or n % m or self.k % n:
             raise DegreeMismatch(f"need m | n | k, got m={m} n={n} k={self.k}")
+        if self.pow(a, self.p ** n) != a:
+            raise DegreeMismatch(f"element {a} not in GF({self.p}^{n}) subfield")
+        return n
 
     def rel_trace(self, a: int, m: int, n: int | None = None) -> int:
         """Trace from GF(p^n) onto GF(p^m); a must lie in the GF(p^n) subfield."""
-        if n is None:
-            n = self.k
-        self._check_tower(m, n)
-        if self.pow(a, self.p ** n) != a:
-            raise DegreeMismatch(f"element {a} not in GF({self.p}^{n}) subfield")
+        n = self._check_tower(a, m, n)
         step = self.p ** m
         acc = a
         cur = a
@@ -514,11 +515,7 @@ class FieldCtx:
 
     def norm(self, a: int, m: int, n: int | None = None) -> int:
         """Norm from GF(p^n) onto GF(p^m); multiplicative."""
-        if n is None:
-            n = self.k
-        self._check_tower(m, n)
-        if self.pow(a, self.p ** n) != a:
-            raise DegreeMismatch(f"element {a} not in GF({self.p}^{n}) subfield")
+        n = self._check_tower(a, m, n)
         e = (self.p ** n - 1) // (self.p ** m - 1)
         return self.pow(a, e)
 
@@ -588,10 +585,11 @@ class FieldCtx:
                     for x in out]
         return out
 
-    def _trace_fibres(self, terms, d, fn):
+    def _trace_fibres(self, terms, fn):
         """The block source ``trace_fibres`` of f, the polynomial of the (e, c)
         ``terms`` with evaluator fn, once T(f(x)) = s*T(x) is proven for T the
-        trace onto GF(2^d); None when a check of the proof fails.
+        trace onto GF(2^d): d is the first to pass of the proper divisors of k
+        with |ker T| = 2^(k-d) >= _ORBIT_MIN, largest first; None if none does.
 
         The proof: p = 2; every exponent of f has binary weight <= 2, so the
         polar form B(a, b) = f(a+b) + f(a) + f(b) + f(0) is GF(2)-bilinear;
@@ -609,18 +607,23 @@ class FieldCtx:
         It holds no f.
         """
         k = self.k
-        if self.p != 2 or d < 1 or k % d or any(e.bit_count() > 2 for e, _ in terms):
+        ds = [d for d in range(k - 1, 0, -1) if not k % d and 2 ** (k - d) >= _ORBIT_MIN]
+        if self.p != 2 or not ds or any(e.bit_count() > 2 for e, _ in terms):
             return None
         f = SparsePoly._raw(self, terms)
-        trace = SparsePoly._raw(self, [(2 ** (d * j), 1) for j in range(k // d)])
-        conj = reduce(operator.add, [f.frobenius_power(d * j) for j in range(k // d)])
-        conj = conj.reduce_exponents(self.order - 1)
-        s = dict(conj._terms).get(1, 0)
-        if conj != trace.scale(s):
-            return None
-        kernel, complement = self._kernel_split([trace.eval_rep(1 << i) for i in range(k)])
-        f0, fk = fn(0), [fn(b) for b in kernel]
-        if any(fn(a ^ b) ^ fa ^ fb ^ f0 for (a, fa), (b, fb) in combinations(zip(kernel, fk), 2)):
+        for d in ds:
+            trace = SparsePoly._raw(self, [(2 ** (d * j), 1) for j in range(k // d)])
+            conj = reduce(operator.add, [f.frobenius_power(d * j) for j in range(k // d)])
+            conj = conj.reduce_exponents(self.order - 1)
+            s = dict(conj._terms).get(1, 0)
+            if conj != trace.scale(s):
+                continue
+            kernel, complement = self._kernel_split([trace.eval_rep(1 << i) for i in range(k)])
+            f0, fk = fn(0), [fn(b) for b in kernel]
+            if not any(fn(a ^ b) ^ fa ^ fb ^ f0
+                       for (a, fa), (b, fb) in combinations(zip(kernel, fk), 2)):
+                break
+        else:
             return None
 
         def trace_fibres(f, q):
@@ -1163,7 +1166,7 @@ class SparsePoly:
             acc = ctx.add(acc, ctx.mul(c, ctx.pow(x, e)))
         return acc
 
-    def rep_fn(self, trace=None):
+    def rep_fn(self):
         """A rep-level evaluator compiled against the context's log tables.
 
         Each term is kept as (log c, e mod (q-1)), so every power is one table
@@ -1172,20 +1175,19 @@ class SparsePoly:
         f(g^i) for i0 <= i < i0 + count from table columns (``_log_sweep``).
         Above TABLE_LIMIT f is :meth:`eval_rep`, with no sweep.
 
-        ``f.bijective(f, q)``, True exactly when f is a bijection, is picked
-        as in ``Form.rep_fn``: ``trace_fibres`` when ``FieldCtx._trace_fibres``
-        proves ``trace`` = d's claim T(f(x)) = s*T(x), T the trace onto
-        GF(2^d); else, on every field, ``cosets`` when the exponents split with
-        t = gcd(q-1, e - e0) >= 16 (``FieldCtx._cosets``); else, tabled,
-        ``log_order`` (``FieldCtx._log_order``).  With none, f is the bound
-        :meth:`eval_rep`.  Nothing is cached on the polynomial.
+        ``f.bijective(f, q)``, True exactly when f is a bijection, is on every
+        field ``cosets`` when the exponents split with t = gcd(q-1, e - e0) >=
+        16 (``FieldCtx._cosets``, which reads only exponents), else
+        ``trace_fibres`` when ``FieldCtx._trace_fibres`` proves a trace
+        reduction of f, else, tabled, ``log_order`` (``FieldCtx._log_order``).
+        With none, f is the bound :meth:`eval_rep`.  Nothing is cached.
         """
         ctx, f, sweep = self.ctx, self.eval_rep, None
         if ctx.ensure_tables():
             f, c0, terms = self._point_fn()
             f.sweep = sweep = partial(ctx._log_sweep, c0, terms)
-        source = (trace and ctx._trace_fibres(self._terms, trace, f)
-                  or ctx._cosets(self._terms, sweep=sweep) or sweep and ctx._log_order(sweep))
+        source = (ctx._cosets(self._terms, sweep=sweep) or ctx._trace_fibres(self._terms, f)
+                  or sweep and ctx._log_order(sweep))
         if not source:
             return f
         if sweep is None:

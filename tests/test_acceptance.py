@@ -289,7 +289,7 @@ def test_criterion_12_catches_a_lying_trace_source(monkeypatch):
     def tally():
         state, verified = reproduce.RunState(split=True), 0
         for poly in polys:
-            fn = poly.rep_fn(3)
+            fn = poly.rep_fn()
             assert fn.bijective.__name__ == "trace_fibres"
             vr = is_permutation(fn, ctx)
             state.record(f"{poly}", poly, fn, vr.is_permutation)
@@ -302,8 +302,8 @@ def test_criterion_12_catches_a_lying_trace_source(monkeypatch):
     counts = reproduce.CRITERIA[1](reproduce.RunState(split=True)).counts
     orig = FieldCtx._trace_fibres
 
-    def proven(self, terms, d, fn):
-        if orig(self, terms, d, fn) is None:
+    def proven(self, terms, fn):
+        if orig(self, terms, fn) is None:
             return None
 
         def trace_fibres(f, q):  # the rank check skipped

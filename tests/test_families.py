@@ -2,7 +2,6 @@
 the soundness sweeps (with the two documented gate defects characterized
 exactly against repaired predicates)."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -454,34 +453,26 @@ def test_column_sweep_kept(log_sweeps):
         ["fibres", "trace_fibres", "fibres", "log_order", "cosets"]
 
 
-def test_only_f2_states_a_trace_claim():
-    # the claim is one datum of the registry, the degree d = m of F2's trace
-    assert {fid: spec.trace({"m": 7}) for fid, spec in fam.REGISTRY.items()
-            if spec.trace} == {"F2": 7}
+def test_form_compiles_u_as_a_point_function(monkeypatch):
+    # u runs point by point inside the outer map, so it is compiled with no
+    # block source of its own: a criterion-9-sized F6 "sum" form (q = 3,
+    # whose core x^3 - x + delta is too small for fibres) builds one log
+    # order, the form's, and never asks for a coset split step
+    ctx = fam.family_ctx("F6", {"q": 3})
+    rng = random.Random(9)
+    u = SparsePoly(ctx, [(rng.randrange(ctx.order), d) for d in range(6)])
+    params = {"q": 3, "case": "sum", "u": u, "delta": 5, "c": 1}
+    calls = []
 
-
-@pytest.mark.parametrize("m", [2, 3, 4])
-def test_wrong_trace_claim_keeps_log_order(m, monkeypatch):
-    # a claim the compiler cannot prove costs speed, never a verdict: with
-    # d = 1 or d = 2m in place of m, every F2 instance keeps log order, and
-    # its report is the one the trace fibres gave
-    ctx = fam.family_ctx("F2", {"m": m})
-    cs = ctx.subfield_reps(m)[1:] + random.Random(m).sample(range(1, ctx.order), 12)
-
-    def reports():
-        out = []
-        for c in cs:
-            fn = fam.evaluator("F2", {"m": m, "c": c}, ctx=ctx)
-            vr = is_permutation(fn, ctx)
-            out.append((fn.bijective.__name__, vr.is_permutation, vr.witness, vr.evaluations))
-        return out
-
-    proven = reports()
-    assert {r[0] for r in proven[:(1 << m) - 1]} == {"trace_fibres"}
-    for d in (1, 2 * m):
-        monkeypatch.setitem(fam.REGISTRY, "F2", dataclasses.replace(
-            fam.REGISTRY["F2"], trace=lambda p, d=d: d))
-        assert reports() == [("log_order", *r[1:]) for r in proven]
+    def spy(name):
+        orig = getattr(FieldCtx, name)
+        return lambda self, arg: calls.append(name) or orig(self, arg)
+    for name in ("_log_order", "_split_step"):
+        monkeypatch.setattr(FieldCtx, name, spy(name))
+    fn = fam.evaluator("F6", params, ctx=ctx)
+    assert calls == ["_log_order"] and fn.bijective.__name__ == "log_order"
+    poly = fam.build("F6", params, ctx=ctx)
+    assert [fn(x) for x in range(ctx.order)] == [poly.eval_rep(x) for x in range(ctx.order)]
 
 
 @pytest.mark.parametrize("fid,params", [

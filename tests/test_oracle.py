@@ -1067,7 +1067,7 @@ def test_block_sources_hold_no_evaluator():
     gc.disable()
     try:
         for f, source in cases:
-            fn = f.rep_fn(4) if source == "trace_fibres" else f.rep_fn()
+            fn = f.rep_fn()
             assert fn.bijective.__name__ == source
             ref = weakref.ref(fn)
             del fn
@@ -1285,11 +1285,12 @@ def _f2_scalars(ctx, m):
 @pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_trace_fibres_match_sequential(m, tabled, monkeypatch):
-    # the claim is proven exactly for c in GF(2^m), where the source's answer
-    # equals the sequential scan; any other c keeps log order (no source on
-    # a fresh context with TABLE_LIMIT = 1, where f is eval_rep)
+    # the reduction is proven exactly for c in GF(2^m), m >= 2, where the
+    # source's answer equals the sequential scan; any other c, and every c
+    # at m = 1, whose |ker T| = 4 is below the gate, keeps log order (no
+    # source on a fresh context with TABLE_LIMIT = 1, where f is eval_rep)
     ctx = fam.family_ctx("F2", {"m": m})
-    sub = set(ctx.subfield_reps(m))
+    sub = set(ctx.subfield_reps(m)) if m > 1 else set()
     if not tabled:
         monkeypatch.setattr("permpoly.field.TABLE_LIMIT", 1)
         ctx = FieldCtx(2, 3 * m, ctx.modulus, ctx.generator)
@@ -1306,18 +1307,79 @@ def test_trace_fibres_match_sequential(m, tabled, monkeypatch):
     assert (ctx._exp is not None) == tabled
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_f2_trace_degree_found_from_the_polynomial(m, monkeypatch):
+    # no registry datum names d: the proof tries the proper divisors of 3m,
+    # largest first, and keeps the first that holds.  That is d = m, with a
+    # kernel of dimension 2m, exactly when c lies in GF(2^m)*; any other c
+    # keeps log order on a tabled field and has no source over GF(2^18).
+    # Every report is the sequential scan's; over GF(2^18), where a full
+    # scan takes seconds, a bijection's is checked to be True with q
+    # evaluations instead
+    ctx = fam.family_ctx("F2", {"m": m})
+    sub = ctx.subfield_reps(m)[1:]
+    rng = random.Random(m)
+    outside = [c for c in rng.sample(range(1, ctx.order), 12) if c not in sub]
+    splits, split = [], FieldCtx._kernel_split
+    monkeypatch.setattr(FieldCtx, "_kernel_split",
+                        lambda self, images: splits.append(split(self, images)) or splits[-1])
+    tabled = ctx.ensure_tables()
+    for c in sub + outside:
+        del splits[:]
+        fn = fam.evaluator("F2", {"m": m, "c": c}, ctx=ctx)
+        source = getattr(getattr(fn, "bijective", None), "__name__", None)
+        if c in sub:
+            assert (source, len(splits[-1][0])) == ("trace_fibres", 2 * m), c
+        else:
+            assert source == ("log_order" if tabled else None), c
+        if tabled or c in outside:
+            _same_as_sequential(fn, ctx)
+        else:
+            vr = is_permutation(fn, ctx)
+            assert (vr.is_permutation, vr.witness, vr.evaluations) == (True, None, ctx.order)
+    assert tabled == (m < 6)
+
+
+def test_trace_proof_gate_makes_no_attempt(monkeypatch):
+    # |ker T_d| = 2^(k-d) below _ORBIT_MIN leaves no d to try: F2 m=1 over
+    # GF(8) and criterion 10's companions h over GF(8) and GF(16) compile
+    # without building a conjugate sum and take log order, while F2 m=2
+    # over GF(64) builds its sums
+    polys = [fam.build("F2", {"m": 1, "c": c}) for c in range(1, 8)]
+    rng = random.Random(10)
+    for k in (3, 4):
+        ctx = make_field(2, k)
+        for sign in ("minus", "plus"):
+            g = SparsePoly(ctx, [(rng.randrange(ctx.order), d) for d in range(ctx.order // 2)])
+            polys.append(fam.transform_pair(g, 1, 1, sign)[1])
+    calls, frobenius = [], SparsePoly.frobenius_power
+    monkeypatch.setattr(SparsePoly, "frobenius_power",
+                        lambda self, i: calls.append(i) or frobenius(self, i))
+    for f in polys:
+        assert f.rep_fn().bijective.__name__ == "log_order"
+    assert calls == []
+    assert fam.build("F2", {"m": 2, "c": 1}).rep_fn().bijective.__name__ == "trace_fibres"
+    assert calls
+
+
 def test_trace_fibres_zero_scale_answers_false():
-    # the literal F2 with c = 0 satisfies T(f(x)) = 0*T(x): the proof holds
-    # with s = 0, so f lands in ker T, and the source answers False without
-    # calling f; the sequential scan gives the witness
-    for m in (2, 3, 5):
+    # the literal F2 with c = 0 satisfies T(f(x)) = 0*T(x): for m = 2, 3, 4
+    # the proof holds with s = 0, so f lands in ker T, and the source
+    # answers False without calling f; the sequential scan gives the
+    # witness.  For m = 5 its exponents split with t = 31 >= 16, so it
+    # takes the cosets, tried first, and they answer False too
+    for m in (2, 3, 4, 5):
         ctx = fam.family_ctx("F2", {"m": m})
         e = (1 << 2 * m) + 1
-        fn = SparsePoly(ctx, [(1, (1 << m) * e), (1, e)]).rep_fn(m)
+        poly = SparsePoly(ctx, [(1, (1 << m) * e), (1, e)])
+        fn = poly.rep_fn()
         calls = []
-        assert fn.bijective.__name__ == "trace_fibres"
-        assert fn.bijective(lambda x: calls.append(x) or fn(x), ctx.order) is False
-        assert calls == []
+        if m == 5:
+            assert ctx._split_step(poly._terms) == 31 and fn.bijective.__name__ == "cosets"
+        else:
+            assert ctx._split_step(poly._terms) < 16 and fn.bijective.__name__ == "trace_fibres"
+            assert fn.bijective(lambda x: calls.append(x) or fn(x), ctx.order) is False
+            assert calls == []
         assert not _same_as_sequential(fn, ctx).is_permutation
 
 
@@ -1339,7 +1401,7 @@ def test_trace_fibre_images_from_spans(m, monkeypatch):
                         or spans[-1])
     for const in (0, delta):
         del splits[:], spans[:]
-        fn = (fam.build("F2", {"m": m, "c": c}, ctx=ctx) + SparsePoly.constant(ctx, const)).rep_fn(m)
+        fn = (fam.build("F2", {"m": m, "c": c}, ctx=ctx) + SparsePoly.constant(ctx, const)).rep_fn()
         assert fn(0) == const and fn.bijective.__name__ == "trace_fibres"
         (kernel, complement), = splits
         assert len(kernel) == 2 * m and len(complement) == m
@@ -1349,24 +1411,39 @@ def test_trace_fibre_images_from_spans(m, monkeypatch):
         assert spans == [[fn(x ^ b) ^ fn(x) for x in reps] for b in kernel]
 
 
-def test_trace_proof_refuses_each_failed_check():
-    # each of the four checks alone refuses the claim: a source is proven,
-    # never assumed.  Over GF(2^6): the F2 claim with d = 2 does not divide 6;
-    # x^(2q-1) equals x on the field (so T(f) = T), but its exponent has
-    # weight 7; 28*x^12 + 11*x^33 satisfies T(f(x)) = 0 for T onto GF(8), but
-    # its polar form does not vanish on ker T, so it keeps its coset source;
-    # odd characteristic is refused
+def test_trace_proof_refuses_each_failed_check(monkeypatch):
+    # each check alone refuses at every d the gate allows, so a source is
+    # proven, never assumed.  Spies count the proof attempts (the conjugate
+    # sum starts at f's zeroth Frobenius power) and the kernel splits, which
+    # only a sum equal to s*T reaches.  x over GF(2^6) is proven at d = 2,
+    # the largest allowed; x^(2q-1) equals x there, but its exponent has
+    # weight 7, and odd characteristic, GF(3^6), is refused, both before
+    # any attempt.  Over GF(2^9), where d = 3 and d = 1 are allowed, F2 m=3
+    # with c outside GF(8) fails the sum at both, and g + g^8 for g =
+    # 11*x^3 has T(f(x)) = 0 for both, but its polar form vanishes on
+    # neither kernel
+    calls, splits = [], []
+    frobenius, split = SparsePoly.frobenius_power, FieldCtx._kernel_split
+    monkeypatch.setattr(SparsePoly, "frobenius_power",
+                        lambda self, i: calls.append(i) or frobenius(self, i))
+    monkeypatch.setattr(FieldCtx, "_kernel_split",
+                        lambda self, images: splits.append(split(self, images)) or splits[-1])
+
+    def attempt(f):
+        del calls[:], splits[:]
+        source = f.ctx._trace_fibres(f._terms, f.eval_rep)
+        return source is not None, calls.count(0), [len(kernel) for kernel, _ in splits]
+
     ctx = make_field(2, 6)
-    x = SparsePoly.x(ctx)
-    assert ctx._trace_fibres(x._terms, 3, x.eval_rep) is not None
-    assert ctx._trace_fibres(x._terms, 4, x.eval_rep) is None
+    assert attempt(SparsePoly.x(ctx)) == (True, 1, [4])
     wide = SparsePoly(ctx, [(1, 2 * ctx.order - 1)])
     assert all(wide.eval_rep(v) == v for v in range(ctx.order))
-    assert ctx._trace_fibres(wide._terms, 6, wide.eval_rep) is None
-    polar = SparsePoly(ctx, [(28, 12), (11, 33)])
+    assert attempt(wide) == (False, 0, [])
+    assert attempt(SparsePoly.x(make_field(3, 6))) == (False, 0, [])
+    ctx = make_field(2, 9)
+    c = next(v for v in range(2, ctx.order) if not ctx.subfield_test(v, 3))
+    assert attempt(fam.build("F2", {"m": 3, "c": c}, ctx=ctx)) == (False, 2, [])
+    polar = SparsePoly(ctx, [(11, 3), (ctx.pow(11, 8), 24)])
     assert all(ctx.rel_trace(polar.eval_rep(v), 3) == 0 for v in range(ctx.order))
-    assert ctx._trace_fibres(polar._terms, 3, polar.eval_rep) is None
-    assert polar.rep_fn(3).bijective.__name__ == polar.rep_fn().bijective.__name__ == "cosets"
-    odd = make_field(3, 3)
-    y = SparsePoly.x(odd)
-    assert odd._trace_fibres(y._terms, 1, y.eval_rep) is None
+    assert attempt(polar) == (False, 2, [6, 8])
+    assert polar.rep_fn().bijective.__name__ == "log_order"
